@@ -11,31 +11,26 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from . import allocator as al
-from . import extractor as ex
-from . import load as ld
 from .config import (
     ConfigError,
     ExperimentConfig,
     config_digest,
-    derive_seed,
     parse_experiment_config,
     parse_scenario_config,
 )
-from .flow import estimate_flow
-from .pipeline import StageError, run_pipeline, transmit_selection
-from .reconstruct import reconstruct_video
-from .metrics import frame_losses
-from .video import FormatError, PatchGrid, load_ppm_sequence, write_flo
+from .pipeline import StageError, run_pipeline, video_runs
+from .video import FormatError, write_flo
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_BAD_INPUT = 2
+
+FRAME_HEADER = ["video_id", "rho", "snr_db", "frame_idx", "ssim", "psnr", "mse"]
 
 
 def _fmt(value) -> str:
@@ -84,37 +79,27 @@ def write_manifest(out_dir: str, command: str, config_path: str, seed: int, extr
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
 
 
-def _load_videos(cfg: ExperimentConfig):
-    for k, d in enumerate(cfg.video_dirs):
-        video = load_ppm_sequence(d)
-        yield k, os.path.basename(os.path.normpath(d)), video
-
-
 def cmd_flow(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
     rows = []
-    for k, video_id, video in _load_videos(cfg):
-        flows = estimate_flow(video, cfg.flow_params)
-        vid_dir = os.path.join(out_dir, video_id)
+    for run in video_runs(cfg, seed):
+        vid_dir = os.path.join(out_dir, run.video_id)
         os.makedirs(vid_dir, exist_ok=True)
-        for t, field in enumerate(flows):
+        for t, field in enumerate(run.flows):
             write_flo(field, os.path.join(vid_dir, f"flow_{t:04d}.flo"))
-        rows.append([video_id, len(flows), float(np.mean([np.hypot(f.u, f.v).mean() for f in flows]))])
+        magnitude = float(np.mean([np.hypot(f.u, f.v).mean() for f in run.flows]))
+        rows.append([run.video_id, len(run.flows), magnitude])
     write_csv_atomic(os.path.join(out_dir, "flow.csv"), ["video_id", "n_fields", "mean_magnitude"], rows)
 
 
 def cmd_extract(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
     rows = []
-    for k, video_id, video in _load_videos(cfg):
-        flows = estimate_flow(video, cfg.flow_params)
-        grid = PatchGrid.for_shape(video.height, video.width, cfg.patch_h, cfg.patch_w)
-        for rho in cfg.rho_list:
-            params = replace(cfg.extractor, mask_ratio=rho)
-            sel = ex.extract(flows, grid, params, derive_seed(seed, "extract", k))
-            vid_dir = os.path.join(out_dir, video_id)
+    for run in video_runs(cfg, seed):
+        vid_dir = os.path.join(out_dir, run.video_id)
+        for rho, sel in run.selections():
             os.makedirs(vid_dir, exist_ok=True)
             with open(os.path.join(vid_dir, f"selection_rho{rho:g}.bin"), "wb") as fh:
                 fh.write(sel.to_bytes())
-            rows.append([video_id, rho, len(sel.selected), int(sel.xi.sum())])
+            rows.append([run.video_id, rho, len(sel.selected), int(sel.xi.sum())])
     write_csv_atomic(
         os.path.join(out_dir, "extract.csv"), ["video_id", "rho", "n_selected", "xi_bits"], rows
     )
@@ -122,20 +107,11 @@ def cmd_extract(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) ->
 
 def cmd_load(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
     rows = []
-    for k, video_id, video in _load_videos(cfg):
+    for run in video_runs(cfg, seed):
         for rho in cfg.rho_list:
-            p = ld.LoadParams(
-                n_frames=video.n_frames,
-                height=video.height,
-                width=video.width,
-                patch_h=cfg.patch_h,
-                patch_w=cfg.patch_w,
-                mask_ratio=rho,
-                zip_ratio=cfg.zip_ratio,
-            )
-            b = ld.total_load(p)
+            b = run.breakdown(rho)
             rows.append(
-                [video_id, rho, cfg.zip_ratio, float(b.l_first_frame), float(b.l_sr),
+                [run.video_id, rho, cfg.zip_ratio, float(b.l_first_frame), float(b.l_sr),
                  float(b.l_b), float(b.l_com)]
             )
     write_csv_atomic(
@@ -147,19 +123,10 @@ def cmd_load(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> No
 
 def cmd_transmit(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
     rows = []
-    for k, video_id, video in _load_videos(cfg):
-        flows = estimate_flow(video, cfg.flow_params)
-        grid = PatchGrid.for_shape(video.height, video.width, cfg.patch_h, cfg.patch_w)
-        point = 0
-        for rho in cfg.rho_list:
-            params = replace(cfg.extractor, mask_ratio=rho)
-            sel = ex.extract(flows, grid, params, derive_seed(seed, "extract", k))
-            for snr_db in cfg.snr_db_list:
-                _, stats = transmit_selection(
-                    sel, cfg, 10.0 ** (snr_db / 10.0), derive_seed(seed, "channel", point)
-                )
-                rows.append([video_id, rho, snr_db, stats["n_symbols"], stats["rms_flow_error"]])
-                point += 1
+    for run in video_runs(cfg, seed):
+        for rho, snr_db, sel, channel_seed in run.cells():
+            _, stats = run.transmit(rho, snr_db, sel, channel_seed)
+            rows.append([run.video_id, rho, snr_db, stats["n_symbols"], stats["rms_flow_error"]])
     write_csv_atomic(
         os.path.join(out_dir, "transmit.csv"),
         ["video_id", "rho", "snr_db", "n_symbols", "rms_flow_error"],
@@ -167,35 +134,27 @@ def cmd_transmit(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -
     )
 
 
+def _frame_rows(key: list, report) -> list[list]:
+    """Per-frame quality rows, then the video-mean row, under one (video, rho, snr_db) key."""
+    per_frame = zip(report.frame_ssim, report.frame_psnr, report.frame_mse)
+    rows = [[*key, t, *values] for t, values in enumerate(per_frame)]
+    rows.append([*key, "mean", report.mean_ssim, report.mean_psnr, report.mean_mse])
+    return rows
+
+
 def cmd_reconstruct(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
     """Local reconstruction from lossless selections (no channel in the loop)."""
     frame_rows = []
-    for k, video_id, video in _load_videos(cfg):
-        flows = estimate_flow(video, cfg.flow_params)
-        grid = PatchGrid.for_shape(video.height, video.width, cfg.patch_h, cfg.patch_w)
-        for rho in cfg.rho_list:
-            params = replace(cfg.extractor, mask_ratio=rho)
-            sel = ex.extract(flows, grid, params, derive_seed(seed, "extract", k))
-            report = frame_losses(reconstruct_video(video.frames[0], sel), video)
-            for t in range(len(report.frame_ssim)):
-                frame_rows.append(
-                    [video_id, rho, "", t, report.frame_ssim[t], report.frame_psnr[t], report.frame_mse[t]]
-                )
-            frame_rows.append(
-                [video_id, rho, "", "mean", report.mean_ssim, report.mean_psnr, report.mean_mse]
-            )
-    write_csv_atomic(
-        os.path.join(out_dir, "reconstruct.csv"),
-        ["video_id", "rho", "snr_db", "frame_idx", "ssim", "psnr", "mse"],
-        frame_rows,
-    )
+    for run in video_runs(cfg, seed):
+        for rho, sel in run.selections():
+            frame_rows += _frame_rows([run.video_id, rho, ""], run.quality(sel, rho))
+    write_csv_atomic(os.path.join(out_dir, "reconstruct.csv"), FRAME_HEADER, frame_rows)
 
 
 def cmd_pipeline(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
-    results = run_pipeline(cfg, seed, workers=workers)
     summary_rows = []
     frame_rows = []
-    for r in results:
+    for r in run_pipeline(cfg, seed, workers=workers):
         summary_rows.append(
             [
                 r.video_id, r.rho, r.snr_db,
@@ -206,26 +165,14 @@ def cmd_pipeline(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -
                 r.tx_seconds,
             ]
         )
-        for t in range(len(r.report.frame_ssim)):
-            frame_rows.append(
-                [r.video_id, r.rho, r.snr_db, t,
-                 r.report.frame_ssim[t], r.report.frame_psnr[t], r.report.frame_mse[t]]
-            )
-        frame_rows.append(
-            [r.video_id, r.rho, r.snr_db, "mean",
-             r.report.mean_ssim, r.report.mean_psnr, r.report.mean_mse]
-        )
+        frame_rows += _frame_rows([r.video_id, r.rho, r.snr_db], r.report)
     write_csv_atomic(
         os.path.join(out_dir, "summary.csv"),
         ["video_id", "rho", "snr_db", "mean_ssim", "mean_psnr", "mean_mse", "map",
          "n_selected", "l_first", "l_sr", "l_b", "l_com", "tx_seconds"],
         summary_rows,
     )
-    write_csv_atomic(
-        os.path.join(out_dir, "frames.csv"),
-        ["video_id", "rho", "snr_db", "frame_idx", "ssim", "psnr", "mse"],
-        frame_rows,
-    )
+    write_csv_atomic(os.path.join(out_dir, "frames.csv"), FRAME_HEADER, frame_rows)
 
 
 def cmd_allocate(config_path: str, seed: int | None, out_dir: str, workers: int) -> None:

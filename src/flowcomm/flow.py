@@ -92,11 +92,6 @@ def resize_flow(flow: FlowField, new_h: int, new_w: int) -> FlowField:
     )
 
 
-def upsample_flow(flow: FlowField) -> FlowField:
-    """Exact 2x spatial upsample; u, v doubled to stay in finer-grid pixels."""
-    return resize_flow(flow, 2 * flow.height, 2 * flow.width)
-
-
 def refine_level(
     prev_flow_up: FlowField,
     ref: np.ndarray,

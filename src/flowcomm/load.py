@@ -48,15 +48,6 @@ class LoadBreakdown:
         if min(self.l_first_frame, self.l_sr, self.l_b, self.l_com) < 0:
             raise ValueError("loads cannot be negative")
 
-    def as_bits(self) -> dict[str, float]:
-        return {
-            "l_first": float(self.l_first_frame),
-            "l_sr": float(self.l_sr),
-            "l_n": float(self.l_n),
-            "l_b": float(self.l_b),
-            "l_com": float(self.l_com),
-        }
-
 
 def numeric_load(p: LoadParams) -> tuple[Fraction, Fraction]:
     """Bits for the first frame and the kept flow patches (ratio form).
@@ -87,25 +78,20 @@ def compensation_ratio(p: LoadParams) -> Fraction:
     return Fraction(1, p.color_depth)
 
 
-def mask_load(p: LoadParams, per_flow_frame: bool = False) -> Fraction:
-    """Position-bitmap bits: rho_c * N_b * T * (H * W) / (H' * W').
-
-    The formula counts all T frames; per_flow_frame=True opts into counting
-    only the T-1 frames that actually carry a mask.
-    """
-    frames = p.n_frames - 1 if per_flow_frame else p.n_frames
+def mask_load(p: LoadParams) -> Fraction:
+    """Position-bitmap bits: rho_c * N_b * T * (H * W) / (H' * W')."""
     return (
         compensation_ratio(p)
         * p.bit_depth
-        * frames
+        * p.n_frames
         * Fraction(p.height * p.width, p.patch_h * p.patch_w)
     )
 
 
-def total_load(p: LoadParams, per_flow_frame_mask: bool = False) -> LoadBreakdown:
+def total_load(p: LoadParams) -> LoadBreakdown:
     """Full breakdown with l_com = (1 - rho_zip) * (l_first + l_sr) + l_b."""
     l_first, l_sr = numeric_load(p)
-    l_b = mask_load(p, per_flow_frame_mask)
+    l_b = mask_load(p)
     l_n = l_first + l_sr
     l_com = (1 - Fraction(p.zip_ratio)) * l_n + l_b
     return LoadBreakdown(l_first, l_sr, l_n, l_b, l_com)

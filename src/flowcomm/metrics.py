@@ -1,4 +1,4 @@
-"""Frame and video quality metrics: SSIM (windowed + global), PSNR, MSE, MAP."""
+"""Frame and video quality metrics: SSIM, PSNR, MSE, MAP."""
 from __future__ import annotations
 
 import math
@@ -71,22 +71,6 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         (mu_a * mu_a + mu_b * mu_b + _C1) * (var_a + var_b + _C2)
     )
     return float(score.mean())
-
-
-def ssim_global(a: np.ndarray, b: np.ndarray) -> float:
-    """Single-window SSIM with uniform weights over the whole frame."""
-    ya = luma(a) if a.ndim == 3 else np.asarray(a, dtype=np.float64)
-    yb = luma(b) if b.ndim == 3 else np.asarray(b, dtype=np.float64)
-    if ya.shape != yb.shape:
-        raise ValueError(f"frame shapes differ: {ya.shape} vs {yb.shape}")
-    mu_a, mu_b = ya.mean(), yb.mean()
-    var_a = (ya * ya).mean() - mu_a * mu_a
-    var_b = (yb * yb).mean() - mu_b * mu_b
-    cov = (ya * yb).mean() - mu_a * mu_b
-    return float(
-        ((2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2))
-        / ((mu_a * mu_a + mu_b * mu_b + _C1) * (var_a + var_b + _C2))
-    )
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,4 +1,8 @@
-"""End-to-end experiment runs: video -> flow -> selection -> channel -> quality rows."""
+"""End-to-end experiment runs: video -> flow -> selection -> channel -> quality rows.
+
+`VideoRun` is the per-video stage graph behind `pipeline`, `sweep` and every
+per-stage CLI command, so each command draws the same seeds for the same cell.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -6,6 +10,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +22,7 @@ from .flow import estimate_flow
 from .load import LoadBreakdown
 from .metrics import QualityReport, frame_losses, motion_area_percentage
 from .reconstruct import reconstruct_video
-from .video import PatchGrid, Video, load_ppm_sequence
+from .video import PatchGrid, load_ppm_sequence
 
 
 class StageError(RuntimeError):
@@ -28,6 +33,10 @@ class StageError(RuntimeError):
         self.stage = stage
         self.digest = digest
         self.cause = cause
+
+    def __reduce__(self):
+        # Sweep workers send failures back to the parent process by pickling.
+        return StageError, (self.stage, self.digest, self.cause)
 
 
 def _digest(*parts) -> str:
@@ -54,6 +63,91 @@ def _stage(name, digest_parts, fn):
         raise StageError(name, _digest(*digest_parts), exc) from exc
 
 
+class VideoRun:
+    """One video's stage graph: load, patch grid, flow, then one selection per rho.
+
+    The video is loaded once. Flow is estimated once, on first use, so `load`
+    never estimates it; the patch grid is built and checked only where
+    selections are made, before any flow. Seeds are keyed by grid position:
+    extraction by the video index, the channel by the cell's index in the
+    whole (video, rho, snr_db) grid.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str):
+        self.cfg = cfg
+        self.run_seed = run_seed
+        self.index = index
+        self.directory = directory
+        self.video_id = os.path.basename(os.path.normpath(directory))
+        self.video = _stage("load", (directory,), lambda: load_ppm_sequence(directory))
+
+    @cached_property
+    def flows(self) -> list:
+        return _stage("flow", (self.directory,), lambda: estimate_flow(self.video, self.cfg.flow_params))
+
+    def breakdown(self, rho: float) -> LoadBreakdown:
+        v, cfg = self.video, self.cfg
+        params = ld.LoadParams(
+            n_frames=v.n_frames,
+            height=v.height,
+            width=v.width,
+            patch_h=cfg.patch_h,
+            patch_w=cfg.patch_w,
+            mask_ratio=rho,
+            zip_ratio=cfg.zip_ratio,
+        )
+        return _stage("load", (self.video_id, rho), lambda: ld.total_load(params))
+
+    def selections(self):
+        """Yield (rho, selection) one rho at a time: a rho=0 selection holds every patch."""
+        cfg, v = self.cfg, self.video
+        grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
+        # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
+        # of i and 1, so every 6-patch draw of the quadratic background is singular.
+        if min(grid.rows, grid.cols) < 3:
+            raise ValueError(
+                f"{self.video_id}: {grid.rows}x{grid.cols} patch grid ({v.height}x{v.width} px, "
+                f"{cfg.patch_h}x{cfg.patch_w} px patches) is too small for the quadratic "
+                "background model, which needs at least 3 patch rows and 3 patch columns"
+            )
+        flows = self.flows
+        seed = derive_seed(self.run_seed, "extract", self.index)
+        for rho in cfg.rho_list:
+            params = replace(cfg.extractor, mask_ratio=rho)
+            yield rho, _stage("extract", (self.video_id, rho), lambda: ex.extract(flows, grid, params, seed))
+
+    def cells(self):
+        """Yield (rho, snr_db, selection, channel seed) in grid order."""
+        snrs = self.cfg.snr_db_list
+        point = self.index * len(self.cfg.rho_list) * len(snrs)
+        for rho, sel in self.selections():
+            for snr_db in snrs:
+                yield rho, snr_db, sel, derive_seed(self.run_seed, "channel", point)
+                point += 1
+
+    def transmit(self, rho, snr_db, sel, seed) -> tuple[ex.SelectionResult, dict]:
+        snr_linear = 10.0 ** (snr_db / 10.0)
+        return _stage(
+            "transmit",
+            (self.video_id, rho, snr_db),
+            lambda: transmit_selection(sel, self.cfg, snr_linear, seed),
+        )
+
+    def quality(self, sel, *cell) -> QualityReport:
+        """Reconstruct from the selection's payloads and score against the source."""
+        digest = (self.video_id, *cell)
+        reconstructed = _stage(
+            "reconstruct", digest, lambda: reconstruct_video(self.video.frames[0], sel)
+        )
+        return _stage("metrics", digest, lambda: frame_losses(reconstructed, self.video))
+
+
+def video_runs(cfg: ExperimentConfig, run_seed: int):
+    """The stage graph of each configured video, one video at a time."""
+    for k, directory in enumerate(cfg.video_dirs):
+        yield VideoRun(cfg, run_seed, k, directory)
+
+
 def transmit_selection(
     sel: ex.SelectionResult, cfg: ExperimentConfig, snr_linear: float, seed: int
 ) -> tuple[ex.SelectionResult, dict]:
@@ -66,21 +160,15 @@ def transmit_selection(
     link SNR. The transmitter-side scale factor travels as error-free
     metadata alongside the bit payloads.
     """
-    if not sel.selected:  # extreme mask ratios can round the selection to zero
-        realization = ch.ChannelRealization(
-            ch.sample_channel(cfg.link, seed).h,
-            snr_linear,
-            ch.capacity_per_s(cfg.link.bandwidth_hz, snr_linear),
-        )
-        return sel, {"n_symbols": 0, "rms_flow_error": 0.0, "realization": realization}
-    payloads = np.stack([s.payload for s in sel.selected])
-    symbols = ch.flow_encode(payloads, cfg.codec)
-    realization = ch.sample_channel(cfg.link, seed)
-    h = realization.h
-    sigma2 = cfg.link.tx_power * abs(h) ** 2 / snr_linear
+    h = ch.sample_channel(cfg.link, seed).h
     realization = ch.ChannelRealization(
         h, snr_linear, ch.capacity_per_s(cfg.link.bandwidth_hz, snr_linear)
     )
+    if not sel.selected:  # extreme mask ratios can round the selection to zero
+        return sel, {"n_symbols": 0, "rms_flow_error": 0.0, "realization": realization}
+    payloads = np.stack([s.payload for s in sel.selected])
+    symbols = ch.flow_encode(payloads, cfg.codec)
+    sigma2 = cfg.link.tx_power * abs(h) ** 2 / snr_linear
     per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * symbols.size)
     normalized = ch.power_normalize(symbols, per_symbol, cfg.link.tx_power)
     scale = math.sqrt(per_symbol.gamma * cfg.link.tx_power) / float(
@@ -107,66 +195,21 @@ def transmit_selection(
 
 
 def run_point(
-    video: Video,
-    video_id: str,
-    flows: list,
-    cfg: ExperimentConfig,
-    rho: float,
-    snr_db: float,
-    run_seed: int,
-    video_index: int,
-    point_index: int,
+    run: VideoRun, rho: float, snr_db: float, sel: ex.SelectionResult, channel_seed: int
 ) -> PointResult:
-    """One (video, rho, snr) cell of the sweep grid."""
-    grid = PatchGrid.for_shape(video.height, video.width, cfg.patch_h, cfg.patch_w)
-    params = replace(cfg.extractor, mask_ratio=rho)
-    sel = _stage(
-        "extract",
-        (video_id, rho),
-        lambda: ex.extract(flows, grid, params, derive_seed(run_seed, "extract", video_index)),
-    )
-    load_params = ld.LoadParams(
-        n_frames=video.n_frames,
-        height=video.height,
-        width=video.width,
-        patch_h=cfg.patch_h,
-        patch_w=cfg.patch_w,
-        mask_ratio=rho,
-        zip_ratio=cfg.zip_ratio,
-    )
-    breakdown = _stage("load", (video_id, rho), lambda: ld.total_load(load_params))
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    degraded, stats = _stage(
-        "transmit",
-        (video_id, rho, snr_db),
-        lambda: transmit_selection(sel, cfg, snr_linear, derive_seed(run_seed, "channel", point_index)),
-    )
-    reconstructed = _stage(
-        "reconstruct", (video_id, rho, snr_db), lambda: reconstruct_video(video.frames[0], degraded)
-    )
-    report = _stage(
-        "metrics", (video_id, rho, snr_db), lambda: frame_losses(reconstructed, video)
-    )
+    """One (video, rho, snr) cell of the sweep grid, from the video's selection for rho."""
+    breakdown = run.breakdown(rho)
+    degraded, stats = run.transmit(rho, snr_db, sel, channel_seed)
+    report = run.quality(degraded, rho, snr_db)
     if sel.important is not None:
         report.map = motion_area_percentage(sel.important)
     tx_seconds = ch.tx_time(float(breakdown.l_com), stats["realization"])
-    return PointResult(video_id, rho, snr_db, report, breakdown, tx_seconds, len(sel.selected))
+    return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, len(sel.selected))
 
 
 def _run_video_task(args):
-    cfg, run_seed, video_index, directory = args
-    video = _stage("load", (directory,), lambda: load_ppm_sequence(directory))
-    flows = _stage("flow", (directory,), lambda: estimate_flow(video, cfg.flow_params))
-    video_id = os.path.basename(os.path.normpath(directory))
-    results = []
-    point_index = video_index * len(cfg.rho_list) * len(cfg.snr_db_list)
-    for rho in cfg.rho_list:
-        for snr_db in cfg.snr_db_list:
-            results.append(
-                run_point(video, video_id, flows, cfg, rho, snr_db, run_seed, video_index, point_index)
-            )
-            point_index += 1
-    return results
+    run = VideoRun(*args)
+    return [run_point(run, *cell) for cell in run.cells()]
 
 
 def run_pipeline(cfg: ExperimentConfig, run_seed: int, workers: int = 1) -> list[PointResult]:

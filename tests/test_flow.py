@@ -10,7 +10,6 @@ from flowcomm.flow import (
     grayscale,
     refine_level,
     resize_flow,
-    upsample_flow,
     warp_bilinear,
 )
 from flowcomm.video import FlowField
@@ -71,19 +70,20 @@ class TestWarp:
 class TestUpsample:
     def test_constant_field_scales(self):
         flow = FlowField(np.ones((2, 2)), np.zeros((2, 2)))
-        up = upsample_flow(flow)
+        up = resize_flow(flow, 2 * flow.height, 2 * flow.width)
         assert up.u.shape == (4, 4)
         assert np.allclose(up.u, 2.0) and np.allclose(up.v, 0.0)
 
     def test_zero_flow(self):
-        up = upsample_flow(FlowField(np.zeros((3, 3)), np.zeros((3, 3))))
+        flow = FlowField(np.zeros((3, 3)), np.zeros((3, 3)))
+        up = resize_flow(flow, 2 * flow.height, 2 * flow.width)
         assert up.u.shape == (6, 6)
         assert not up.u.any() and not up.v.any()
 
     def test_mean_doubles(self):
         rng = np.random.default_rng(4)
         flow = FlowField(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
-        up = upsample_flow(flow)
+        up = resize_flow(flow, 2 * flow.height, 2 * flow.width)
         assert abs(up.u.mean() - 2.0 * flow.u.mean()) < 1e-6
         assert abs(up.v.mean() - 2.0 * flow.v.mean()) < 1e-6
 

@@ -53,9 +53,6 @@ class TestMaskLoad:
         assert one == 196
         assert mask_load(LoadParams(**REFERENCE_CFG)) == 8 * one
 
-    def test_flow_frame_variant(self):
-        assert mask_load(LoadParams(**REFERENCE_CFG), per_flow_frame=True) == 7 * 196
-
 
 class TestTotalLoad:
     def test_no_compression(self):

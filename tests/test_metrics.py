@@ -27,13 +27,6 @@ class TestSsim:
             b = metrics.luma(random_frame(seed + 100))
             assert abs(metrics.ssim(a, b) - brute_force_ssim(a, b)) < 1e-9
 
-    def test_global_constant_frames_closed_form(self):
-        a = np.full((16, 16, 3), 100, dtype=np.uint8)
-        b = np.full((16, 16, 3), 120, dtype=np.uint8)
-        c1 = (0.01 * 255) ** 2
-        expected = (2 * 100 * 120 + c1) / (100**2 + 120**2 + c1)
-        assert metrics.ssim_global(a, b) == pytest.approx(expected, rel=1e-12)
-
     def test_too_small_frame_rejected(self):
         with pytest.raises(ValueError):
             metrics.ssim(random_frame(3, 8, 8), random_frame(4, 8, 8))

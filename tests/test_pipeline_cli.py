@@ -24,6 +24,9 @@ def clips(tmp_path_factory):
             64, 64, 4, [(16, 16, 16, 16)], dx=2, dy=0, seed=10 + k
         )
         save_ppm_sequence(video, root / f"motion{k}")
+    # 2 patch rows of 16 px: too few for the quadratic background model
+    thin, _ = synth.block_motion_video(32, 128, 4, [(8, 8, 8, 8)], dx=2, dy=0, seed=3)
+    save_ppm_sequence(thin, root / "thin")
     return root
 
 
@@ -171,6 +174,9 @@ class TestCli:
         cfg = write_config(tmp_path / "c.ini", [tmp_path / "missing_video"])
         rc = self.run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == 2
+        # a stage failure in a sweep worker must reach the parent process intact
+        rc = self.run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--workers", "2")
+        assert rc == 2
 
     def test_bad_config_exit_code_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -232,6 +238,51 @@ class TestCli:
         assert self.run("reconstruct", "--config", str(cfg), "--seed", "3", "--out", str(out2)) == 0
         rows = read_rows(out2 / "reconstruct.csv")
         assert rows[-1]["frame_idx"] == "mean"
+
+    def test_transmit_uses_the_pipeline_channel_seeds(self, tmp_path, clips):
+        cfg_path = write_config(
+            tmp_path / "c.ini", [clips / "motion0", clips / "motion1"], rho="0.0", snr_db="10"
+        )
+        out = tmp_path / "tx"
+        assert self.run("transmit", "--config", str(cfg_path), "--seed", "1", "--out", str(out)) == 0
+        row = read_rows(out / "transmit.csv")[1]
+        assert row["video_id"] == "motion1"
+        # The pipeline indexes channel seeds over the whole grid: motion1's only cell is 1.
+        cfg = parse_experiment_config(cfg_path)
+        flows = estimate_flow(load_ppm_sequence(clips / "motion1"), cfg.flow_params)
+        grid = PatchGrid.for_shape(64, 64, 16, 16)
+        sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", 1))
+        _, stats = transmit_selection(sel, cfg, 10.0, derive_seed(1, "channel", 1))
+        assert float(row["rms_flow_error"]) == stats["rms_flow_error"]
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
+    def test_extract_runs_once_per_video_and_rho(self, tmp_path, clips, monkeypatch, entry):
+        calls = []
+        original = ex.extract
+
+        def counting(*args):
+            calls.append(args[2].mask_ratio)
+            return original(*args)
+
+        monkeypatch.setattr(ex, "extract", counting)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
+        if entry == "run_pipeline":
+            assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
+        else:
+            assert self.run("transmit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert calls == [0.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [("flow", 0), ("load", 0), ("extract", 2), ("transmit", 2), ("reconstruct", 2),
+         ("pipeline", 2), ("sweep", 2)],
+    )
+    def test_grid_too_thin_for_background_model(self, tmp_path, clips, capsys, command, code):
+        cfg = write_config(tmp_path / "c.ini", [clips / "thin"])
+        workers = ["--workers", "2"] if command == "sweep" else []
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *workers) == code
+        if code:
+            assert "2x8 patch grid" in capsys.readouterr().err
 
 
 SCENARIO_INI = """
