@@ -21,7 +21,6 @@ class AllocationScenario:
     snrs: tuple           # linear SNR per UE
     bandwidth_hz: float   # total budget B
     mask_ratios: tuple    # rho per UE (state features)
-    distances: tuple | None = None  # meters, metadata only
 
     def __post_init__(self):
         n = len(self.loads)

@@ -1,4 +1,4 @@
-"""Rayleigh-fading link: coefficient sampling, capacity/timing, flow symbol codec."""
+"""Link model: Rayleigh fading draws, capacity/timing, analog symbol leg, flow symbol codec."""
 from __future__ import annotations
 
 import math
@@ -58,16 +58,11 @@ def capacity_per_s(bandwidth_hz: float, snr: float) -> float:
     return bandwidth_hz * math.log2(1.0 + snr)
 
 
-def sample_channel(link: LinkParams, seed: int, beta: complex | None = None) -> ChannelRealization:
-    """Draw one fading realization: h = path_gain * beta, beta ~ CN(0, 1).
-
-    `beta` overrides the draw for deterministic tests.
-    """
-    if beta is None:
-        rng = np.random.default_rng(seed)
-        re, im = rng.standard_normal(2) * math.sqrt(0.5)
-        beta = complex(re, im)
-    h = path_gain(link) * beta
+def sample_channel(link: LinkParams, seed: int) -> ChannelRealization:
+    """Draw one fading realization: h = path_gain * beta, beta ~ CN(0, 1)."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal(2) * math.sqrt(0.5)
+    h = path_gain(link) * complex(re, im)
     snr = link.tx_power * abs(h) ** 2 / link.noise_power
     return ChannelRealization(h, snr, capacity_per_s(link.bandwidth_hz, snr))
 

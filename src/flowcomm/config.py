@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import os
 from dataclasses import dataclass
 
 from .allocator import AllocationScenario, DdpgHyper
@@ -21,6 +22,11 @@ def derive_seed(run_seed: int, stage: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def video_id(directory: str) -> str:
+    """The name a video's outputs go under: its directory's basename."""
+    return os.path.basename(os.path.normpath(directory))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     video_dirs: tuple
@@ -29,7 +35,7 @@ class ExperimentConfig:
     flow_params: FlowEstimatorParams
     extractor: ExtractorParams      # mask_ratio comes from the sweep list
     codec: CodecParams
-    link: LinkParams
+    bandwidth_hz: float             # B; snr_db is the post-equalization SNR
     zip_ratio: float
     rho_list: tuple
     snr_db_list: tuple
@@ -74,8 +80,21 @@ def parse_experiment_config(path) -> ExperimentConfig:
     p = _read_ini(path)
     if not p.has_section("input"):
         raise ConfigError("missing [input] section")
+    video_dirs = _get(p, "input", "videos", _paths)
+    seen = {}
+    for directory in video_dirs:
+        vid = video_id(directory)
+        if vid in seen:
+            raise ConfigError(
+                f"[input] videos {seen[vid]} and {directory} share the video id {vid!r}, "
+                "which names their outputs"
+            )
+        seen[vid] = directory
+    bandwidth_hz = _get(p, "link", "B", float, 1e6)
+    if not bandwidth_hz > 0:
+        raise ConfigError(f"[link] B must be positive, got {bandwidth_hz!r}")
     return ExperimentConfig(
-        video_dirs=_get(p, "input", "videos", _paths),
+        video_dirs=video_dirs,
         patch_h=_get(p, "patches", "height", int, 16),
         patch_w=_get(p, "patches", "width", int, 16),
         flow_params=FlowEstimatorParams(
@@ -96,14 +115,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
             mag_cap=_get(p, "codec", "mag_cap", float, 32.0),
             gamma=_get(p, "codec", "gamma", float, 1.0),
         ),
-        link=LinkParams(
-            distance=_get(p, "link", "d", float, 100.0),
-            carrier_hz=_get(p, "link", "f_c", float, 2.4e9),
-            path_loss_exp=_get(p, "link", "alpha", float, 1.0),
-            tx_power=_get(p, "link", "P", float, 1.0),
-            noise_power=_get(p, "link", "sigma2", float, 1e-9),
-            bandwidth_hz=_get(p, "link", "B", float, 1e6),
-        ),
+        bandwidth_hz=bandwidth_hz,
         zip_ratio=_get(p, "load", "zip_ratio", float, 0.0),
         rho_list=_get(p, "sweep", "rho", _floats, (0.0,)),
         snr_db_list=_get(p, "sweep", "snr_db", _floats, (20.0,)),
@@ -127,12 +139,11 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
     )
     if len(ue_sections) < 2:
         raise ConfigError("need at least 2 [ue.N] sections")
-    loads, snrs, rhos, distances = [], [], [], []
+    loads, snrs, rhos = [], [], []
     for k, sec in enumerate(ue_sections):
         loads.append(_get(p, sec, "load_bits", float))
         rhos.append(_get(p, sec, "rho", float, 0.0))
         dist = _get(p, sec, "distance", float, -1.0)
-        distances.append(dist if dist > 0 else 0.0)
         if p.has_option(sec, "snr"):
             snrs.append(_get(p, sec, "snr", float))
         else:
@@ -152,7 +163,6 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
         snrs=tuple(snrs),
         bandwidth_hz=bandwidth,
         mask_ratios=tuple(rhos),
-        distances=tuple(distances),
     )
     hyper = DdpgHyper(
         actor_lr=_get(p, "ddpg", "actor_lr", float, 1e-4),

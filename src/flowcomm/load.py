@@ -1,7 +1,7 @@
 """Transmission-load accounting for the first frame, flow patches, and mask bits.
 
 Loads are carried as exact rationals (fractions.Fraction) so integer-valued
-configurations compare exactly; callers get floats from the *_bits properties.
+configurations compare exactly; callers convert with float().
 """
 from __future__ import annotations
 
@@ -64,13 +64,6 @@ def numeric_load(p: LoadParams) -> tuple[Fraction, Fraction]:
         * p.flow_channels
     )
     return l_first, l_sr
-
-
-def numeric_load_exact(p: LoadParams, n_selected: int) -> Fraction:
-    """Exact-count variant of l_sr: bits for n actually selected patches."""
-    if n_selected < 0:
-        raise ValueError("selected patch count cannot be negative")
-    return Fraction(n_selected * p.bit_depth * p.patch_h * p.patch_w * p.flow_channels)
 
 
 def compensation_ratio(p: LoadParams) -> Fraction:

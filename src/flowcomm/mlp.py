@@ -1,38 +1,26 @@
 """Dense feedforward networks with exact reverse-mode gradients and Adam."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh", "identity", "softmax")
-_ACT_CODE = {name: k for k, name in enumerate(ACTIVATIONS)}
-MLP_MAGIC = b"FCN1"
+ACTIVATIONS = ("relu", "identity")
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
     if name == "identity":
         return z
-    if name == "softmax":
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_backward(name: str, z: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _activation_backward(name: str, z: np.ndarray, g: np.ndarray) -> np.ndarray:
     if name == "relu":
         return g * (z > 0)
-    if name == "tanh":
-        return g * (1.0 - y * y)
     if name == "identity":
         return g
-    if name == "softmax":
-        return y * (g - np.sum(g * y, axis=-1, keepdims=True))
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -71,15 +59,14 @@ class Mlp:
         a = x.reshape(1, -1) if squeeze else x
         if a.shape[1] != self.in_dim:
             raise ValueError(f"input dim {a.shape[1]} != expected {self.in_dim}")
-        inputs, zs, outs = [a], [], []
+        inputs, zs = [a], []
         for w, b, act in zip(self.weights, self.biases, self.activations):
             z = a @ w.T + b
             a = _apply_activation(act, z)
             zs.append(z)
-            outs.append(a)
             inputs.append(a)
         if record:
-            self._cache = (inputs[:-1], zs, outs, squeeze)
+            self._cache = (inputs[:-1], zs, squeeze)
         return a[0] if squeeze else a
 
     def backward(self, upstream: np.ndarray):
@@ -90,15 +77,15 @@ class Mlp:
         """
         if self._cache is None:
             raise RuntimeError("no recorded forward pass; call forward(record=True) first")
-        inputs, zs, outs, squeeze = self._cache
+        inputs, zs, squeeze = self._cache
         g = np.asarray(upstream, dtype=np.float64)
         if squeeze:
             g = g.reshape(1, -1)
-        if g.shape != outs[-1].shape:
-            raise ValueError(f"upstream shape {g.shape} != output shape {outs[-1].shape}")
+        if g.shape != zs[-1].shape:
+            raise ValueError(f"upstream shape {g.shape} != output shape {zs[-1].shape}")
         grads = [None] * len(self.weights)
         for l in range(len(self.weights) - 1, -1, -1):
-            gz = _activation_backward(self.activations[l], zs[l], outs[l], g)
+            gz = _activation_backward(self.activations[l], zs[l], g)
             grads[l] = (gz.T @ inputs[l], gz.sum(axis=0))
             g = gz @ self.weights[l]
         return grads, (g[0] if squeeze else g)
@@ -150,30 +137,3 @@ def adam_step(net: Mlp, grads, state: AdamState) -> None:
             sec += (1.0 - state.beta2) * grad * grad
             param -= state.lr * (mom / bc1) / (np.sqrt(sec / bc2) + state.eps)
 
-
-def save_mlp(net: Mlp, path) -> None:
-    """Snapshot: magic, layer dims + activation codes, float64 LE parameters."""
-    with open(path, "wb") as fh:
-        fh.write(MLP_MAGIC)
-        fh.write(struct.pack("<I", len(net.dims)))
-        fh.write(struct.pack(f"<{len(net.dims)}I", *net.dims))
-        fh.write(bytes(_ACT_CODE[a] for a in net.activations))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(w.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MLP_MAGIC:
-            raise ValueError("not an mlp snapshot")
-        (n_dims,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
-        acts = [ACTIVATIONS[c] for c in fh.read(n_dims - 1)]
-        net = Mlp(dims, acts, seed=0)
-        for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            net.weights[l] = np.frombuffer(
-                fh.read(8 * fan_out * fan_in), dtype="<f8"
-            ).reshape(fan_out, fan_in).copy()
-            net.biases[l] = np.frombuffer(fh.read(8 * fan_out), dtype="<f8").copy()
-    return net

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -17,7 +16,7 @@ import numpy as np
 from . import channel as ch
 from . import extractor as ex
 from . import load as ld
-from .config import ExperimentConfig, derive_seed
+from .config import ExperimentConfig, derive_seed, video_id
 from .flow import estimate_flow
 from .load import LoadBreakdown
 from .metrics import QualityReport, frame_losses, motion_area_percentage
@@ -78,7 +77,7 @@ class VideoRun:
         self.run_seed = run_seed
         self.index = index
         self.directory = directory
-        self.video_id = os.path.basename(os.path.normpath(directory))
+        self.video_id = video_id(directory)
         self.video = _stage("load", (directory,), lambda: load_ppm_sequence(directory))
 
     @cached_property
@@ -151,30 +150,27 @@ def video_runs(cfg: ExperimentConfig, run_seed: int):
 def transmit_selection(
     sel: ex.SelectionResult, cfg: ExperimentConfig, snr_linear: float, seed: int
 ) -> tuple[ex.SelectionResult, dict]:
-    """Push the selected payloads through the analog leg of the link.
+    """Push the selected payloads through an AWGN link at the cell's SNR.
 
-    The fading draw is seeded; noise power is set from the target SNR
-    (sigma^2 = P |h|^2 / snr). Symbols are normalized so the per-symbol
-    average power is gamma * P (the whole-vector normalization scaled by the
-    symbol count), which makes the post-equalization symbol SNR equal the
-    link SNR. The transmitter-side scale factor travels as error-free
-    metadata alongside the bit payloads.
+    `snr_linear` is the post-equalization SNR; path loss and fading enter only
+    the allocation scenarios. Symbols are normalized to average power gamma
+    (the whole-vector normalization scaled by the symbol count) and get real
+    Gaussian noise of variance 1 / (2 snr), the real part of CN(0, 1 / snr),
+    so gamma and snr act only through their product. The bandwidth B sets the
+    capacity, hence `tx_seconds`. The transmitter-side scale factor travels
+    as error-free metadata alongside the bit payloads.
     """
-    h = ch.sample_channel(cfg.link, seed).h
     realization = ch.ChannelRealization(
-        h, snr_linear, ch.capacity_per_s(cfg.link.bandwidth_hz, snr_linear)
+        1 + 0j, snr_linear, ch.capacity_per_s(cfg.bandwidth_hz, snr_linear)
     )
     if not sel.selected:  # extreme mask ratios can round the selection to zero
         return sel, {"n_symbols": 0, "rms_flow_error": 0.0, "realization": realization}
     payloads = np.stack([s.payload for s in sel.selected])
     symbols = ch.flow_encode(payloads, cfg.codec)
-    sigma2 = cfg.link.tx_power * abs(h) ** 2 / snr_linear
     per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * symbols.size)
-    normalized = ch.power_normalize(symbols, per_symbol, cfg.link.tx_power)
-    scale = math.sqrt(per_symbol.gamma * cfg.link.tx_power) / float(
-        np.sqrt(np.vdot(symbols, symbols).real)
-    )
-    received = ch.transmit_analog(normalized, realization, sigma2, derive_seed(seed, "noise"))
+    normalized = ch.power_normalize(symbols, per_symbol, 1.0)
+    scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols).real))
+    received = ch.transmit_analog(normalized, realization, 1.0 / snr_linear, seed)
     decoded = ch.flow_decode(received / scale, cfg.codec, sel.grid.patch_h, sel.grid.patch_w)
     degraded = ex.SelectionResult(
         grid=sel.grid,

@@ -203,13 +203,3 @@ def partition_patches(flow: FlowField, grid: PatchGrid) -> list[tuple[int, int, 
             patch[:, : block.shape[1], : block.shape[2]] = block
             out.append((i, j, patch))
     return out
-
-
-def assemble_patches(
-    patches: list[tuple[int, int, np.ndarray]], grid: PatchGrid, height: int, width: int
-) -> FlowField:
-    """Inverse of partition_patches: place patches back and crop the padding."""
-    full = np.zeros((2, grid.rows * grid.patch_h, grid.cols * grid.patch_w))
-    for i, j, patch in patches:
-        full[:, i * grid.patch_h : (i + 1) * grid.patch_h, j * grid.patch_w : (j + 1) * grid.patch_w] = patch
-    return FlowField(full[0, :height, :width], full[1, :height, :width])

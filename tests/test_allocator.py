@@ -134,6 +134,23 @@ class TestSelectAction:
         assert np.array_equal(a, b)
 
 
+class TestSoftmax:
+    def test_softmax_grad_matches_central_differences(self):
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal((10, 4))
+        g = rng.standard_normal((10, 4))
+        eps = 1e-6
+        numeric = np.empty_like(z)
+        for k in range(z.shape[1]):
+            step = np.zeros(z.shape[1])
+            step[k] = eps
+            up = np.sum(g * al.softmax(z + step), axis=-1)
+            down = np.sum(g * al.softmax(z - step), axis=-1)
+            numeric[:, k] = (up - down) / (2.0 * eps)
+        analytic = al.softmax_grad(al.softmax(z), g)
+        assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
 class TestTdTarget:
     def test_gamma_zero_is_reward(self):
         critic = Mlp((7, 8, 1), ("relu", "identity"), seed=4)

@@ -23,12 +23,11 @@ def unit_gain_link(**overrides):
 
 
 class TestSampleChannel:
-    def test_forced_beta_unit_everything(self):
-        link = unit_gain_link()
-        real = ch.sample_channel(link, seed=0, beta=1 + 0j)
-        assert real.h == pytest.approx(1.0)
-        assert real.snr == pytest.approx(1.0)
-        assert real.capacity_per_s == pytest.approx(1.0)  # B log2(2)
+    def test_snr_and_capacity_follow_the_draw(self):
+        link = unit_gain_link(tx_power=2.0, noise_power=0.5, bandwidth_hz=3.0)
+        real = ch.sample_channel(link, seed=0)
+        assert real.snr == pytest.approx(2.0 * abs(real.h) ** 2 / 0.5, rel=1e-12)
+        assert real.capacity_per_s == pytest.approx(3.0 * math.log2(1.0 + real.snr), rel=1e-12)
 
     def test_capacity_exact_for_snr_one(self):
         assert ch.capacity_per_s(1.0, 1.0) == 1.0

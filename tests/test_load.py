@@ -9,7 +9,6 @@ from flowcomm.load import (
     compensation_ratio,
     mask_load,
     numeric_load,
-    numeric_load_exact,
     total_load,
 )
 
@@ -29,16 +28,6 @@ class TestNumericLoad:
         _, full = numeric_load(LoadParams(**REFERENCE_CFG, mask_ratio=0.0))
         _, half = numeric_load(LoadParams(**REFERENCE_CFG, mask_ratio=0.5))
         assert half == full / 2
-
-    def test_exact_count_zero(self):
-        assert numeric_load_exact(LoadParams(**REFERENCE_CFG), 0) == 0
-
-    def test_exact_count_matches_ratio_when_integral(self):
-        p = LoadParams(**REFERENCE_CFG, mask_ratio=0.5)
-        # 196 patches/frame, 7 flow frames, half kept -> 686 patches
-        n = 7 * 98
-        # equality requires all patches full size: 224/16 divides exactly
-        assert numeric_load_exact(p, n) == numeric_load(p)[1]
 
 
 class TestMaskLoad:

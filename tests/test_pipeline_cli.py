@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from flowcomm import channel as ch
 from flowcomm import cli, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
@@ -30,7 +31,7 @@ def clips(tmp_path_factory):
     return root
 
 
-def write_config(path, videos, rho="0.0 0.5", snr_db="30", bits=8, levels=3):
+def write_config(path, videos, rho="0.0 0.5", snr_db="30", bits=8, levels=3, extra=""):
     path.write_text(
         f"""
 [input]
@@ -45,7 +46,7 @@ bits_per_symbol = {bits}
 [sweep]
 rho = {rho}
 snr_db = {snr_db}
-"""
+{extra}"""
     )
     return path
 
@@ -89,13 +90,9 @@ sigma2 = 1e-10
 B = 2e6
 """
         )
+        # Geometry and power belong to allocation scenarios; the experiment reads only B.
         cfg = parse_experiment_config(cfg_path)
-        assert cfg.link.distance == 250
-        assert cfg.link.carrier_hz == 5.8e9
-        assert cfg.link.path_loss_exp == 2.0
-        assert cfg.link.tx_power == 0.5
-        assert cfg.link.noise_power == 1e-10
-        assert cfg.link.bandwidth_hz == 2e6
+        assert cfg.bandwidth_hz == 2e6
 
 
 class TestPipeline:
@@ -144,8 +141,6 @@ class TestPipeline:
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, seed=4)
         degraded, stats = transmit_selection(sel, cfg, math.inf, seed=5)
-        from flowcomm import channel as ch
-
         payloads = np.stack([s.payload for s in sel.selected])
         expected = ch.flow_decode(ch.flow_encode(payloads, cfg.codec), cfg.codec, 16, 16)
         got = np.stack([s.payload for s in degraded.selected])
@@ -178,10 +173,13 @@ class TestCli:
         rc = self.run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--workers", "2")
         assert rc == 2
 
-    def test_bad_config_exit_code_2(self, tmp_path):
+    def test_bad_config_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[patches]\nheight = 16\n")  # no [input]
         assert self.run("pipeline", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+        no_bandwidth = write_config(tmp_path / "b0.ini", [tmp_path / "v00"], extra="[link]\nB = 0\n")
+        assert self.run("pipeline", "--config", str(no_bandwidth), "--out", str(tmp_path / "o")) == 2
+        assert "[link] B must be positive" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"])
@@ -254,6 +252,33 @@ class TestCli:
         sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", 1))
         _, stats = transmit_selection(sel, cfg, 10.0, derive_seed(1, "channel", 1))
         assert float(row["rms_flow_error"]) == stats["rms_flow_error"]
+
+    def test_link_is_awgn_at_the_swept_snr(self, tmp_path, clips, monkeypatch):
+        def no_fading(*args):
+            raise AssertionError("the experiment link draws no fading coefficient")
+
+        monkeypatch.setattr(ch, "sample_channel", no_fading)
+        link = "[link]\nd = 5000\nf_c = 6e10\nalpha = 3.5\nP = 40\nsigma2 = 1e-3\nB = 2e6\n"
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], snr_db="5 20", extra=link)
+        out = tmp_path / "o"
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(out)) == 0
+        rows = read_rows(out / "summary.csv")
+        assert len(rows) == 4
+        for row in rows:
+            snr = 10.0 ** (float(row["snr_db"]) / 10.0)
+            expected = float(row["l_com"]) / (2e6 * math.log2(1.0 + snr))
+            assert float(row["tx_seconds"]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["extract", "pipeline"])
+    def test_duplicate_video_ids_rejected(self, tmp_path, clips, capsys, command):
+        twin = tmp_path / "elsewhere" / "motion0"
+        save_ppm_sequence(load_ppm_sequence(clips / "motion0"), twin)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0", twin])
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "'motion0'" in err and str(clips / "motion0") in err and str(twin) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
     def test_extract_runs_once_per_video_and_rho(self, tmp_path, clips, monkeypatch, entry):
