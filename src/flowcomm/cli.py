@@ -146,7 +146,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int
     """Local reconstruction from lossless selections (no channel in the loop)."""
     frame_rows = []
     for run in video_runs(cfg, seed):
-        for rho, sel in run.selections():
+        for rho, sel in run.selections(scored=True):
             frame_rows += _frame_rows([run.video_id, rho, ""], run.quality(sel, rho))
     write_csv_atomic(os.path.join(out_dir, "reconstruct.csv"), FRAME_HEADER, frame_rows)
 

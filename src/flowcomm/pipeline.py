@@ -19,7 +19,7 @@ from . import load as ld
 from .config import ExperimentConfig, derive_seed, video_id
 from .flow import estimate_flow
 from .load import LoadBreakdown
-from .metrics import QualityReport, frame_losses, motion_area_percentage
+from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage
 from .reconstruct import reconstruct_video
 from .video import PatchGrid, load_ppm_sequence
 
@@ -97,9 +97,18 @@ class VideoRun:
         )
         return _stage("load", (self.video_id, rho), lambda: ld.total_load(params))
 
-    def selections(self):
-        """Yield (rho, selection) one rho at a time: a rho=0 selection holds every patch."""
+    def selections(self, scored: bool = False):
+        """Yield (rho, selection) one rho at a time: a rho=0 selection holds every patch.
+
+        `scored` selections are reconstructed and scored by SSIM, so their
+        frames must cover the SSIM window. Both checks run before any flow.
+        """
         cfg, v = self.cfg, self.video
+        if scored and min(v.height, v.width) < SSIM_WINDOW:
+            raise ValueError(
+                f"{self.video_id}: {v.height}x{v.width} px frames are smaller than the "
+                f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window that scores reconstructions"
+            )
         grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
         # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
         # of i and 1, so every 6-patch draw of the quadratic background is singular.
@@ -115,11 +124,11 @@ class VideoRun:
             params = replace(cfg.extractor, mask_ratio=rho)
             yield rho, _stage("extract", (self.video_id, rho), lambda: ex.extract(flows, grid, params, seed))
 
-    def cells(self):
+    def cells(self, scored: bool = False):
         """Yield (rho, snr_db, selection, channel seed) in grid order."""
         snrs = self.cfg.snr_db_list
         point = self.index * len(self.cfg.rho_list) * len(snrs)
-        for rho, sel in self.selections():
+        for rho, sel in self.selections(scored):
             for snr_db in snrs:
                 yield rho, snr_db, sel, derive_seed(self.run_seed, "channel", point)
                 point += 1
@@ -205,7 +214,7 @@ def run_point(
 
 def _run_video_task(args):
     run = VideoRun(*args)
-    return [run_point(run, *cell) for cell in run.cells()]
+    return [run_point(run, *cell) for cell in run.cells(scored=True)]
 
 
 def run_pipeline(cfg: ExperimentConfig, run_seed: int, workers: int = 1) -> list[PointResult]:

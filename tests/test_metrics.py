@@ -22,9 +22,11 @@ class TestSsim:
         assert metrics.ssim(a, b) == pytest.approx(metrics.ssim(b, a), abs=1e-12)
 
     def test_matches_brute_force(self):
-        for seed in range(5):
-            a = metrics.luma(random_frame(seed))
-            b = metrics.luma(random_frame(seed + 100))
+        # Window-edge and non-square shapes catch a valid-region crop off by one in either axis.
+        shapes = [(32, 32)] * 5 + [(11, 11), (11, 40), (40, 11), (37, 23)]
+        for seed, (h, w) in enumerate(shapes):
+            a = metrics.luma(random_frame(seed, h, w))
+            b = metrics.luma(random_frame(seed + 100, h, w))
             assert abs(metrics.ssim(a, b) - brute_force_ssim(a, b)) < 1e-9
 
     def test_too_small_frame_rejected(self):
@@ -44,6 +46,26 @@ class TestFrameLosses:
         assert report.mean_mse == 0.0
         assert report.mean_ssim == 1.0
         assert all(1.0 - s == 0.0 for s in report.frame_ssim)  # ssim loss 0
+
+    def test_identical_frame_skips_the_kernel(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        original = Video(rng.integers(0, 256, (3, 24, 24, 3)).astype(np.uint8))
+        frames = rng.integers(0, 256, (3, 24, 24, 3)).astype(np.uint8)
+        frames[0] = original.frames[0]
+        reconstructed = Video(frames)
+        scored = []
+        kernel = metrics.ssim
+
+        def counting(a, b):
+            scored.append(a)
+            return kernel(a, b)
+
+        monkeypatch.setattr(metrics, "ssim", counting)
+        report = metrics.frame_losses(reconstructed, original)
+        assert report.frame_ssim[0] == 1.0
+        for t in (1, 2):
+            assert report.frame_ssim[t] == kernel(frames[t], original.frames[t])
+        assert len(scored) == 2  # frame 0 never reaches the kernel
 
     def test_unit_offset(self):
         base = np.full((2, 16, 16, 3), 100, dtype=np.uint8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flowcomm import channel as ch
-from flowcomm import cli, synth
+from flowcomm import cli, pipeline, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
 from flowcomm.flow import estimate_flow
@@ -28,6 +28,9 @@ def clips(tmp_path_factory):
     # 2 patch rows of 16 px: too few for the quadratic background model
     thin, _ = synth.block_motion_video(32, 128, 4, [(8, 8, 8, 8)], dx=2, dy=0, seed=3)
     save_ppm_sequence(thin, root / "thin")
+    # 10 px rows: a 4x14 grid of 3 px patches, but smaller than the 11x11 SSIM window
+    small, _ = synth.block_motion_video(10, 40, 4, [(3, 8, 4, 4)], dx=2, dy=0, seed=5)
+    save_ppm_sequence(small, root / "small")
     return root
 
 
@@ -308,6 +311,27 @@ class TestCli:
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *workers) == code
         if code:
             assert "2x8 patch grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [("flow", 0), ("extract", 0), ("load", 0), ("transmit", 0), ("reconstruct", 2),
+         ("pipeline", 2), ("sweep", 2)],
+    )
+    def test_frames_smaller_than_the_ssim_window(
+        self, tmp_path, clips, capsys, monkeypatch, command, code
+    ):
+        patches = "[patches]\nheight = 3\nwidth = 3\n"
+        cfg = write_config(tmp_path / "c.ini", [clips / "small"], levels=1, extra=patches)
+        if code:
+            # Commands that score frames reject the clip before flow runs.
+            def no_flow(*args):
+                raise AssertionError("flow ran for a clip that cannot be scored")
+
+            monkeypatch.setattr(pipeline, "estimate_flow", no_flow)
+        workers = ["--workers", "2"] if command == "sweep" else []
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *workers) == code
+        if code:
+            assert "10x40 px frames are smaller than the 11x11 SSIM window" in capsys.readouterr().err
 
 
 SCENARIO_INI = """
