@@ -75,9 +75,13 @@ def tx_time(load_bits: float, realization: ChannelRealization) -> float:
 
 
 def _quantize_unit(values: np.ndarray, bits: int) -> np.ndarray:
-    """Uniform quantizer on [0, 1] with 2^bits levels; returns reconstruction."""
+    """Uniform quantizer on [0, 1] with 2^bits levels, in place; returns the reconstruction."""
     levels = (1 << bits) - 1
-    return np.round(np.clip(values, 0.0, 1.0) * levels) / levels
+    np.clip(values, 0.0, 1.0, out=values)
+    values *= levels
+    np.rint(values, out=values)
+    values /= levels
+    return values
 
 
 def flow_encode(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
@@ -93,13 +97,17 @@ def flow_encode(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
         raise ValueError(f"expected (n, 2, H', W') payloads, got {payloads.shape}")
     u = payloads[:, 0].reshape(-1)
     v = payloads[:, 1].reshape(-1)
-    mag = np.minimum(np.hypot(u, v), cp.mag_cap) / cp.mag_cap
-    ang = np.arctan2(v, u) / (2.0 * math.pi) + 0.5
-    mag_q = _quantize_unit(mag, cp.bits_per_symbol)
-    ang_q = _quantize_unit(ang, cp.bits_per_symbol)
-    symbols = np.empty(2 * mag_q.size)
-    symbols[0::2] = 2.0 * mag_q - 1.0
-    symbols[1::2] = 2.0 * ang_q - 1.0
+    symbols = np.empty(2 * u.size)
+    mag = np.hypot(u, v)
+    np.minimum(mag, cp.mag_cap, out=mag)
+    mag /= cp.mag_cap
+    symbols[0::2] = _quantize_unit(mag, cp.bits_per_symbol)
+    ang = np.arctan2(v, u)
+    ang /= 2.0 * math.pi
+    ang += 0.5
+    symbols[1::2] = _quantize_unit(ang, cp.bits_per_symbol)
+    symbols *= 2.0
+    symbols -= 1.0
     return symbols
 
 
@@ -117,14 +125,18 @@ def flow_decode(symbols: np.ndarray, cp: CodecParams, patch_h: int, patch_w: int
         raise ValueError(
             f"malformed symbol vector: length {symbols.size} is not a multiple of {per_patch}"
         )
-    mag = _quantize_unit((symbols[0::2] + 1.0) / 2.0, cp.bits_per_symbol) * cp.mag_cap
-    ang = (_quantize_unit((symbols[1::2] + 1.0) / 2.0, cp.bits_per_symbol) - 0.5) * 2.0 * math.pi
-    u = mag * np.cos(ang)
-    v = mag * np.sin(ang)
     n = symbols.size // per_patch
+    mag, ang = symbols[0::2] + 1.0, symbols[1::2] + 1.0
+    for unit in (mag, ang):
+        unit /= 2.0
+        _quantize_unit(unit, cp.bits_per_symbol)
+    mag *= cp.mag_cap
+    ang -= 0.5
+    ang *= 2.0
+    ang *= math.pi
     out = np.empty((n, 2, patch_h, patch_w))
-    out[:, 0] = u.reshape(n, patch_h, patch_w)
-    out[:, 1] = v.reshape(n, patch_h, patch_w)
+    for k, wave in enumerate((np.cos, np.sin)):
+        np.multiply(mag.reshape(n, patch_h, patch_w), wave(ang).reshape(n, patch_h, patch_w), out=out[:, k])
     return out
 
 
@@ -149,5 +161,15 @@ def transmit_analog(
     if sigma2 == 0.0:
         return x.astype(complex)
     rng = np.random.default_rng(seed)
-    noise = (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)) * math.sqrt(sigma2 / 2.0)
-    return (realization.h * x + noise) / realization.h
+    # In place: adding the real, then the imaginary noise draw to h x gives the
+    # same bits as the complex expression h x + n, without its temporaries.
+    y = np.multiply(x, realization.h, dtype=complex)
+    amplitude = math.sqrt(sigma2 / 2.0)
+    draw = rng.standard_normal(x.shape)
+    draw *= amplitude
+    y.real += draw
+    rng.standard_normal(out=draw)
+    draw *= amplitude
+    y.imag += draw
+    y /= realization.h
+    return y

@@ -82,8 +82,12 @@ class SelectionResult:
     def n_flow_frames(self) -> int:
         return self.xi.shape[0]
 
-    def selected_for_frame(self, t: int) -> list[SelectedPatch]:
-        return [s for s in self.selected if s.t == t]
+    def by_frame(self) -> list[list[SelectedPatch]]:
+        """Selected patches grouped by flow frame, each group in selection order."""
+        groups: list[list[SelectedPatch]] = [[] for _ in range(self.n_flow_frames)]
+        for s in self.selected:
+            groups[s.t].append(s)
+        return groups
 
     def to_bytes(self) -> bytes:
         """Compact binary form.
@@ -108,8 +112,7 @@ class SelectionResult:
         )
         bits = np.packbits(self.xi.reshape(-1).astype(np.uint8)).tobytes()
         order = []
-        for t in range(self.n_flow_frames):
-            frame_sel = self.selected_for_frame(t)
+        for frame_sel in self.by_frame():
             order.append(struct.pack("<I", len(frame_sel)))
             order.extend(struct.pack("<I", s.i * self.grid.cols + s.j) for s in frame_sel)
         payloads = np.concatenate(

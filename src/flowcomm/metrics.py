@@ -43,33 +43,48 @@ def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.nd
     return g
 
 
-def _windowed_mean(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+_TAPS = gaussian_window()
+
+
+def _windowed_mean(a: np.ndarray) -> np.ndarray:
     """Gaussian-weighted window means at every valid position, one 1-D pass per axis."""
-    half = len(taps) // 2
-    rows = correlate1d(a, taps, axis=0)
-    return correlate1d(rows, taps, axis=1)[half:-half, half:-half]
+    half = SSIM_WINDOW // 2
+    rows = correlate1d(a, _TAPS, axis=0)
+    return correlate1d(rows, _TAPS, axis=1)[half:-half, half:-half]
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
+@dataclass(frozen=True)
+class SsimStats:
+    """A frame's luma plane with its windowed mean and variance at every valid position."""
+
+    y: np.ndarray
+    mu: np.ndarray
+    var: np.ndarray
+
+
+def ssim_stats(frame: np.ndarray) -> SsimStats:
+    """The per-frame half of SSIM; a reference frame's stats serve every comparison with it."""
+    y = luma(frame) if frame.ndim == 3 else np.asarray(frame, dtype=np.float64)
+    if min(y.shape) < SSIM_WINDOW:
+        raise ValueError(f"frame smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+    mu = _windowed_mean(y)
+    return SsimStats(y, mu, _windowed_mean(y * y) - mu * mu)
+
+
+def ssim(a: np.ndarray | SsimStats, b: np.ndarray | SsimStats) -> float:
     """Mean SSIM over sliding Gaussian windows on luma.
 
-    Inputs are (H, W, 3) frames or (H, W) luma planes; frames must cover at
-    least one full window.
+    Inputs are (H, W, 3) frames, (H, W) luma planes or their `ssim_stats`;
+    frames must cover at least one full window.
     """
-    ya = luma(a) if a.ndim == 3 else np.asarray(a, dtype=np.float64)
-    yb = luma(b) if b.ndim == 3 else np.asarray(b, dtype=np.float64)
-    if ya.shape != yb.shape:
-        raise ValueError(f"frame shapes differ: {ya.shape} vs {yb.shape}")
-    if min(ya.shape) < SSIM_WINDOW:
-        raise ValueError(f"frame smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
-    taps = gaussian_window()
-    mu_a = _windowed_mean(ya, taps)
-    mu_b = _windowed_mean(yb, taps)
-    var_a = _windowed_mean(ya * ya, taps) - mu_a * mu_a
-    var_b = _windowed_mean(yb * yb, taps) - mu_b * mu_b
-    cov = _windowed_mean(ya * yb, taps) - mu_a * mu_b
+    sa = a if isinstance(a, SsimStats) else ssim_stats(a)
+    sb = b if isinstance(b, SsimStats) else ssim_stats(b)
+    if sa.y.shape != sb.y.shape:
+        raise ValueError(f"frame shapes differ: {sa.y.shape} vs {sb.y.shape}")
+    mu_a, mu_b = sa.mu, sb.mu
+    cov = _windowed_mean(sa.y * sb.y) - mu_a * mu_b
     score = ((2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)) / (
-        (mu_a * mu_a + mu_b * mu_b + _C1) * (var_a + var_b + _C2)
+        (mu_a * mu_a + mu_b * mu_b + _C1) * (sa.var + sb.var + _C2)
     )
     return float(score.mean())
 
@@ -86,14 +101,18 @@ def psnr(mse_value: float) -> float:
     return 10.0 * math.log10(DYNAMIC_RANGE**2 / mse_value)
 
 
-def frame_losses(reconstructed: Video, original: Video) -> QualityReport:
+def frame_losses(reconstructed: Video, original: Video, reference=None) -> QualityReport:
     """Per-frame MSE/PSNR/SSIM plus video means (mean SSIM is the objective).
 
+    `reference` holds one SSIM operand per original frame, such as its
+    `ssim_stats` computed once per video; by default the frames themselves.
     The video-level PSNR is the PSNR of the mean MSE; averaging per-frame
     PSNR would be pinned at infinity by any losslessly carried frame.
     """
     if reconstructed.frames.shape != original.frames.shape:
         raise ValueError("video shapes differ")
+    if reference is None:
+        reference = original.frames
     f_ssim, f_psnr, f_mse = [], [], []
     for t in range(original.n_frames):
         m = mse(reconstructed.frames[t], original.frames[t])
@@ -101,7 +120,7 @@ def frame_losses(reconstructed: Video, original: Video) -> QualityReport:
         f_psnr.append(psnr(m))
         # An exact copy (frame 0 always is) scores exactly 1; skip the kernel for it.
         same = np.array_equal(reconstructed.frames[t], original.frames[t])
-        f_ssim.append(1.0 if same else ssim(reconstructed.frames[t], original.frames[t]))
+        f_ssim.append(1.0 if same else ssim(reconstructed.frames[t], reference[t]))
     mean_mse = float(np.mean(f_mse))
     return QualityReport(
         frame_ssim=f_ssim,

@@ -19,7 +19,7 @@ from . import load as ld
 from .config import ExperimentConfig, derive_seed, video_id
 from .flow import estimate_flow
 from .load import LoadBreakdown
-from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage
+from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage, ssim_stats
 from .reconstruct import reconstruct_video
 from .video import PatchGrid, load_ppm_sequence
 
@@ -79,6 +79,11 @@ class VideoRun:
         self.directory = directory
         self.video_id = video_id(directory)
         self.video = _stage("load", (directory,), lambda: load_ppm_sequence(directory))
+
+    @cached_property
+    def ssim_reference(self) -> list:
+        """Each source frame's half of SSIM, computed once for all of the video's cells."""
+        return _stage("metrics", (self.directory,), lambda: [ssim_stats(f) for f in self.video.frames])
 
     @cached_property
     def flows(self) -> list:
@@ -147,7 +152,9 @@ class VideoRun:
         reconstructed = _stage(
             "reconstruct", digest, lambda: reconstruct_video(self.video.frames[0], sel)
         )
-        return _stage("metrics", digest, lambda: frame_losses(reconstructed, self.video))
+        return _stage(
+            "metrics", digest, lambda: frame_losses(reconstructed, self.video, self.ssim_reference)
+        )
 
 
 def video_runs(cfg: ExperimentConfig, run_seed: int):
@@ -174,13 +181,21 @@ def transmit_selection(
     )
     if not sel.selected:  # extreme mask ratios can round the selection to zero
         return sel, {"n_symbols": 0, "rms_flow_error": 0.0, "realization": realization}
+    # Each full-length array is dropped once the next exists: this leg's arrays,
+    # several times the payload, set the peak memory of a whole sweep.
     payloads = np.stack([s.payload for s in sel.selected])
     symbols = ch.flow_encode(payloads, cfg.codec)
-    per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * symbols.size)
+    n_symbols = symbols.size
+    per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * n_symbols)
     normalized = ch.power_normalize(symbols, per_symbol, 1.0)
     scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols).real))
+    del symbols
     received = ch.transmit_analog(normalized, realization, 1.0 / snr_linear, seed)
-    decoded = ch.flow_decode(received / scale, cfg.codec, sel.grid.patch_h, sel.grid.patch_w)
+    del normalized
+    # A real divisor: numpy's complex divide gives exactly real part times 1 / scale.
+    unscaled = received.real * (1.0 / scale)
+    del received
+    decoded = ch.flow_decode(unscaled, cfg.codec, sel.grid.patch_h, sel.grid.patch_w)
     degraded = ex.SelectionResult(
         grid=sel.grid,
         mask_ratio=sel.mask_ratio,
@@ -191,9 +206,11 @@ def transmit_selection(
         field_h=sel.field_h,
         field_w=sel.field_w,
     )
+    error = np.subtract(decoded, payloads, out=payloads)
+    error **= 2
     stats = {
-        "n_symbols": symbols.size,
-        "rms_flow_error": float(np.sqrt(np.mean((decoded - payloads) ** 2))),
+        "n_symbols": n_symbols,
+        "rms_flow_error": float(np.sqrt(np.mean(error))),
         "realization": realization,
     }
     return degraded, stats

@@ -203,3 +203,71 @@ class TestTransmit:
         via_channel = ch.flow_decode(ch.transmit_analog(sym, real, 0.0, seed=11), cp, 4, 4)
         plain = ch.flow_decode(sym, cp, 4, 4)
         assert np.array_equal(via_channel, plain)
+
+
+def encode_reference(payloads, cp):
+    """Oracle: the out-of-place codec expressions."""
+    levels = (1 << cp.bits_per_symbol) - 1
+    u = payloads[:, 0].reshape(-1)
+    v = payloads[:, 1].reshape(-1)
+    mag = np.minimum(np.hypot(u, v), cp.mag_cap) / cp.mag_cap
+    ang = np.arctan2(v, u) / (2.0 * math.pi) + 0.5
+    symbols = np.empty(2 * mag.size)
+    symbols[0::2] = 2.0 * (np.round(np.clip(mag, 0.0, 1.0) * levels) / levels) - 1.0
+    symbols[1::2] = 2.0 * (np.round(np.clip(ang, 0.0, 1.0) * levels) / levels) - 1.0
+    return symbols
+
+
+def decode_reference(symbols, cp, patch_h, patch_w):
+    levels = (1 << cp.bits_per_symbol) - 1
+    symbols = symbols.real if np.iscomplexobj(symbols) else symbols
+    mag = np.round(np.clip((symbols[0::2] + 1.0) / 2.0, 0.0, 1.0) * levels) / levels * cp.mag_cap
+    ang = (np.round(np.clip((symbols[1::2] + 1.0) / 2.0, 0.0, 1.0) * levels) / levels - 0.5) * 2.0 * math.pi
+    n = symbols.size // (2 * patch_h * patch_w)
+    out = np.empty((n, 2, patch_h, patch_w))
+    out[:, 0] = (mag * np.cos(ang)).reshape(n, patch_h, patch_w)
+    out[:, 1] = (mag * np.sin(ang)).reshape(n, patch_h, patch_w)
+    return out
+
+
+def transmit_reference(x, h, sigma2, seed):
+    if sigma2 == 0.0:
+        return x.astype(complex)
+    rng = np.random.default_rng(seed)
+    noise = (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)) * math.sqrt(sigma2 / 2.0)
+    return (h * x + noise) / h
+
+
+class TestInPlaceLegMatchesExpressions:
+    """The in-place codec and channel give the bits of the out-of-place expressions."""
+
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    def test_codec(self, bits):
+        rng = np.random.default_rng(bits)
+        payloads = rng.uniform(-40.0, 40.0, size=(6, 2, 5, 7))  # magnitudes past the cap
+        payloads[0] = 0.0
+        payloads[1, :, 0, :] = [[32.0] * 7, [0.0] * 7]  # on the cap
+        payloads[2, 1] = 0.0  # angle 0 and pi
+        cp = ch.CodecParams(bits_per_symbol=bits)
+        before = payloads.copy()
+        symbols = ch.flow_encode(payloads, cp)
+        assert np.array_equal(symbols, encode_reference(payloads, cp))
+        assert np.array_equal(payloads, before)
+
+        noisy = symbols + rng.normal(0.0, 0.4, symbols.shape)  # off the grid and past [-1, 1]
+        for received in (noisy, noisy + 1j * rng.normal(0.0, 0.4, symbols.shape)):
+            kept = received.copy()
+            got = ch.flow_decode(received, cp, 5, 7)
+            assert np.array_equal(got, decode_reference(received, cp, 5, 7))
+            assert np.array_equal(received, kept)
+
+    @pytest.mark.parametrize(
+        "h", [1 + 0j, 0.8 - 0.3j, -0.3 + 1.1j], ids=["unit", "re-dominant", "im-dominant"]
+    )
+    @pytest.mark.parametrize("sigma2", [0.0, 0.25])
+    def test_transmit(self, h, sigma2):
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, 4099)
+        kept = x.copy()
+        got = ch.transmit_analog(x, ch.ChannelRealization(h, 1.0, 1.0), sigma2, seed=3)
+        assert np.array_equal(got, transmit_reference(x, h, sigma2, seed=3))
+        assert np.array_equal(x, kept)

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +150,45 @@ class TestPipeline:
         expected = ch.flow_decode(ch.flow_encode(payloads, cfg.codec), cfg.codec, 16, 16)
         got = np.stack([s.payload for s in degraded.selected])
         assert np.array_equal(got, expected)
+
+
+    def full_selection(self, tmp_path, clips):
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion0"]))
+        flows = estimate_flow(load_ppm_sequence(clips / "motion0"), cfg.flow_params)
+        sel = ex.extract(flows, PatchGrid.for_shape(64, 64, 16, 16), cfg.extractor, seed=4)
+        assert len(sel.selected) == sel.xi.size  # rho 0: every patch
+        return cfg, sel
+
+    def test_transmit_selection_matches_the_out_of_place_leg(self, tmp_path, clips):
+        cfg, sel = self.full_selection(tmp_path, clips)
+        payloads = np.stack([s.payload for s in sel.selected])
+        symbols = ch.flow_encode(payloads, cfg.codec)
+        per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * symbols.size)
+        normalized = ch.power_normalize(symbols, per_symbol, 1.0)
+        scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols).real))
+        link = ch.ChannelRealization(1 + 0j, 10.0, 1.0)
+        received = ch.transmit_analog(normalized, link, 1.0 / 10.0, seed=5)
+        decoded = ch.flow_decode(received / scale, cfg.codec, 16, 16)
+
+        degraded, stats = transmit_selection(sel, cfg, 10.0, seed=5)
+        assert np.array_equal(np.stack([s.payload for s in degraded.selected]), decoded)
+        assert stats["rms_flow_error"] == float(np.sqrt(np.mean((decoded - payloads) ** 2)))
+        assert stats["n_symbols"] == symbols.size
+        assert np.array_equal(np.stack([s.payload for s in sel.selected]), payloads)
+
+    def test_transmit_selection_peak_memory(self, tmp_path, clips):
+        # The symbol leg frees each full-length intermediate once used: its peak
+        # stays within a few copies of the payload (the out-of-place leg peaked near 10).
+        cfg, sel = self.full_selection(tmp_path, clips)
+        payload_bytes = sum(s.payload.nbytes for s in sel.selected)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transmit_selection(sel, cfg, 10.0, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * payload_bytes, peak / payload_bytes
 
 
 class TestCli:

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from flowcomm import channel as ch
 from flowcomm import extractor as ex
 from flowcomm import metrics, synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
-from flowcomm.reconstruct import dense_flow_from_selection, reconstruct_video
+from flowcomm.reconstruct import dense_flows, reconstruct_video
 from flowcomm.video import FlowField, PatchGrid
 
 
@@ -74,9 +75,116 @@ class TestReconstruct:
         sel.selected = [s for s in sel.selected if (s.i, s.j) == (0, 0)]
         sel.xi[:] = False
         sel.xi[0, 0, 0] = True
-        dense = dense_flow_from_selection(sel, 0)
+        dense = next(dense_flows(sel))
         assert np.all(dense[:16, :16, 0] == 2.0)
         assert not dense[16:, :, 0].any() and not dense[:, 16:, 0].any()
+
+
+def map_coordinates_reconstruction(first_frame, sel):
+    """Oracle: every pixel of every frame resampled by three map_coordinates calls."""
+    grid, h, w = sel.grid, sel.field_h, sel.field_w
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    current = first_frame.astype(np.float64)
+    frames = [first_frame.astype(np.uint8)]
+    for t in range(sel.n_flow_frames):
+        full = np.zeros((2, grid.rows * grid.patch_h, grid.cols * grid.patch_w))
+        for s in sel.selected:
+            if s.t == t:
+                full[
+                    :,
+                    s.i * grid.patch_h : (s.i + 1) * grid.patch_h,
+                    s.j * grid.patch_w : (s.j + 1) * grid.patch_w,
+                ] = s.payload
+        rows = yy - full[1, :h, :w]
+        cols = xx - full[0, :h, :w]
+        warped = np.stack(
+            [map_coordinates(current[:, :, c], [rows, cols], order=1, mode="nearest") for c in range(3)],
+            axis=-1,
+        )
+        current = np.clip(warped, 0.0, 255.0)
+        frames.append(np.clip(np.rint(current), 0, 255).astype(np.uint8))
+    return np.stack(frames)
+
+
+def edge_reaching_flows(h, w, n, seed):
+    """Random flows past every edge, with samples landing exactly on row h-1 and column w-1."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    flows = []
+    for _ in range(n):
+        u = rng.uniform(-1.5 * w, 1.5 * w, (h, w))
+        v = rng.uniform(-1.5 * h, 1.5 * h, (h, w))
+        u[:, ::5] = rng.uniform(-3.0, 3.0, (h, len(range(0, w, 5))))
+        v[::3] = (yy - (h - 1))[::3]                      # lands on row h - 1
+        u[::4] = (xx - (w - 1))[::4]                      # lands on column w - 1
+        v[1::7] = (yy - rng.uniform(h - 1, h, (h, w)))[1::7]  # between row h - 1 and h
+        u[2::7] = (xx + rng.uniform(0.0, 1.0, (h, w)))[2::7]  # between column -1 and 0
+        u[3::9], v[3::9] = np.rint(u[3::9]), np.rint(v[3::9])  # whole-pixel offsets
+        # Offsets under a pixel at row 0 and column 0 have low fraction bits that
+        # 1 - (1 - frac) loses, which tells the two forms of the second weight apart.
+        v[0] = rng.uniform(-1.0, 1.0, w) ** 3
+        u[:, 0] = rng.uniform(-1.0, 1.0, h) ** 3
+        flows.append(FlowField(u, v))
+    return flows
+
+
+def dense(h, w, n, seed):
+    return full_selection_from_flows(edge_reaching_flows(h, w, n, seed), PatchGrid.for_shape(h, w, 16, 16))
+
+
+def masked_with_zero_payloads(h, w, n, seed):
+    """A masked selection: about 60% of the patches, some carrying exactly zero flow."""
+    sel = dense(h, w, n, seed)
+    keep = np.random.default_rng(seed + 1).random(len(sel.selected)) < 0.6
+    sel.selected = [s for s, k in zip(sel.selected, keep) if k]
+    for s in sel.selected[::3]:
+        s.payload = np.zeros_like(s.payload)
+    for s in sel.selected[1::3]:
+        s.payload[:, :8] = 0.0
+    sel.xi[:] = False
+    for s in sel.selected:
+        sel.xi[s.t, s.i, s.j] = True
+    return sel
+
+
+def without_patches(h, w, n, seed):
+    sel = dense(h, w, n, seed)
+    sel.selected = []
+    sel.xi[:] = False
+    return sel
+
+
+class TestMatchesMapCoordinates:
+    @pytest.mark.parametrize(
+        "h, w, make",
+        [
+            (48, 64, dense),
+            (48, 64, masked_with_zero_payloads),
+            (30, 41, dense),
+            (30, 41, masked_with_zero_payloads),
+            (48, 64, without_patches),
+        ],
+        ids=["dense", "masked-zero-payloads", "dense-30x41", "masked-30x41", "no-patches"],
+    )
+    def test_byte_identical_frames(self, h, w, make):
+        sel = make(h, w, 4, seed=h + w)
+        first = np.random.default_rng(w).integers(0, 256, (h, w, 3)).astype(np.uint8)
+        expected = map_coordinates_reconstruction(first, sel)
+        got = reconstruct_video(first, sel).frames
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
+    def test_rounding_ties_on_a_flat_half_integer_frame(self):
+        # Columns alternating 100, 101 shifted by half a pixel give a flat 100.5 frame,
+        # so each later sample is a rounding tie that a one-ulp weight error flips.
+        # Wide, for many sub-pixel offsets at row 0.
+        h, w = 30, 401
+        first = np.broadcast_to((100 + np.arange(w) % 2)[None, :, None], (h, w, 3)).astype(np.uint8)
+        half_pixel = FlowField(np.full((h, w), 0.5), np.zeros((h, w)))
+        flows = [half_pixel] + edge_reaching_flows(h, w, 2, seed=5)
+        sel = full_selection_from_flows(flows, PatchGrid.for_shape(h, w, 16, 16))
+        expected = map_coordinates_reconstruction(first, sel)
+        assert np.array_equal(reconstruct_video(first, sel).frames, expected)
 
 
 class TestTransmissionTransparency:
