@@ -1,4 +1,4 @@
-"""Link model: Rayleigh fading draws, capacity/timing, analog symbol leg, flow symbol codec."""
+"""Link model: Rayleigh fading draws and capacity, real AWGN symbol leg, flow symbol codec."""
 from __future__ import annotations
 
 import math
@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-
-
-class OutageError(RuntimeError):
-    """Link cannot carry payload (zero capacity or vanished coefficient)."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +50,10 @@ def path_gain(link: LinkParams) -> float:
     return (SPEED_OF_LIGHT / (4.0 * math.pi * link.distance * link.carrier_hz)) ** link.path_loss_exp
 
 
+def db_to_linear(snr_db: float) -> float:
+    return 10.0 ** (snr_db / 10.0)
+
+
 def capacity_per_s(bandwidth_hz: float, snr: float) -> float:
     return bandwidth_hz * math.log2(1.0 + snr)
 
@@ -65,13 +65,6 @@ def sample_channel(link: LinkParams, seed: int) -> ChannelRealization:
     h = path_gain(link) * complex(re, im)
     snr = link.tx_power * abs(h) ** 2 / link.noise_power
     return ChannelRealization(h, snr, capacity_per_s(link.bandwidth_hz, snr))
-
-
-def tx_time(load_bits: float, realization: ChannelRealization) -> float:
-    """Seconds to push load_bits through a capacity-achieving pipe."""
-    if realization.capacity_per_s <= 0:
-        raise OutageError("link outage: zero capacity")
-    return load_bits / realization.capacity_per_s
 
 
 def _quantize_unit(values: np.ndarray, bits: int) -> np.ndarray:
@@ -114,12 +107,10 @@ def flow_encode(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
 def flow_decode(symbols: np.ndarray, cp: CodecParams, patch_h: int, patch_w: int) -> np.ndarray:
     """Inverse of flow_encode: symbols back to (n, 2, H', W') flow payloads.
 
-    Accepts complex input (real part used) and re-snaps to the quantizer grid,
-    so a noiseless transmit round trip decodes identically to encode alone.
+    Re-snaps to the quantizer grid, so a noiseless transmit round trip
+    decodes identically to encode alone.
     """
     symbols = np.asarray(symbols)
-    if np.iscomplexobj(symbols):
-        symbols = symbols.real
     per_patch = 2 * patch_h * patch_w
     if symbols.ndim != 1 or symbols.size % per_patch != 0:
         raise ValueError(
@@ -149,27 +140,12 @@ def power_normalize(symbols: np.ndarray, cp: CodecParams, p_ue: float) -> np.nda
     return symbols * (math.sqrt(cp.gamma * p_ue) / norm)
 
 
-def transmit_analog(
-    symbols: np.ndarray, realization: ChannelRealization, sigma2: float, seed: int
-) -> np.ndarray:
-    """y = h x + n with n ~ CN(0, sigma2); returns the zero-forced estimate y / h."""
-    if abs(realization.h) == 0.0:
-        raise OutageError("link outage: zero channel coefficient")
-    x = np.asarray(symbols)
+def transmit_analog(symbols: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
+    """y = x + n with real n ~ N(0, sigma2 / 2), the in-phase half of CN(0, sigma2)."""
     if sigma2 < 0:
         raise ValueError("noise power cannot be negative")
-    if sigma2 == 0.0:
-        return x.astype(complex)
-    rng = np.random.default_rng(seed)
-    # In place: adding the real, then the imaginary noise draw to h x gives the
-    # same bits as the complex expression h x + n, without its temporaries.
-    y = np.multiply(x, realization.h, dtype=complex)
-    amplitude = math.sqrt(sigma2 / 2.0)
-    draw = rng.standard_normal(x.shape)
-    draw *= amplitude
-    y.real += draw
-    rng.standard_normal(out=draw)
-    draw *= amplitude
-    y.imag += draw
-    y /= realization.h
+    # Built in the draw's buffer: the input stays untouched without a second full-length array.
+    y = np.random.default_rng(seed).standard_normal(np.shape(symbols))
+    y *= math.sqrt(sigma2 / 2.0)
+    y += symbols
     return y

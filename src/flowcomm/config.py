@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
 from .allocator import AllocationScenario, DdpgHyper
-from .channel import CodecParams, LinkParams, sample_channel
+from .channel import CodecParams, LinkParams, capacity_per_s, db_to_linear, sample_channel
 from .extractor import ExtractorParams
 from .flow import FlowEstimatorParams
 
@@ -93,6 +94,28 @@ def parse_experiment_config(path) -> ExperimentConfig:
     bandwidth_hz = _get(p, "link", "B", float, 1e6)
     if not bandwidth_hz > 0:
         raise ConfigError(f"[link] B must be positive, got {bandwidth_hz!r}")
+    rho_list = _get(p, "sweep", "rho", _floats, (0.0,))
+    for k, rho in enumerate(rho_list):
+        for other in rho_list[:k]:
+            if rho == other or f"{rho:g}" == f"{other:g}":
+                raise ConfigError(
+                    f"[sweep] rho {other!r} and {rho!r} would share the selection blob "
+                    f"selection_rho{rho:g}.bin and their summary rows"
+                )
+    snr_db_list = _get(p, "sweep", "snr_db", _floats, (20.0,))
+    for k, snr_db in enumerate(snr_db_list):
+        try:
+            snr = db_to_linear(snr_db)
+            capacity = capacity_per_s(bandwidth_hz, snr)
+        except OverflowError:
+            snr = capacity = math.inf
+        if not (0 < snr < math.inf and 0 < capacity < math.inf):
+            raise ConfigError(
+                f"[sweep] snr_db {snr_db!r} gives the link SNR {snr!r} and capacity "
+                f"B log2(1 + snr) = {capacity!r} bit/s; both must be finite and positive"
+            )
+        if snr_db in snr_db_list[:k]:
+            raise ConfigError(f"[sweep] snr_db {snr_db!r} is listed twice")
     return ExperimentConfig(
         video_dirs=video_dirs,
         patch_h=_get(p, "patches", "height", int, 16),
@@ -117,8 +140,8 @@ def parse_experiment_config(path) -> ExperimentConfig:
         ),
         bandwidth_hz=bandwidth_hz,
         zip_ratio=_get(p, "load", "zip_ratio", float, 0.0),
-        rho_list=_get(p, "sweep", "rho", _floats, (0.0,)),
-        snr_db_list=_get(p, "sweep", "snr_db", _floats, (20.0,)),
+        rho_list=rho_list,
+        snr_db_list=snr_db_list,
     )
 
 

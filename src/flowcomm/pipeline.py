@@ -139,7 +139,7 @@ class VideoRun:
                 point += 1
 
     def transmit(self, rho, snr_db, sel, seed) -> tuple[ex.SelectionResult, dict]:
-        snr_linear = 10.0 ** (snr_db / 10.0)
+        snr_linear = ch.db_to_linear(snr_db)
         return _stage(
             "transmit",
             (self.video_id, rho, snr_db),
@@ -176,11 +176,8 @@ def transmit_selection(
     capacity, hence `tx_seconds`. The transmitter-side scale factor travels
     as error-free metadata alongside the bit payloads.
     """
-    realization = ch.ChannelRealization(
-        1 + 0j, snr_linear, ch.capacity_per_s(cfg.bandwidth_hz, snr_linear)
-    )
     if not sel.selected:  # extreme mask ratios can round the selection to zero
-        return sel, {"n_symbols": 0, "rms_flow_error": 0.0, "realization": realization}
+        return sel, {"n_symbols": 0, "rms_flow_error": 0.0}
     # Each full-length array is dropped once the next exists: this leg's arrays,
     # several times the payload, set the peak memory of a whole sweep.
     payloads = np.stack([s.payload for s in sel.selected])
@@ -188,14 +185,13 @@ def transmit_selection(
     n_symbols = symbols.size
     per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * n_symbols)
     normalized = ch.power_normalize(symbols, per_symbol, 1.0)
-    scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols).real))
+    scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols)))
     del symbols
-    received = ch.transmit_analog(normalized, realization, 1.0 / snr_linear, seed)
+    received = ch.transmit_analog(normalized, 1.0 / snr_linear, seed)
     del normalized
-    # A real divisor: numpy's complex divide gives exactly real part times 1 / scale.
-    unscaled = received.real * (1.0 / scale)
+    received *= 1.0 / scale
+    decoded = ch.flow_decode(received, cfg.codec, sel.grid.patch_h, sel.grid.patch_w)
     del received
-    decoded = ch.flow_decode(unscaled, cfg.codec, sel.grid.patch_h, sel.grid.patch_w)
     degraded = ex.SelectionResult(
         grid=sel.grid,
         mask_ratio=sel.mask_ratio,
@@ -208,12 +204,7 @@ def transmit_selection(
     )
     error = np.subtract(decoded, payloads, out=payloads)
     error **= 2
-    stats = {
-        "n_symbols": n_symbols,
-        "rms_flow_error": float(np.sqrt(np.mean(error))),
-        "realization": realization,
-    }
-    return degraded, stats
+    return degraded, {"n_symbols": n_symbols, "rms_flow_error": float(np.sqrt(np.mean(error)))}
 
 
 def run_point(
@@ -221,11 +212,12 @@ def run_point(
 ) -> PointResult:
     """One (video, rho, snr) cell of the sweep grid, from the video's selection for rho."""
     breakdown = run.breakdown(rho)
-    degraded, stats = run.transmit(rho, snr_db, sel, channel_seed)
+    degraded, _ = run.transmit(rho, snr_db, sel, channel_seed)
     report = run.quality(degraded, rho, snr_db)
     if sel.important is not None:
         report.map = motion_area_percentage(sel.important)
-    tx_seconds = ch.tx_time(float(breakdown.l_com), stats["realization"])
+    capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, ch.db_to_linear(snr_db))
+    tx_seconds = float(breakdown.l_com) / capacity  # the config admits only positive capacities
     return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, len(sel.selected))
 
 

@@ -38,7 +38,7 @@ def _bilinear_taps(coord: np.ndarray, n: int):
     return np.clip(i_lo, 0, n - 1), np.clip(i_lo + 1, 0, n - 1), w_lo, 1.0 - w_lo
 
 
-def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult, frame_rate: float = 25.0) -> Video:
+def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult) -> Video:
     """Chain inverse warps: frame t samples frame t-1 at (x, y) - flow(x, y).
 
     first_frame: (H, W, 3) uint8. Output has 1 + T' frames, clipped to [0, 255].
@@ -83,4 +83,4 @@ def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult, frame_rate:
         for c in range(3):
             current[c][moved] = warped[c]
             frames[t, :, c][moved] = rounded[c]
-    return Video(frames.reshape(-1, h, w, 3), frame_rate)
+    return Video(frames.reshape(-1, h, w, 3))

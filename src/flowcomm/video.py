@@ -20,7 +20,6 @@ class Video:
     """Frame stack of shape (T, H, W, 3), uint8 samples."""
 
     frames: np.ndarray
-    frame_rate: float = 25.0
 
     def __post_init__(self):
         f = np.asarray(self.frames)
@@ -134,7 +133,7 @@ def save_ppm(frame: np.ndarray, path: str | os.PathLike) -> None:
         fh.write(frame.tobytes())
 
 
-def load_ppm_sequence(directory: str | os.PathLike, frame_rate: float = 25.0) -> Video:
+def load_ppm_sequence(directory: str | os.PathLike) -> Video:
     """Load all *.ppm files in a directory (lexicographic order) as one video."""
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"no such directory: {directory}")
@@ -146,7 +145,7 @@ def load_ppm_sequence(directory: str | os.PathLike, frame_rate: float = 25.0) ->
     for name, fr in zip(names, frames):
         if fr.shape != shape:
             raise ValueError(f"dimension mismatch: {name} is {fr.shape}, expected {shape}")
-    return Video(np.stack(frames), frame_rate)
+    return Video(np.stack(frames))
 
 
 def save_ppm_sequence(video: Video, directory: str | os.PathLike) -> list[str]:

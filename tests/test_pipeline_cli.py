@@ -165,10 +165,9 @@ class TestPipeline:
         symbols = ch.flow_encode(payloads, cfg.codec)
         per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * symbols.size)
         normalized = ch.power_normalize(symbols, per_symbol, 1.0)
-        scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols).real))
-        link = ch.ChannelRealization(1 + 0j, 10.0, 1.0)
-        received = ch.transmit_analog(normalized, link, 1.0 / 10.0, seed=5)
-        decoded = ch.flow_decode(received / scale, cfg.codec, 16, 16)
+        scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(symbols @ symbols))
+        noise = np.random.default_rng(5).standard_normal(normalized.shape) * math.sqrt(1.0 / 10.0 / 2.0)
+        decoded = ch.flow_decode((normalized + noise) * (1.0 / scale), cfg.codec, 16, 16)
 
         degraded, stats = transmit_selection(sel, cfg, 10.0, seed=5)
         assert np.array_equal(np.stack([s.payload for s in degraded.selected]), decoded)
@@ -322,6 +321,32 @@ class TestCli:
         assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "'motion0'" in err and str(clips / "motion0") in err and str(twin) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transmit", "pipeline"])
+    @pytest.mark.parametrize("snr_db", ["-4000", "-inf", "4000", "-200", "nan", "inf"])
+    def test_snr_the_link_cannot_carry_rejected(self, tmp_path, clips, capsys, command, snr_db):
+        # Each gives a zero, infinite or NaN SNR or capacity B log2(1 + snr).
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], snr_db=f"30 {snr_db}")
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"snr_db {float(snr_db)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rho, snr_db, message",
+        [
+            ("0.5 0.5", "20", "rho 0.5 and 0.5"),
+            ("0.1234567 0.1234568", "20", "selection_rho0.123457.bin"),
+            ("0.5", "20 10 20", "snr_db 20.0 is listed twice"),
+        ],
+        ids=["equal-rho", "rho-blob-name", "equal-snr"],
+    )
+    def test_duplicate_sweep_values_rejected(self, tmp_path, clips, capsys, rho, snr_db, message):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho=rho, snr_db=snr_db)
+        out = tmp_path / "o"
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])

@@ -202,8 +202,7 @@ class TestTransmissionTransparency:
         scaled_cp = ch.CodecParams(bits_per_symbol=12, gamma=float(symbols.size))
         normalized = ch.power_normalize(symbols, scaled_cp, p_ue=1.0)
         scale = math.sqrt(scaled_cp.gamma) / float(np.sqrt(symbols @ symbols))
-        realization = ch.ChannelRealization(0.8 - 0.2j, 1e9, 1.0)
-        received = ch.transmit_analog(normalized, realization, 0.0, seed=6)
+        received = ch.transmit_analog(normalized, 0.0, seed=6)
         via_channel = ch.flow_decode(received / scale, cp, 16, 16)
 
         assert np.array_equal(via_channel, codec_only)
