@@ -222,16 +222,24 @@ class TestInPlaceLegMatchesExpressions:
         assert np.array_equal(got, decode_reference(received, cp, 5, 7))
         assert np.array_equal(received, kept)
 
+    @pytest.mark.parametrize(
+        "h", [1 + 0j, 0.8 - 0.3j, -0.3 + 1.1j], ids=["unit", "re-dominant", "im-dominant"]
+    )
     @pytest.mark.parametrize("sigma2", [0.0, 0.25])
-    def test_transmit(self, sigma2):
+    def test_transmit(self, h, sigma2):
         # The real leg keeps the bits of the complex unit-channel leg it replaced:
-        # (h x + n_re + j n_im) / h at h = 1 + 0j, real part, n_re drawn first.
+        # (x + n_re + j n_im), real part, n_re drawn first.
         x = np.random.default_rng(1).uniform(-1.0, 1.0, 4099)
         kept = x.copy()
         rng = np.random.default_rng(3)
         n_re, n_im = (rng.standard_normal(x.shape) * math.sqrt(sigma2 / 2.0) for _ in range(2))
-        h = 1 + 0j
-        expected = ((h * x + n_re + 1j * n_im) / h).real
         got = ch.transmit_analog(x, sigma2, seed=3)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, (x + n_re + 1j * n_im).real)
         assert np.array_equal(x, kept)
+        # sigma2 is the post-equalization noise power, so at any fading coefficient h the
+        # zero-forced complex leg (h x + h n) / h gives the real leg's output to rounding.
+        zero_forced = ((h * x + h * (n_re + 1j * n_im)) / h).real
+        if h == 1:
+            assert np.array_equal(got, zero_forced)
+        ulps = 4 * np.finfo(float).eps * float(np.abs(got).max())
+        np.testing.assert_allclose(got, zero_forced, rtol=0, atol=ulps)
