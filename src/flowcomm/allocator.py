@@ -57,6 +57,25 @@ class DdpgHyper:
     hidden: tuple = (64, 64)
     alpha_r: float | None = None   # reward scale; None -> ln(10) / equal-split time
 
+    def __post_init__(self):
+        at_least_1 = "at least 1"
+        rules = (
+            ("batch_size", self.batch_size >= 1, at_least_1),
+            ("episodes", self.episodes >= 1, at_least_1),
+            ("episode_len", self.episode_len >= 1, at_least_1),
+            ("buffer_capacity", self.buffer_capacity >= self.batch_size, f"at least batch_size {self.batch_size}"),
+            ("tau", 0.0 < self.tau <= 1.0, "in (0, 1]"),
+            ("gamma", 0.0 <= self.gamma < 1.0, "in [0, 1)"),
+            ("actor_lr", 0.0 < self.actor_lr < math.inf, "finite and positive"),
+            ("critic_lr", 0.0 < self.critic_lr < math.inf, "finite and positive"),
+            ("noise_scale", 0.0 <= self.noise_scale < math.inf, "finite and non-negative"),
+            ("noise_floor", 0.0 <= self.noise_floor < math.inf, "finite and non-negative"),
+            ("noise_decay", 0.0 < self.noise_decay <= 1.0, "in (0, 1]"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+
 
 def transmission_times(sc: AllocationScenario, bandwidths: np.ndarray) -> np.ndarray:
     """t_i = load_i / (B_i * log2(1 + snr_i))."""
@@ -153,13 +172,9 @@ def td_target(
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
-    """theta' <- tau * theta + (1 - tau) * theta'."""
-    for wt, ws in zip(target.weights, source.weights):
-        wt *= 1.0 - tau
-        wt += tau * ws
-    for bt, bs in zip(target.biases, source.biases):
-        bt *= 1.0 - tau
-        bt += tau * bs
+    """theta' <- tau * theta + (1 - tau) * theta', over the flat parameter buffers."""
+    target.params *= 1.0 - tau
+    target.params += tau * source.params
 
 
 class ReplayBuffer:
@@ -253,18 +268,19 @@ def _update(agent, buffer, actor_opt, critic_opt, hyper, rng) -> None:
 
     y = td_target(r, s2, agent.critic_target, agent.actor_target, hyper.gamma)
     q = agent.critic.forward(np.concatenate([s, a], axis=1), record=True)
-    critic_grads, _ = agent.critic.backward(2.0 * (q - y) / n)
-    adam_step(agent.critic, critic_grads, critic_opt)
+    agent.critic.backward(2.0 * (q - y) / n)
+    adam_step(agent.critic, agent.critic.grad, critic_opt)
 
     logits = agent.actor.forward(s, record=True)
     actions = softmax(logits)
     agent.critic.forward(np.concatenate([s, actions], axis=1), record=True)
-    _, dq_dinput = agent.critic.backward(np.full((n, 1), 1.0 / n))
+    _, dq_dinput = agent.critic.backward(np.full((n, 1), 1.0 / n), param_grads=False)
     dq_daction = dq_dinput[:, s.shape[1] :]
     upstream = softmax_grad(actions, dq_daction)
-    actor_grads, _ = agent.actor.backward(upstream)
+    agent.actor.backward(upstream)
     # ascend Q: Adam minimizes, so feed the negated gradient
-    adam_step(agent.actor, [(-dw, -db) for dw, db in actor_grads], actor_opt)
+    np.negative(agent.actor.grad, out=agent.actor.grad)
+    adam_step(agent.actor, agent.actor.grad, actor_opt)
 
     soft_update(agent.critic_target, agent.critic, hyper.tau)
     soft_update(agent.actor_target, agent.actor, hyper.tau)

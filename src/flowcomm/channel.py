@@ -41,8 +41,9 @@ class CodecParams:
     def __post_init__(self):
         if not 1 <= self.bits_per_symbol <= 16:
             raise ValueError("bits_per_symbol must lie in [1, 16]")
-        if self.mag_cap <= 0:
-            raise ValueError("mag_cap must be positive")
+        for name in ("mag_cap", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
 
 
 def path_gain(link: LinkParams) -> float:

@@ -188,6 +188,20 @@ class TestSoftUpdate:
         for w_t, w_s, w_0 in zip(tgt.weights, src.weights, before):
             assert np.allclose(w_t, tau * w_s + (1 - tau) * w_0, atol=1e-15)
 
+    def test_matches_per_array_interpolation_bit_for_bit(self):
+        src = Mlp((3, 4, 2), ("relu", "identity"), seed=12)
+        tgt = Mlp((3, 4, 2), ("relu", "identity"), seed=13)
+        rng = np.random.default_rng(14)
+        for b in (*src.biases, *tgt.biases):
+            b[...] = rng.standard_normal(b.size)
+        tau = 0.005
+        expected = [
+            (1 - tau) * p_t + tau * p_s
+            for p_t, p_s in zip((*tgt.weights, *tgt.biases), (*src.weights, *src.biases))
+        ]
+        al.soft_update(tgt, src, tau)
+        assert all(np.array_equal(p, e) for p, e in zip((*tgt.weights, *tgt.biases), expected))
+
 
 class TestReplay:
     def test_uniform_sampling_chi_square(self):

@@ -36,7 +36,7 @@ def clips(tmp_path_factory):
     return root
 
 
-def write_config(path, videos, rho="0.0 0.5", snr_db="30", bits=8, levels=3, extra=""):
+def write_config(path, videos, rho="0.0 0.5", snr_db="30", bits=8, levels=3, extra="", codec=""):
     path.write_text(
         f"""
 [input]
@@ -47,6 +47,7 @@ levels = {levels}
 
 [codec]
 bits_per_symbol = {bits}
+{codec}
 
 [sweep]
 rho = {rho}
@@ -334,6 +335,17 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "codec", ["gamma = 0", "gamma = -1", "gamma = nan", "mag_cap = inf"]
+    )
+    def test_codec_value_that_is_not_finite_and_positive_rejected(self, tmp_path, clips, capsys, codec):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], codec=codec)
+        out = tmp_path / "o"
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(out)) == 2
+        key = codec.split()[0]
+        assert f"{key} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "rho, snr_db, message",
         [
             ("0.5 0.5", "20", "rho 0.5 and 0.5"),
@@ -426,6 +438,39 @@ episodes = 30
 
 
 class TestAllocateCli:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", "0"),
+            ("episodes", "0"),
+            ("episode_len", "0"),
+            ("buffer_capacity", "3"),
+            ("tau", "2"),
+            ("tau", "0"),
+            ("gamma", "1"),
+            ("gamma", "-0.5"),
+            ("actor_lr", "nan"),
+            ("critic_lr", "0"),
+            ("critic_lr", "inf"),
+            ("noise_scale", "-0.1"),
+            ("noise_floor", "inf"),
+            ("noise_decay", "0"),
+            ("noise_decay", "1.5"),
+        ],
+    )
+    def test_bad_ddpg_hyperparameter_rejected(self, tmp_path, capsys, key, value):
+        ddpg = {"episodes": "2", "episode_len": "5", "batch_size": "4", key: value}
+        cfg = tmp_path / "sc.ini"
+        cfg.write_text(
+            SCENARIO_INI.split("[ddpg]")[0]
+            + "[ddpg]\n"
+            + "".join(f"{k} = {v}\n" for k, v in ddpg.items())
+        )
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_allocate_outputs(self, tmp_path):
         cfg = tmp_path / "sc.ini"
         cfg.write_text(SCENARIO_INI)
