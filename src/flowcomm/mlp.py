@@ -112,7 +112,7 @@ class Mlp:
                 np.matmul(gz.T, inputs[l], out=dw)
                 np.sum(gz, axis=0, out=db)
             g = gz @ self.weights[l]
-        return (self._grads if param_grads else None), (g[0] if squeeze else g)
+        return (list(self._grads) if param_grads else None), (g[0] if squeeze else g)
 
     def copy(self) -> "Mlp":
         dup = Mlp.__new__(Mlp)
@@ -149,8 +149,6 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, and
     params -= lr (m / bc1) / (sqrt(v / bc2) + eps), each operation in this
     order, so every element gets the bits a per-array update would give it.
-    Once b1**step is too small to change 1 - b1**step, bc1 is exactly 1.0
-    and the division by it, an identity, is skipped.
     """
     params = net.params
     if grad.shape != params.shape:
@@ -168,10 +166,7 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     v += t
     np.sqrt(np.divide(v, bc2, out=t), out=t)
     t += state.eps
-    if bc1 == 1.0:
-        np.multiply(state.lr, m, out=u)
-    else:
-        np.divide(m, bc1, out=u)
-        u *= state.lr
+    np.divide(m, bc1, out=u)
+    u *= state.lr
     u /= t
     params -= u

@@ -110,6 +110,9 @@ class TestFlatLayout:
         for w, b, (dw, db) in zip(net.weights, net.biases, grads):
             assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
             assert np.shares_memory(dw, net.grad) and np.shares_memory(db, net.grad)
+        grads[0] = None  # rebinding the returned list leaves the next backward's intact
+        again, _ = net.backward(np.ones(2))
+        assert again is not grads and np.shares_memory(again[0][0], net.grad)
         dup = net.copy()
         assert np.array_equal(dup.params, net.params)
         for arr in (dup.params, dup.grad, *dup.weights, *dup.biases):
@@ -117,7 +120,7 @@ class TestFlatLayout:
             assert not np.shares_memory(arr, net.grad)
         assert all(np.shares_memory(w, dup.params) for w in dup.weights)
 
-    # From step 400 on, 1 - 0.9**step rounds to 1.0 and adam_step skips the division by it.
+    # start=400 also covers late steps, where 1 - 0.9**step has rounded to 1.0.
     @pytest.mark.parametrize("start", [0, 400])
     def test_adam_matches_a_per_array_update_bit_for_bit(self, start):
         net = Mlp((4, 6, 3), ("relu", "identity"), seed=17)
