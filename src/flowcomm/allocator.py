@@ -28,8 +28,14 @@ class AllocationScenario:
             raise ValueError("need at least 2 UEs")
         if len(self.snrs) != n or len(self.mask_ratios) != n:
             raise ValueError("per-UE field lengths differ")
-        if min(self.loads) <= 0 or min(self.snrs) <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("loads, snrs, and bandwidth must be positive")
+        positive = (("loads", self.loads), ("snrs", self.snrs), ("bandwidth_hz", (self.bandwidth_hz,)))
+        for name, values in positive:
+            for value in values:
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for rho in self.mask_ratios:
+            if not 0.0 <= rho < 1.0:
+                raise ValueError(f"mask_ratios must lie in [0, 1), got {rho!r}")
 
     @property
     def n_ue(self) -> int:

@@ -99,7 +99,7 @@ def cmd_extract(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) ->
             os.makedirs(vid_dir, exist_ok=True)
             with open(os.path.join(vid_dir, f"selection_rho{rho:g}.bin"), "wb") as fh:
                 fh.write(sel.to_bytes())
-            rows.append([run.video_id, rho, len(sel.selected), int(sel.xi.sum())])
+            rows.append([run.video_id, rho, sel.n_selected, int(sel.xi.sum())])
     write_csv_atomic(
         os.path.join(out_dir, "extract.csv"), ["video_id", "rho", "n_selected", "xi_bits"], rows
     )

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,46 +58,67 @@ def position_features(i, j) -> np.ndarray:
     return np.stack([i * i, j * j, i * j, i, j, np.ones_like(i)], axis=-1)
 
 
-@dataclass
-class SelectedPatch:
-    t: int
-    i: int
-    j: int
-    payload: np.ndarray  # (2, patch_h, patch_w)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SelectionResult:
-    """Selected flow-patch payloads plus the per-frame position bitmap."""
+    """Selected flow-patch payloads, the same number from every flow frame.
+
+    Row t of `picks` holds frame t's row-major patch indices in selection
+    order, and `payloads[t, n]` is the flow of patch `picks[t, n]`. The
+    selection for a larger mask ratio is a per-frame prefix of both.
+    """
 
     grid: PatchGrid
     mask_ratio: float
-    selected: list[SelectedPatch]
-    xi: np.ndarray  # (T', rows, cols) bool
+    picks: np.ndarray     # (T', k) intp
+    payloads: np.ndarray  # (T', k, 2, patch_h, patch_w) float64
     field_h: int
     field_w: int
     important: np.ndarray | None = None  # (T', rows, cols) bool, pre-selection classification
 
     @property
     def n_flow_frames(self) -> int:
-        return self.xi.shape[0]
+        return self.picks.shape[0]
 
-    def by_frame(self) -> list[list[SelectedPatch]]:
-        """Selected patches grouped by flow frame, each group in selection order."""
-        groups: list[list[SelectedPatch]] = [[] for _ in range(self.n_flow_frames)]
-        for s in self.selected:
-            groups[s.t].append(s)
-        return groups
+    @property
+    def n_selected(self) -> int:
+        return self.picks.size
+
+    @property
+    def xi(self) -> np.ndarray:
+        """(T', rows, cols) bool bitmap of the selected positions."""
+        xi = np.zeros((self.n_flow_frames, self.grid.n_patches), dtype=bool)
+        np.put_along_axis(xi, self.picks, True, axis=1)
+        return xi.reshape(self.n_flow_frames, self.grid.rows, self.grid.cols)
+
+    @property
+    def selected(self) -> np.recarray:
+        """Every pick as a (t, i, j) record, frame by frame in selection order."""
+        t = np.repeat(np.arange(self.n_flow_frames), self.picks.shape[1])
+        i, j = np.divmod(self.picks.reshape(-1), self.grid.cols)
+        return np.rec.fromarrays([t, i, j], names="t,i,j")
+
+    def prefix(self, mask_ratio: float) -> "SelectionResult":
+        """The selection at a mask ratio no smaller than this one's: views of the first k picks."""
+        k = selection_count(mask_ratio, self.grid.n_patches)
+        if k > self.picks.shape[1]:
+            raise ValueError(
+                f"mask ratio {mask_ratio!r} keeps {k} patches a frame, more than the "
+                f"{self.picks.shape[1]} selected at {self.mask_ratio!r}"
+            )
+        return replace(
+            self, mask_ratio=mask_ratio, picks=self.picks[:, :k], payloads=self.payloads[:, :k]
+        )
 
     def to_bytes(self) -> bytes:
         """Compact binary form.
 
         Layout: magic, header (T', rows, cols, patch_h, patch_w, field_h,
-        field_w, mask_ratio), packed xi bitmap, per-frame selected patch
-        indices in selection order (uint32 row-major linear index), then all
-        payloads as float32 in the same order. The index list is what lets a
-        reader re-associate payloads with positions: the bitmap alone does not
-        encode the selection ordering the payload stream follows.
+        field_w, mask_ratio), packed xi bitmap, per frame the selection count
+        and the selected patch indices in selection order (uint32 row-major
+        linear index), then all payloads as float32 in the same order. The
+        index list is what lets a reader re-associate payloads with positions:
+        the bitmap alone does not encode the selection ordering the payload
+        stream follows.
         """
         head = SELECTION_MAGIC + struct.pack(
             "<IIIIIIId",
@@ -110,50 +131,29 @@ class SelectionResult:
             self.field_w,
             self.mask_ratio,
         )
-        bits = np.packbits(self.xi.reshape(-1).astype(np.uint8)).tobytes()
-        order = []
-        for frame_sel in self.by_frame():
-            order.append(struct.pack("<I", len(frame_sel)))
-            order.extend(struct.pack("<I", s.i * self.grid.cols + s.j) for s in frame_sel)
-        payloads = np.concatenate(
-            [s.payload.astype("<f4").reshape(-1) for s in self.selected]
-        ) if self.selected else np.zeros(0, dtype="<f4")
-        return head + bits + b"".join(order) + payloads.tobytes()
+        bits = np.packbits(self.xi.reshape(-1)).tobytes()
+        order = np.insert(self.picks, 0, self.picks.shape[1], axis=1).astype("<u4")
+        return head + bits + order.tobytes() + self.payloads.astype("<f4").tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SelectionResult":
-        if blob[:4] != SELECTION_MAGIC:
+        if len(blob) < 40 or blob[:4] != SELECTION_MAGIC:
             raise ValueError("not a selection blob")
         t_prime, rows, cols, ph, pw, fh, fw, rho = struct.unpack("<IIIIIIId", blob[4:40])
         grid = PatchGrid(ph, pw, rows, cols)
         n_bits = t_prime * rows * cols
-        n_bytes = -(-n_bits // 8)
-        pos = 40
-        xi = (
-            np.unpackbits(np.frombuffer(blob[pos : pos + n_bytes], dtype=np.uint8))[:n_bits]
-            .reshape(t_prime, rows, cols)
-            .astype(bool)
+        bits_end = 40 + -(-n_bits // 8)
+        # Frame 0's count fixes the table width; every frame must carry the same count.
+        k = int(np.frombuffer(blob, dtype="<u4", count=1, offset=bits_end)[0]) if t_prime else 0
+        order = np.frombuffer(blob, dtype="<u4", count=t_prime * (1 + k), offset=bits_end)
+        order = order.reshape(t_prime, 1 + k)
+        if np.any(order[:, 0] != k):
+            raise ValueError(f"selection counts differ across frames: {order[:, 0].tolist()}")
+        payloads = np.frombuffer(
+            blob, dtype="<f4", count=t_prime * k * 2 * ph * pw, offset=bits_end + order.nbytes
         )
-        pos += n_bytes
-        frame_indices = []
-        for _ in range(t_prime):
-            (count,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            idx = struct.unpack_from(f"<{count}I", blob, pos)
-            pos += 4 * count
-            frame_indices.append(idx)
-        selected = []
-        patch_floats = 2 * ph * pw
-        for t, idx in enumerate(frame_indices):
-            for lin in idx:
-                payload = (
-                    np.frombuffer(blob, dtype="<f4", count=patch_floats, offset=pos)
-                    .astype(np.float64)
-                    .reshape(2, ph, pw)
-                )
-                pos += 4 * patch_floats
-                selected.append(SelectedPatch(t, lin // cols, lin % cols, payload))
-        return cls(grid, rho, selected, xi, fh, fw)
+        payloads = payloads.astype(np.float64).reshape(t_prime, k, 2, ph, pw)
+        return cls(grid, rho, order[:, 1:].astype(np.intp), payloads, fh, fw)
 
 
 def patch_mean_flow(flow: FlowField, grid: PatchGrid) -> PatchFlowGrid:
@@ -273,28 +273,16 @@ def select_patches(
     resid: np.ndarray,
     grid: PatchGrid,
     mask_ratio: float,
-) -> tuple[list[tuple[int, int]], np.ndarray]:
+) -> np.ndarray:
     """Pick round((1-rho) * N) patches: important first, by descending residual.
 
-    Spillover continues into the less-important set with the same sort key.
-    Returns the picked (i, j) list in selection order and the frame's bitmap.
+    Spillover continues into the less-important set with the same sort key;
+    ties go to the lower row-major index, as lexsort is stable. Returns the
+    picked row-major patch indices in selection order, so the picks at a
+    larger rho are a prefix of these.
     """
-    n_sel = selection_count(mask_ratio, grid.n_patches)
-    order = []
-    for want_important in (True, False):
-        bucket = [
-            (-resid[i, j], i, j)
-            for i in range(grid.rows)
-            for j in range(grid.cols)
-            if important[i, j] == want_important
-        ]
-        bucket.sort()
-        order.extend((i, j) for _, i, j in bucket)
-    picked = order[:n_sel]
-    bitmap = np.zeros((grid.rows, grid.cols), dtype=bool)
-    for i, j in picked:
-        bitmap[i, j] = True
-    return picked, bitmap
+    order = np.lexsort((-resid.reshape(-1), ~important.reshape(-1)))
+    return order[: selection_count(mask_ratio, grid.n_patches)]
 
 
 def extract(
@@ -303,19 +291,17 @@ def extract(
     """Run the per-frame mean/background/threshold/classify/select pipeline."""
     if not flows:
         raise ValueError("no flow fields to extract from")
-    xi = np.zeros((len(flows), grid.rows, grid.cols), dtype=bool)
-    important_all = np.zeros_like(xi)
-    selected: list[SelectedPatch] = []
+    k = selection_count(params.mask_ratio, grid.n_patches)
+    picks = np.empty((len(flows), k), dtype=np.intp)
+    payloads = np.empty((len(flows), k, 2, grid.patch_h, grid.patch_w))
+    important_all = np.empty((len(flows), grid.rows, grid.cols), dtype=bool)
     for t, flow in enumerate(flows):
         pf = patch_mean_flow(flow, grid)
         model = ransac_background(pf, params, seed ^ t)
         l_th = adaptive_threshold(pf, params)
-        important, resid, _ = classify_patches(pf, model, l_th, params)
-        picked, bitmap = select_patches(important, resid, grid, params.mask_ratio)
-        xi[t] = bitmap
-        important_all[t] = important
-        patches = {(i, j): p for i, j, p in partition_patches(flow, grid)}
-        selected.extend(SelectedPatch(t, i, j, patches[(i, j)]) for i, j in picked)
+        important_all[t], resid, _ = classify_patches(pf, model, l_th, params)
+        picks[t] = select_patches(important_all[t], resid, grid, params.mask_ratio)
+        payloads[t] = partition_patches(flow, grid)[picks[t]]
     return SelectionResult(
-        grid, params.mask_ratio, selected, xi, flows[0].height, flows[0].width, important_all
+        grid, params.mask_ratio, picks, payloads, flows[0].height, flows[0].width, important_all
     )

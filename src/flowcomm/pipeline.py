@@ -63,7 +63,7 @@ def _stage(name, digest_parts, fn):
 
 
 class VideoRun:
-    """One video's stage graph: load, patch grid, flow, then one selection per rho.
+    """One video's stage graph: load, patch grid, flow, then one ranking for every rho.
 
     The video is loaded once. Flow is estimated once, on first use, so `load`
     never estimates it; the patch grid is built and checked only where
@@ -82,8 +82,15 @@ class VideoRun:
 
     @cached_property
     def ssim_reference(self) -> list:
-        """Each source frame's half of SSIM, computed once for all of the video's cells."""
-        return _stage("metrics", (self.directory,), lambda: [ssim_stats(f) for f in self.video.frames])
+        """Each source frame's half of SSIM, computed once for all of the video's cells.
+
+        Frame 0 stays a raw frame: reconstruction copies it, so it always scores
+        exactly 1 without reaching the SSIM kernel.
+        """
+        frames = self.video.frames
+        return _stage(
+            "metrics", (self.directory,), lambda: [frames[0], *(ssim_stats(f) for f in frames[1:])]
+        )
 
     @cached_property
     def flows(self) -> list:
@@ -103,7 +110,7 @@ class VideoRun:
         return _stage("load", (self.video_id, rho), lambda: ld.total_load(params))
 
     def selections(self, scored: bool = False):
-        """Yield (rho, selection) one rho at a time: a rho=0 selection holds every patch.
+        """Yield (rho, selection) for each rho: a rho=0 selection holds every patch.
 
         `scored` selections are reconstructed and scored by SSIM, so their
         frames must cover the SSIM window. Both checks run before any flow.
@@ -125,9 +132,14 @@ class VideoRun:
             )
         flows = self.flows
         seed = derive_seed(self.run_seed, "extract", self.index)
+        # One ranking serves every rho: the selection count never grows with rho,
+        # and the RANSAC seeds do not depend on it, so each rho keeps a prefix.
+        params = replace(cfg.extractor, mask_ratio=min(cfg.rho_list))
+        widest = _stage(
+            "extract", (self.video_id, params.mask_ratio), lambda: ex.extract(flows, grid, params, seed)
+        )
         for rho in cfg.rho_list:
-            params = replace(cfg.extractor, mask_ratio=rho)
-            yield rho, _stage("extract", (self.video_id, rho), lambda: ex.extract(flows, grid, params, seed))
+            yield rho, widest.prefix(rho)
 
     def cells(self, scored: bool = False):
         """Yield (rho, snr_db, selection, channel seed) in grid order."""
@@ -176,12 +188,13 @@ def transmit_selection(
     capacity, hence `tx_seconds`. The transmitter-side scale factor travels
     as error-free metadata alongside the bit payloads.
     """
-    if not sel.selected:  # extreme mask ratios can round the selection to zero
+    if not sel.n_selected:  # extreme mask ratios can round the selection to zero
         return sel, {"n_symbols": 0, "rms_flow_error": 0.0}
     # Each full-length array is dropped once the next exists: this leg's arrays,
-    # several times the payload, set the peak memory of a whole sweep.
-    payloads = np.stack([s.payload for s in sel.selected])
-    symbols = ch.flow_encode(payloads, cfg.codec)
+    # several times the payload, set the peak memory of a whole sweep. The input
+    # payloads are read only, since every SNR cell of a rho shares them.
+    ph, pw = sel.grid.patch_h, sel.grid.patch_w
+    symbols = ch.flow_encode(sel.payloads.reshape(-1, 2, ph, pw), cfg.codec)
     n_symbols = symbols.size
     per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * n_symbols)
     normalized = ch.power_normalize(symbols, per_symbol, 1.0)
@@ -190,21 +203,12 @@ def transmit_selection(
     received = ch.transmit_analog(normalized, 1.0 / snr_linear, seed)
     del normalized
     received *= 1.0 / scale
-    decoded = ch.flow_decode(received, cfg.codec, sel.grid.patch_h, sel.grid.patch_w)
+    decoded = ch.flow_decode(received, cfg.codec, ph, pw).reshape(sel.payloads.shape)
     del received
-    degraded = ex.SelectionResult(
-        grid=sel.grid,
-        mask_ratio=sel.mask_ratio,
-        selected=[
-            ex.SelectedPatch(s.t, s.i, s.j, decoded[k]) for k, s in enumerate(sel.selected)
-        ],
-        xi=sel.xi,
-        field_h=sel.field_h,
-        field_w=sel.field_w,
-    )
-    error = np.subtract(decoded, payloads, out=payloads)
+    error = decoded - sel.payloads
     error **= 2
-    return degraded, {"n_symbols": n_symbols, "rms_flow_error": float(np.sqrt(np.mean(error)))}
+    rms = float(np.sqrt(np.mean(error)))
+    return replace(sel, payloads=decoded), {"n_symbols": n_symbols, "rms_flow_error": rms}
 
 
 def run_point(
@@ -218,7 +222,7 @@ def run_point(
         report.map = motion_area_percentage(sel.important)
     capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, ch.db_to_linear(snr_db))
     tx_seconds = float(breakdown.l_com) / capacity  # the config admits only positive capacities
-    return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, len(sel.selected))
+    return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, sel.n_selected)
 
 
 def _run_video_task(args):

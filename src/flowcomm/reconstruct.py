@@ -14,14 +14,11 @@ from .video import Video
 def dense_flows(sel: SelectionResult):
     """Yield each flow frame's (H, W, 2) flow: selected payloads in place, zero elsewhere."""
     grid = sel.grid
-    for patches in sel.by_frame():
-        full = np.zeros((2, grid.rows * grid.patch_h, grid.cols * grid.patch_w))
-        for s in patches:
-            full[
-                :,
-                s.i * grid.patch_h : (s.i + 1) * grid.patch_h,
-                s.j * grid.patch_w : (s.j + 1) * grid.patch_w,
-            ] = s.payload
+    ph, pw = grid.patch_h, grid.patch_w
+    for picks, payloads in zip(sel.picks, sel.payloads):
+        full = np.zeros((2, grid.rows * ph, grid.cols * pw))
+        patches = full.reshape(2, grid.rows, ph, grid.cols, pw).transpose(1, 3, 0, 2, 4)  # a view
+        patches[np.divmod(picks, grid.cols)] = payloads
         yield np.moveaxis(full[:, : sel.field_h, : sel.field_w], 0, -1)
 
 

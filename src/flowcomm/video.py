@@ -183,22 +183,17 @@ def write_flo(flow: FlowField, path: str | os.PathLike) -> None:
         fh.write(np.ascontiguousarray(uv).tobytes())
 
 
-def partition_patches(flow: FlowField, grid: PatchGrid) -> list[tuple[int, int, np.ndarray]]:
+def partition_patches(flow: FlowField, grid: PatchGrid) -> np.ndarray:
     """Split a flow field into grid patches.
 
-    Returns (row, col, patch) triples in row-major order; each patch is a
-    (2, patch_h, patch_w) float array with zero padding beyond the field border.
+    Returns an (N, 2, patch_h, patch_w) array, patch i * cols + j at row-major
+    index, channel 0 = u and 1 = v, zero-padded beyond the field border.
     """
     if grid.patch_h > flow.height or grid.patch_w > flow.width:
         raise ValueError("patch larger than field")
-    stacked = np.stack([flow.u, flow.v], axis=0)
-    out = []
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            patch = np.zeros((2, grid.patch_h, grid.patch_w))
-            block = stacked[
-                :, i * grid.patch_h : (i + 1) * grid.patch_h, j * grid.patch_w : (j + 1) * grid.patch_w
-            ]
-            patch[:, : block.shape[1], : block.shape[2]] = block
-            out.append((i, j, patch))
-    return out
+    ph, pw = grid.patch_h, grid.patch_w
+    canvas = np.zeros((2, grid.rows, ph, grid.cols, pw))
+    flat = canvas.reshape(2, grid.rows * ph, grid.cols * pw)
+    flat[0, : flow.height, : flow.width] = flow.u
+    flat[1, : flow.height, : flow.width] = flow.v
+    return canvas.transpose(1, 3, 0, 2, 4).reshape(grid.n_patches, 2, ph, pw)

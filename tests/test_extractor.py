@@ -196,8 +196,8 @@ class TestSelect:
     def test_rho_zero_selects_all(self):
         grid = PatchGrid(16, 16, 4, 4)
         resid = np.random.default_rng(11).random((4, 4))
-        picked, bitmap = ex.select_patches(np.zeros((4, 4), bool), resid, grid, 0.0)
-        assert len(picked) == 16 and bitmap.all()
+        picked = ex.select_patches(np.zeros((4, 4), bool), resid, grid, 0.0)
+        assert sorted(picked) == list(range(16))
 
     def test_rounding_rule(self):
         assert ex.selection_count(0.9, 196) == 20  # round(19.6)
@@ -209,9 +209,9 @@ class TestSelect:
         resid = rng.random((4, 4))
         important = np.zeros((4, 4), bool)
         important.flat[[0, 3, 5, 9, 14]] = True  # 5 important patches
-        picked, _ = ex.select_patches(important, resid, grid, 0.5)  # n_sel = 8
+        picked = ex.select_patches(important, resid, grid, 0.5)  # n_sel = 8
         assert len(picked) == 8
-        picked_set = set(picked)
+        picked_set = {divmod(int(k), 4) for k in picked}
         assert {divmod(k, 4) for k in (0, 3, 5, 9, 14)} <= picked_set
         # the 3 spillover picks are the top less-important residuals
         lsr = [(-resid[i, j], i, j) for i in range(4) for j in range(4) if not important[i, j]]
@@ -225,7 +225,7 @@ class TestExtract:
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(zero, grid, ex.ExtractorParams(mask_ratio=0.9), seed=13)
         assert not sel.important.any()           # p_sr empty everywhere
-        assert len(sel.selected) == ex.selection_count(0.9, 16)
+        assert sel.picks.shape == (1, ex.selection_count(0.9, 16))
 
     def test_block_motion_coverage(self):
         video, mask0 = synth.block_motion_video(
@@ -237,7 +237,7 @@ class TestExtract:
         n_motion = int(gt.sum())
         rho = 1.0 - (n_motion + 4) / grid.n_patches
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=rho), seed=15)
-        selected = {(s.i, s.j) for s in sel.selected if s.t == 0}
+        selected = {divmod(int(k), grid.cols) for k in sel.picks[0]}
         assert {(i, j) for i, j in zip(*np.where(gt))} <= selected
 
     def test_rho_zero_all_ones(self):
@@ -254,7 +254,7 @@ class TestExtract:
         a = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.5), seed=19)
         b = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.5), seed=19)
         assert np.array_equal(a.xi, b.xi)
-        assert [(s.t, s.i, s.j) for s in a.selected] == [(s.t, s.i, s.j) for s in b.selected]
+        assert np.array_equal(a.picks, b.picks)
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.0, 0.99), st.integers(0, 2**31 - 1))
@@ -263,7 +263,7 @@ class TestExtract:
         flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48)))]
         grid = PatchGrid.for_shape(48, 48, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=rho), seed=seed)
-        assert len(sel.selected) == ex.selection_count(rho, grid.n_patches)
+        assert sel.n_selected == ex.selection_count(rho, grid.n_patches)
         assert int(sel.xi.sum()) == ex.selection_count(rho, grid.n_patches)
 
     def test_global_shift_leaves_selection_set_unchanged(self):
@@ -279,7 +279,7 @@ class TestExtract:
         for shift in ((0.0, 0.0), (2.0, -1.0), (-3.0, 3.0)):
             flows = [FlowField(base_u + shift[0], base_v + shift[1])]
             sel = ex.extract(flows, grid, params, seed=21)
-            picked = {(s.i, s.j) for s in sel.selected}
+            picked = set(sel.picks[0].tolist())
             if shift == (0.0, 0.0):
                 reference = picked
             else:
@@ -309,9 +309,46 @@ class TestSerialization:
         assert back.grid == sel.grid
         assert back.mask_ratio == sel.mask_ratio
         assert np.array_equal(back.xi, sel.xi)
-        assert [(s.t, s.i, s.j) for s in back.selected] == [(s.t, s.i, s.j) for s in sel.selected]
-        for a, b in zip(sel.selected, back.selected):
-            assert np.array_equal(b.payload, a.payload.astype(np.float32).astype(np.float64))
+        assert np.array_equal(back.picks, sel.picks)
+        assert np.array_equal(back.payloads, sel.payloads.astype(np.float32).astype(np.float64))
+        assert back.to_bytes() == sel.to_bytes()
+
+    def test_roundtrip_without_patches(self):
+        rng = np.random.default_rng(26)
+        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48))) for _ in range(2)]
+        grid = PatchGrid.for_shape(48, 48, 16, 16)
+        sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.99), seed=27)  # k = 0 of 9
+        assert sel.picks.shape == (2, 0) and sel.payloads.shape == (2, 0, 2, 16, 16)
+        back = ex.SelectionResult.from_bytes(sel.to_bytes())
+        assert back.picks.shape == (2, 0) and back.payloads.shape == (2, 0, 2, 16, 16)
+        assert not back.xi.any() and back.xi.shape == (2, 3, 3)
+        assert back.to_bytes() == sel.to_bytes()
+
+    def test_frames_with_different_counts_rejected(self):
+        rng = np.random.default_rng(28)
+        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48))) for _ in range(2)]
+        grid = PatchGrid.for_shape(48, 48, 16, 16)
+        sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.5), seed=29)  # k = 5 of 9
+        # Rewrite the index table as the old per-frame layout could: frame 0 keeps
+        # 5 patches and frame 1 only 4, with the payload stream cut to match.
+        head = 40 + -(-sel.xi.size // 8)
+        xi = sel.xi.copy()
+        xi[1].flat[sel.picks[1, 4]] = False
+        order = np.concatenate([[5], sel.picks[0], [4], sel.picks[1, :4]]).astype("<u4")
+        payloads = sel.payloads.astype("<f4").reshape(10, -1)[:9]
+        blob = sel.to_bytes()[:40] + np.packbits(xi.reshape(-1)).tobytes() + order.tobytes() + payloads.tobytes()
+        assert len(blob) == head + order.nbytes + payloads.nbytes
+        with pytest.raises(ValueError, match="selection counts differ"):
+            ex.SelectionResult.from_bytes(blob)
+
+    def test_truncated_blob_rejected(self):
+        rng = np.random.default_rng(30)
+        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48))) for _ in range(2)]
+        sel = ex.extract(flows, PatchGrid.for_shape(48, 48, 16, 16), ex.ExtractorParams(), seed=31)
+        blob = sel.to_bytes()
+        for cut in (3, 20, 41, 50, len(blob) - 1):  # magic, header, bitmap, index table, payloads
+            with pytest.raises(ValueError):
+                ex.SelectionResult.from_bytes(blob[:cut])
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -147,22 +148,53 @@ class TestPipeline:
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, seed=4)
         degraded, stats = transmit_selection(sel, cfg, math.inf, seed=5)
-        payloads = np.stack([s.payload for s in sel.selected])
+        payloads = sel.payloads.reshape(-1, 2, 16, 16)
         expected = ch.flow_decode(ch.flow_encode(payloads, cfg.codec), cfg.codec, 16, 16)
-        got = np.stack([s.payload for s in degraded.selected])
-        assert np.array_equal(got, expected)
+        assert np.array_equal(degraded.payloads.reshape(-1, 2, 16, 16), expected)
+        assert np.array_equal(degraded.picks, sel.picks)
+
+
+    def test_each_rho_keeps_a_prefix_of_one_extraction(self, tmp_path, clips):
+        cfg = parse_experiment_config(
+            write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.6 0.0 0.99 0.3")
+        )
+        run = pipeline.VideoRun(cfg, 3, 0, str(clips / "motion0"))
+        grid = PatchGrid.for_shape(64, 64, 16, 16)
+        seed = derive_seed(3, "extract", 0)
+        got = list(run.selections())
+        assert [rho for rho, _ in got] == [0.6, 0.0, 0.99, 0.3]
+        for rho, sel in got:
+            alone = ex.extract(run.flows, grid, replace(cfg.extractor, mask_ratio=rho), seed)
+            assert sel.to_bytes() == alone.to_bytes(), rho
+            assert sel.picks.shape == (3, ex.selection_count(rho, 16))
+        assert got[2][1].n_selected == 0  # rho 0.99 keeps round(0.16) = 0 of 16
+
+    def test_ssim_statistics_skip_the_copied_first_frame(self, tmp_path, clips, monkeypatch):
+        calls = []
+        original = pipeline.ssim_stats
+
+        def counting(frame):
+            calls.append(frame)
+            return original(frame)
+
+        monkeypatch.setattr(pipeline, "ssim_stats", counting)
+        cfg = parse_experiment_config(
+            write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"], snr_db="10 30")
+        )
+        assert len(run_pipeline(cfg, run_seed=1)) == 8
+        assert len(calls) == 2 * (4 - 1)  # per video: every frame but frame 0
 
 
     def full_selection(self, tmp_path, clips):
         cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion0"]))
         flows = estimate_flow(load_ppm_sequence(clips / "motion0"), cfg.flow_params)
         sel = ex.extract(flows, PatchGrid.for_shape(64, 64, 16, 16), cfg.extractor, seed=4)
-        assert len(sel.selected) == sel.xi.size  # rho 0: every patch
+        assert sel.n_selected == sel.xi.size  # rho 0: every patch
         return cfg, sel
 
     def test_transmit_selection_matches_the_out_of_place_leg(self, tmp_path, clips):
         cfg, sel = self.full_selection(tmp_path, clips)
-        payloads = np.stack([s.payload for s in sel.selected])
+        payloads = sel.payloads.reshape(-1, 2, 16, 16).copy()
         symbols = ch.flow_encode(payloads, cfg.codec)
         per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * symbols.size)
         normalized = ch.power_normalize(symbols, per_symbol, 1.0)
@@ -171,16 +203,16 @@ class TestPipeline:
         decoded = ch.flow_decode((normalized + noise) * (1.0 / scale), cfg.codec, 16, 16)
 
         degraded, stats = transmit_selection(sel, cfg, 10.0, seed=5)
-        assert np.array_equal(np.stack([s.payload for s in degraded.selected]), decoded)
+        assert np.array_equal(degraded.payloads.reshape(-1, 2, 16, 16), decoded)
         assert stats["rms_flow_error"] == float(np.sqrt(np.mean((decoded - payloads) ** 2)))
         assert stats["n_symbols"] == symbols.size
-        assert np.array_equal(np.stack([s.payload for s in sel.selected]), payloads)
+        assert np.array_equal(sel.payloads.reshape(-1, 2, 16, 16), payloads)
 
     def test_transmit_selection_peak_memory(self, tmp_path, clips):
         # The symbol leg frees each full-length intermediate once used: its peak
         # stays within a few copies of the payload (the out-of-place leg peaked near 10).
         cfg, sel = self.full_selection(tmp_path, clips)
-        payload_bytes = sum(s.payload.nbytes for s in sel.selected)
+        payload_bytes = sel.payloads.nbytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -362,7 +394,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
-    def test_extract_runs_once_per_video_and_rho(self, tmp_path, clips, monkeypatch, entry):
+    def test_extract_runs_once_per_video(self, tmp_path, clips, monkeypatch, entry):
         calls = []
         original = ex.extract
 
@@ -371,12 +403,12 @@ class TestCli:
             return original(*args)
 
         monkeypatch.setattr(ex, "extract", counting)
-        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5 0.0", snr_db="10 30")
         if entry == "run_pipeline":
             assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
         else:
             assert self.run("transmit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
-        assert calls == [0.0, 0.5]
+        assert calls == [0.0]  # the smallest rho; every other rho keeps a prefix of its ranking
 
     @pytest.mark.parametrize(
         "command, code",
@@ -469,6 +501,35 @@ class TestAllocateCli:
         out = tmp_path / "alloc"
         assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("ue.1", "load_bits", "nan", "loads must be finite and positive, got nan"),
+            ("ue.2", "load_bits", "inf", "loads must be finite and positive, got inf"),
+            ("ue.2", "snr", "inf", "snrs must be finite and positive, got inf"),
+            ("ue.3", "snr", "nan", "snrs must be finite and positive, got nan"),
+            ("scenario", "bandwidth_hz", "nan", "bandwidth_hz must be finite and positive, got nan"),
+            ("scenario", "bandwidth_hz", "inf", "bandwidth_hz must be finite and positive, got inf"),
+            ("ue.1", "rho", "nan", "mask_ratios must lie in [0, 1), got nan"),
+            ("ue.2", "rho", "5.0", "mask_ratios must lie in [0, 1), got 5.0"),
+            ("ue.3", "rho", "1.0", "mask_ratios must lie in [0, 1), got 1.0"),
+            ("ue.3", "rho", "-0.5", "mask_ratios must lie in [0, 1), got -0.5"),
+        ],
+    )
+    def test_scenario_value_out_of_range_rejected(self, tmp_path, capsys, section, key, value, message):
+        parser = configparser.ConfigParser()
+        parser.read_string(SCENARIO_INI)
+        for k, v in {"episodes": "2", "episode_len": "5", "batch_size": "4"}.items():
+            parser.set("ddpg", k, v)
+        parser.set(section, key, value)
+        cfg = tmp_path / "sc.ini"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_allocate_outputs(self, tmp_path):

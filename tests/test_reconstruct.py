@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,20 +10,14 @@ from flowcomm import extractor as ex
 from flowcomm import metrics, synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
 from flowcomm.reconstruct import dense_flows, reconstruct_video
-from flowcomm.video import FlowField, PatchGrid
+from flowcomm.video import FlowField, PatchGrid, partition_patches
 
 
 def full_selection_from_flows(flows, grid):
     """rho = 0 selection carrying the given flow fields verbatim."""
-    from flowcomm.video import partition_patches
-
-    selected = []
-    xi = np.ones((len(flows), grid.rows, grid.cols), dtype=bool)
-    for t, field in enumerate(flows):
-        selected.extend(
-            ex.SelectedPatch(t, i, j, p) for i, j, p in partition_patches(field, grid)
-        )
-    return ex.SelectionResult(grid, 0.0, selected, xi, flows[0].height, flows[0].width)
+    picks = np.tile(np.arange(grid.n_patches), (len(flows), 1))
+    payloads = np.stack([partition_patches(field, grid) for field in flows])
+    return ex.SelectionResult(grid, 0.0, picks, payloads, flows[0].height, flows[0].width)
 
 
 class TestReconstruct:
@@ -71,10 +66,8 @@ class TestReconstruct:
     def test_masked_patches_carry_zero_flow(self):
         grid = PatchGrid.for_shape(32, 32, 16, 16)
         flows = [FlowField(np.full((32, 32), 2.0), np.zeros((32, 32)))]
-        sel = full_selection_from_flows(flows, grid)
-        sel.selected = [s for s in sel.selected if (s.i, s.j) == (0, 0)]
-        sel.xi[:] = False
-        sel.xi[0, 0, 0] = True
+        sel = full_selection_from_flows(flows, grid).prefix(0.75)  # patch (0, 0) alone
+        assert sel.picks.tolist() == [[0]]
         dense = next(dense_flows(sel))
         assert np.all(dense[:16, :16, 0] == 2.0)
         assert not dense[16:, :, 0].any() and not dense[:, 16:, 0].any()
@@ -88,13 +81,13 @@ def map_coordinates_reconstruction(first_frame, sel):
     frames = [first_frame.astype(np.uint8)]
     for t in range(sel.n_flow_frames):
         full = np.zeros((2, grid.rows * grid.patch_h, grid.cols * grid.patch_w))
-        for s in sel.selected:
-            if s.t == t:
-                full[
-                    :,
-                    s.i * grid.patch_h : (s.i + 1) * grid.patch_h,
-                    s.j * grid.patch_w : (s.j + 1) * grid.patch_w,
-                ] = s.payload
+        for k, payload in zip(sel.picks[t], sel.payloads[t]):
+            i, j = divmod(int(k), grid.cols)
+            full[
+                :,
+                i * grid.patch_h : (i + 1) * grid.patch_h,
+                j * grid.patch_w : (j + 1) * grid.patch_w,
+            ] = payload
         rows = yy - full[1, :h, :w]
         cols = xx - full[0, :h, :w]
         warped = np.stack(
@@ -133,25 +126,21 @@ def dense(h, w, n, seed):
 
 
 def masked_with_zero_payloads(h, w, n, seed):
-    """A masked selection: about 60% of the patches, some carrying exactly zero flow."""
+    """A masked selection: 60% of each frame's patches in random order, some carrying exactly zero flow."""
     sel = dense(h, w, n, seed)
-    keep = np.random.default_rng(seed + 1).random(len(sel.selected)) < 0.6
-    sel.selected = [s for s, k in zip(sel.selected, keep) if k]
-    for s in sel.selected[::3]:
-        s.payload = np.zeros_like(s.payload)
-    for s in sel.selected[1::3]:
-        s.payload[:, :8] = 0.0
-    sel.xi[:] = False
-    for s in sel.selected:
-        sel.xi[s.t, s.i, s.j] = True
-    return sel
+    rng = np.random.default_rng(seed + 1)
+    k = round(0.6 * sel.grid.n_patches)
+    picks = np.stack([rng.permutation(sel.grid.n_patches)[:k] for _ in range(n)])
+    payloads = np.take_along_axis(sel.payloads, picks[:, :, None, None, None], axis=1)
+    flat = payloads.reshape(n * k, 2, 16, 16)
+    flat[::3] = 0.0
+    flat[1::3, :, :8] = 0.0
+    return replace(sel, picks=picks, payloads=payloads)
 
 
 def without_patches(h, w, n, seed):
     sel = dense(h, w, n, seed)
-    sel.selected = []
-    sel.xi[:] = False
-    return sel
+    return replace(sel, picks=sel.picks[:, :0], payloads=sel.payloads[:, :0])
 
 
 class TestMatchesMapCoordinates:
@@ -193,7 +182,7 @@ class TestTransmissionTransparency:
         flows = estimate_flow(video, FlowEstimatorParams(levels=3))
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.0), seed=5)
-        payloads = np.stack([s.payload for s in sel.selected])
+        payloads = sel.payloads.reshape(-1, 2, 16, 16)
         cp = ch.CodecParams(bits_per_symbol=12)
 
         codec_only = ch.flow_decode(ch.flow_encode(payloads, cp), cp, 16, 16)
@@ -208,11 +197,7 @@ class TestTransmissionTransparency:
         assert np.array_equal(via_channel, codec_only)
 
         def rebuild(decoded):
-            return ex.SelectionResult(
-                grid, 0.0,
-                [ex.SelectedPatch(s.t, s.i, s.j, decoded[k]) for k, s in enumerate(sel.selected)],
-                sel.xi, 64, 64,
-            )
+            return replace(sel, payloads=decoded.reshape(sel.payloads.shape))
 
         rec_a = reconstruct_video(video.frames[0], rebuild(codec_only))
         rec_b = reconstruct_video(video.frames[0], rebuild(via_channel))
@@ -242,6 +227,6 @@ class TestMapThreshold:
 
         covered_mse, sel_covered = motion_mse(1.0 - (n_motion + 2) / 100)   # n_sel = 12 >= 10
         uncovered_mse, _ = motion_mse(1.0 - (n_motion - 6) / 100)           # n_sel = 4 < 10
-        selected = {(s.i, s.j) for s in sel_covered.selected}
+        selected = {divmod(int(k), grid.cols) for k in sel_covered.picks[0]}
         assert {(i, j) for i, j in zip(*np.where(gt))} <= selected
         assert covered_mse < uncovered_mse

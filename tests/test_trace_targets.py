@@ -1,8 +1,13 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps functions by name;
-each name it lists must still exist, or `perfbench/run.py --trace 1` breaks."""
+each name it lists must still exist, or `perfbench/run.py --trace 1` breaks.
+Its hooks also read call arguments, so a traced run must still report them."""
 import ast
 import importlib
+import importlib.util
 import os
+
+from flowcomm import cli, synth
+from flowcomm.video import save_ppm_sequence
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
 
@@ -28,3 +33,31 @@ def test_every_trace_target_resolves():
         if not callable(owner):
             missing.append(f"flowcomm.{layer}.{qual}")
     assert not missing, missing
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pipeline_extracts_once_per_video(tmp_path):
+    video, _ = synth.block_motion_video(64, 64, 4, [(16, 16, 16, 16)], dx=2, dy=0, seed=1)
+    save_ppm_sequence(video, tmp_path / "clip")
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n"
+        "[sweep]\nrho = 0.0 0.5\nsnr_db = 20\n"
+    )
+    tracer = load_spans().Tracer("tier-1")
+    tracer.install()
+    try:
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.metrics()
+    # The hook reads extract's (flows, grid, params, seed) positional arguments.
+    assert metrics["extractor.extract.calls"] == 1
+    assert metrics["extractor.extract.useful_ratio"] == 1.0

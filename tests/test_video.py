@@ -127,26 +127,23 @@ class TestPartition:
         flow = FlowField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
         grid = PatchGrid.for_shape(16, 16, 16, 16)
         patches = partition_patches(flow, grid)
-        assert len(patches) == 1
-        i, j, p = patches[0]
-        assert (i, j) == (0, 0)
-        assert np.array_equal(p[0], flow.u) and np.array_equal(p[1], flow.v)
+        assert patches.shape == (1, 2, 16, 16)
+        assert np.array_equal(patches[0, 0], flow.u) and np.array_equal(patches[0, 1], flow.v)
 
     def test_224_grid_count(self):
         flow = FlowField(np.zeros((224, 224)), np.zeros((224, 224)))
         grid = PatchGrid.for_shape(224, 224, 16, 16)
         assert grid.rows == grid.cols == 14
-        assert len(partition_patches(flow, grid)) == 196
+        assert partition_patches(flow, grid).shape == (196, 2, 16, 16)
 
     def test_boundary_padding(self):
         rng = np.random.default_rng(1)
         flow = FlowField(rng.standard_normal((20, 20)), rng.standard_normal((20, 20)))
         grid = PatchGrid.for_shape(20, 20, 16, 16)
         patches = partition_patches(flow, grid)
-        assert len(patches) == 4
-        by_pos = {(i, j): p for i, j, p in patches}
-        # bottom-right patch holds a 4x4 valid corner, zero elsewhere
-        corner = by_pos[(1, 1)]
+        assert patches.shape == (4, 2, 16, 16)
+        # bottom-right patch (row-major index 1 * 2 + 1) holds a 4x4 valid corner, zero elsewhere
+        corner = patches[3]
         assert np.array_equal(corner[0, :4, :4], flow.u[16:, 16:])
         assert not corner[0, 4:, :].any() and not corner[0, :, 4:].any()
 
@@ -160,7 +157,8 @@ class TestPartition:
         grid = PatchGrid.for_shape(30, 41, 16, 16)
         # place every patch back on the padded canvas, then crop the padding
         canvas = np.zeros((2, grid.rows * 16, grid.cols * 16))
-        for i, j, patch in partition_patches(flow, grid):
+        for n, patch in enumerate(partition_patches(flow, grid)):
+            i, j = divmod(n, grid.cols)
             canvas[:, i * 16 : (i + 1) * 16, j * 16 : (j + 1) * 16] = patch
         assert np.array_equal(canvas[0, :30, :41], flow.u)
         assert np.array_equal(canvas[1, :30, :41], flow.v)
