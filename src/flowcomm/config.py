@@ -96,6 +96,8 @@ def parse_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"[link] B must be positive, got {bandwidth_hz!r}")
     rho_list = _get(p, "sweep", "rho", _floats, (0.0,))
     for k, rho in enumerate(rho_list):
+        if not 0.0 <= rho < 1.0:
+            raise ConfigError(f"[sweep] rho must lie in [0, 1), got {rho!r}")
         for other in rho_list[:k]:
             if rho == other or f"{rho:g}" == f"{other:g}":
                 raise ConfigError(

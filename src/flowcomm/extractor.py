@@ -99,6 +99,8 @@ class SelectionResult:
 
     def prefix(self, mask_ratio: float) -> "SelectionResult":
         """The selection at a mask ratio no smaller than this one's: views of the first k picks."""
+        if not 0.0 <= mask_ratio < 1.0:
+            raise ValueError(f"mask_ratio must lie in [0, 1), got {mask_ratio!r}")
         k = selection_count(mask_ratio, self.grid.n_patches)
         if k > self.picks.shape[1]:
             raise ValueError(

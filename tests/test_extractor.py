@@ -256,6 +256,15 @@ class TestExtract:
         assert np.array_equal(a.xi, b.xi)
         assert np.array_equal(a.picks, b.picks)
 
+    @pytest.mark.parametrize("rho", [1.0, 1.5, -0.5, float("nan")])
+    def test_prefix_rejects_mask_ratio_outside_unit_interval(self, rho):
+        rng = np.random.default_rng(18)
+        flows = [FlowField(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))]
+        grid = PatchGrid.for_shape(64, 64, 16, 16)
+        sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.0), seed=19)
+        with pytest.raises(ValueError, match=r"mask_ratio must lie in \[0, 1\)"):
+            sel.prefix(rho)
+
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.0, 0.99), st.integers(0, 2**31 - 1))
     def test_selection_count_property(self, rho, seed):

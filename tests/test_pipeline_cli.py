@@ -393,6 +393,16 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["extract", "transmit", "reconstruct", "pipeline"])
+    @pytest.mark.parametrize("rho", ["1.0", "1.5", "-0.5", "nan", "inf"])
+    def test_sweep_rho_outside_unit_interval_rejected(self, tmp_path, clips, capsys, command, rho):
+        # Only the smallest rho is extracted; every other one must still be checked.
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho=f"0.0 {rho}")
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"rho must lie in [0, 1), got {float(rho)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
     def test_extract_runs_once_per_video(self, tmp_path, clips, monkeypatch, entry):
         calls = []
