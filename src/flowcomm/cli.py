@@ -232,6 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         if args.command == "allocate":
             cmd_allocate(args.config, args.seed, args.out, args.workers)

@@ -3,9 +3,17 @@
 Flow convention: a field for frame pair (t-1, t) is the displacement from
 frame t-1 to frame t, sampled on the t-1 pixel grid. Reconstruction
 (flowcomm.reconstruct) inverse-warps with the same convention.
+
+Frame pairs are independent, and numpy's and scipy.ndimage's loops release the
+interpreter lock, so `estimate_flow` runs pairs on a thread pool. Every plane a
+pair touches lives in a `_Workspace` that the calling thread allocates once per
+video and each stage writes through `out=`/`output=`: worker threads allocate
+no frame-sized array, whose freed memory their malloc arenas would keep.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +26,11 @@ DEGENERATE_DET = 1e-6
 # per-iteration residual step clamp (px); brightness constancy breaks at
 # occlusion seams and the unclamped least-squares step can run away there
 RESIDUAL_CLAMP_PX = 1.0
+# scratch planes per pyramid level: y/x sample coordinates (the warped frame's
+# gradients once it is sampled), the warped frame (then its difference from the
+# reference), the reference's x/y gradients, a product (the determinant in the
+# solve) and the five structure-tensor and mismatch window means
+_N_SCRATCH = 11
 
 
 @dataclass(frozen=True)
@@ -34,127 +47,185 @@ class FlowEstimatorParams:
             raise ValueError("lk_window must be odd and >= 3")
 
 
-@dataclass(frozen=True)
-class Pyramid:
-    """Grayscale levels, index 0 = coarsest, downsample factor 2 per level."""
-
-    levels: tuple
-
-
-def grayscale(frame: np.ndarray) -> np.ndarray:
-    """Integer luma (R + 2G + B) / 4, returned as float64 for downstream math."""
-    f = frame.astype(np.uint16)
-    return ((f[:, :, 0] + 2 * f[:, :, 1] + f[:, :, 2]) // 4).astype(np.float64)
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def build_pyramid(frame: np.ndarray, levels: int, smoothing_sigma: float = 1.0) -> Pyramid:
-    """Gaussian-blur + 2x decimate chain; finest level is the grayscale input."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    h, w = frame.shape[:2]
-    coarse_h = -(-h // (2 ** (levels - 1)))
-    coarse_w = -(-w // (2 ** (levels - 1)))
-    if coarse_h < 8 or coarse_w < 8:
-        raise ValueError(
-            f"too many levels for frame size: coarsest would be {coarse_h}x{coarse_w}"
-        )
-    fine_to_coarse = [grayscale(frame) if frame.ndim == 3 else frame.astype(np.float64)]
-    for _ in range(levels - 1):
-        blurred = gaussian_filter(fine_to_coarse[-1], smoothing_sigma, mode="nearest")
-        fine_to_coarse.append(blurred[::2, ::2])
-    return Pyramid(tuple(reversed(fine_to_coarse)))
+class _Level:
+    """One pyramid level's planes: both frames' images and level-sized views of the scratch."""
+
+    def __init__(self, shape, coarser, scratch, mask):
+        h, w = shape
+        self.images = np.empty((2, h, w))  # reference frame, target frame
+        planes = scratch[: _N_SCRATCH * h * w].reshape(_N_SCRATCH, h, w)
+        self.coords = planes[:2]
+        (self.warped, self.gx_ref, self.gy_ref, self.prod,
+         self.axx, self.axy, self.ayy, self.bx, self.by) = planes[2:]
+        self.bad = mask[: h * w].reshape(shape)
+        self.rows = np.arange(h, dtype=np.float64)
+        self.cols = np.arange(w, dtype=np.float64)
+        if coarser is not None:
+            # Where each pixel samples the coarser level's flow, half-pixel convention
+            # (mean-preserving for 2x upsampling), and how displacements scale.
+            ch, cw = coarser
+            self.up_rows = np.clip((np.arange(h) + 0.5) * ch / h - 0.5, 0, ch - 1)
+            self.up_cols = np.clip((np.arange(w) + 0.5) * cw / w - 0.5, 0, cw - 1)
+            self.up_scale = (w / cw, h / ch)
 
 
-def warp_bilinear(image: np.ndarray, flow: FlowField) -> np.ndarray:
-    """Sample image at (x + u, y + v) with bilinear interpolation, border-clamped."""
-    if image.shape != (flow.height, flow.width):
-        raise ValueError(f"image {image.shape} does not match flow {(flow.height, flow.width)}")
-    yy, xx = np.mgrid[0 : flow.height, 0 : flow.width].astype(np.float64)
-    return map_coordinates(image, [yy + flow.v, xx + flow.u], order=1, mode="nearest")
+class _Workspace:
+    """Every plane of every pyramid level that one frame pair needs; one per pair in flight."""
+
+    def __init__(self, height: int, width: int, params: FlowEstimatorParams):
+        shapes = [(height, width)]  # coarsest first; each level halves the next, rounding up
+        for _ in range(params.levels - 1):
+            shapes.insert(0, (-(-shapes[0][0] // 2), -(-shapes[0][1] // 2)))
+        coarse_h, coarse_w = shapes[0]
+        if coarse_h < 8 or coarse_w < 8:
+            raise ValueError(
+                f"too many levels for frame size: coarsest would be {coarse_h}x{coarse_w}"
+            )
+        self.params = params
+        scratch = np.empty(_N_SCRATCH * height * width)
+        mask = np.empty(height * width, dtype=bool)
+        self.levels = [
+            _Level(shape, coarser, scratch, mask)
+            for shape, coarser in zip(shapes, [None, *shapes[:-1]])
+        ]
+        self.coarse_flows = [np.empty((2, *shape)) for shape in shapes[:-1]]
+
+    def estimate(self, ref_frame: np.ndarray, target_frame: np.ndarray, out: np.ndarray) -> None:
+        """Coarse-to-fine flow ref -> target, written into out (u, v)."""
+        levels, params = self.levels, self.params
+        for k, frame in enumerate((ref_frame, target_frame)):
+            _grayscale(frame, levels[-1].images[k])
+            # Gaussian blur + 2x decimate, finest to coarsest.
+            for fine, coarse in zip(levels[:0:-1], levels[-2::-1]):
+                gaussian_filter(
+                    fine.images[k], params.smoothing_sigma, output=fine.prod, mode="nearest"
+                )
+                np.copyto(coarse.images[k], fine.prod[::2, ::2])
+        flows = [*self.coarse_flows, out]
+        flows[0].fill(0.0)
+        _refine(levels[0], flows[0], params)
+        for level, coarse, flow in zip(levels[1:], flows, flows[1:]):
+            _upsample(coarse, flow, level)
+            _refine(level, flow, params)
 
 
-def _resize_bilinear(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Half-pixel-convention bilinear resize (mean-preserving for 2x upsampling)."""
-    h, w = arr.shape
-    rows = np.clip((np.arange(new_h) + 0.5) * h / new_h - 0.5, 0, h - 1)
-    cols = np.clip((np.arange(new_w) + 0.5) * w / new_w - 0.5, 0, w - 1)
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    return map_coordinates(arr, [rr, cc], order=1, mode="nearest")
+def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
+    """Integer luma (R + 2G + B) // 4 into a float64 plane; every step is exact."""
+    np.add(frame[:, :, 0], frame[:, :, 2], out=out, dtype=np.float64)
+    out += frame[:, :, 1]
+    out += frame[:, :, 1]
+    np.floor_divide(out, 4.0, out=out)
 
 
-def resize_flow(flow: FlowField, new_h: int, new_w: int) -> FlowField:
-    """Resize a flow field, scaling displacements with the resolution change."""
-    su = new_w / flow.width
-    sv = new_h / flow.height
-    return FlowField(
-        _resize_bilinear(flow.u, new_h, new_w) * su,
-        _resize_bilinear(flow.v, new_h, new_w) * sv,
-    )
+def _upsample(coarse: np.ndarray, flow: np.ndarray, level: _Level) -> None:
+    """Bilinear resize of the coarser level's flow into flow, scaling displacements."""
+    coords = level.coords
+    np.copyto(coords[0], level.up_rows[:, None])
+    np.copyto(coords[1], level.up_cols)
+    for src, dst, scale in zip(coarse, flow, level.up_scale):
+        map_coordinates(src, coords, output=dst, order=1, mode="nearest")
+        dst *= scale
 
 
-def refine_level(
-    prev_flow_up: FlowField,
-    ref: np.ndarray,
-    target: np.ndarray,
-    params: FlowEstimatorParams,
-) -> FlowField:
-    """Add an iterated windowed least-squares residual to the upsampled flow.
+def _gradient(f: np.ndarray, gy: np.ndarray, gx: np.ndarray) -> None:
+    """np.gradient(f) at unit spacing, written into gy and gx by the same float operations."""
+    for g, a in ((gy, f), (gx.T, f.T)):
+        np.subtract(a[2:], a[:-2], out=g[1:-1])
+        g[1:-1] /= 2.0
+        np.subtract(a[1], a[0], out=g[0])
+        np.subtract(a[-1], a[-2], out=g[-1])
 
-    Each iteration warps the target by the current flow and solves the
-    Lucas-Kanade normal equations over lk_window-sized neighborhoods;
-    ill-conditioned windows contribute zero residual.
+
+def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> None:
+    """Add an iterated windowed least-squares residual to the level's flow, in place.
+
+    Each iteration samples the target at (x + u, y + v) with bilinear
+    interpolation, border-clamped, and solves the Lucas-Kanade normal
+    equations over lk_window-sized neighborhoods; ill-conditioned windows
+    contribute zero residual.
     """
-    if ref.shape != target.shape or ref.shape != (prev_flow_up.height, prev_flow_up.width):
-        raise ValueError("refine_level inputs must share dimensions")
-    u = prev_flow_up.u.copy()
-    v = prev_flow_up.v.copy()
-    win = params.lk_window
+    ref, target = level.images
+    u, v = flow
+    coords, bad = level.coords, level.bad
+    gy, gx = coords  # the sample coordinates are spent once the target is warped
+    it, det = level.warped, level.prod
+    _gradient(ref, level.gy_ref, level.gx_ref)
     for _ in range(params.iterations_per_level):
-        warped = warp_bilinear(target, FlowField(u, v))
-        gy_r, gx_r = np.gradient(ref)
-        gy_w, gx_w = np.gradient(warped)
-        gx = 0.5 * (gx_r + gx_w)
-        gy = 0.5 * (gy_r + gy_w)
-        it = warped - ref
+        np.add(level.rows[:, None], v, out=coords[0])
+        np.add(level.cols, u, out=coords[1])
+        map_coordinates(target, coords, output=level.warped, order=1, mode="nearest")
+        _gradient(level.warped, gy, gx)
+        gx += level.gx_ref
+        gx *= 0.5
+        gy += level.gy_ref
+        gy *= 0.5
+        it -= ref
         # window means of the structure tensor and mismatch terms
-        axx = uniform_filter(gx * gx, win, mode="nearest")
-        axy = uniform_filter(gx * gy, win, mode="nearest")
-        ayy = uniform_filter(gy * gy, win, mode="nearest")
-        bx = uniform_filter(gx * it, win, mode="nearest")
-        by = uniform_filter(gy * it, win, mode="nearest")
-        det = axx * ayy - axy * axy
-        ok = det >= DEGENERATE_DET
-        safe_det = np.where(ok, det, 1.0)
-        du = np.where(ok, -(ayy * bx - axy * by) / safe_det, 0.0)
-        dv = np.where(ok, -(-axy * bx + axx * by) / safe_det, 0.0)
-        u += np.clip(du, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX)
-        v += np.clip(dv, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX)
-    return FlowField(u, v)
+        for a, b, mean in (
+            (gx, gx, level.axx), (gx, gy, level.axy), (gy, gy, level.ayy),
+            (gx, it, level.bx), (gy, it, level.by),
+        ):
+            np.multiply(a, b, out=level.prod)
+            uniform_filter(level.prod, params.lk_window, output=mean, mode="nearest")
+        axx, axy, ayy, bx, by = level.axx, level.axy, level.ayy, level.bx, level.by
+        # The gradient planes now hold the steps du, dv; it serves as a temporary.
+        du, dv, tmp = gx, gy, it
+        np.multiply(axx, ayy, out=det)
+        np.multiply(axy, axy, out=tmp)
+        det -= tmp
+        np.greater_equal(det, DEGENERATE_DET, out=bad)
+        np.logical_not(bad, out=bad)
+        np.copyto(det, 1.0, where=bad)
+        # du = -(ayy bx - axy by) / det
+        np.multiply(ayy, bx, out=du)
+        np.multiply(axy, by, out=tmp)
+        du -= tmp
+        np.negative(du, out=du)
+        du /= det
+        # dv = -((-axy) bx + axx by) / det
+        np.negative(axy, out=dv)
+        dv *= bx
+        np.multiply(axx, by, out=tmp)
+        dv += tmp
+        np.negative(dv, out=dv)
+        dv /= det
+        for step, field in ((du, u), (dv, v)):
+            np.copyto(step, 0.0, where=bad)
+            np.clip(step, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX, out=step)
+            field += step
 
 
-def estimate_flow_pair(
-    ref_frame: np.ndarray, target_frame: np.ndarray, params: FlowEstimatorParams
-) -> FlowField:
-    """Coarse-to-fine flow for one frame pair (displacement ref -> target)."""
-    pyr_ref = build_pyramid(ref_frame, params.levels, params.smoothing_sigma)
-    pyr_tgt = build_pyramid(target_frame, params.levels, params.smoothing_sigma)
-    coarse = pyr_ref.levels[0]
-    flow = refine_level(
-        FlowField(np.zeros(coarse.shape), np.zeros(coarse.shape)),
-        coarse,
-        pyr_tgt.levels[0],
-        params,
-    )
-    for ref_l, tgt_l in zip(pyr_ref.levels[1:], pyr_tgt.levels[1:]):
-        flow = refine_level(resize_flow(flow, *ref_l.shape), ref_l, tgt_l, params)
-    return flow
+def estimate_flow(
+    video: Video, params: FlowEstimatorParams | None = None, processes: int = 1
+) -> list[FlowField]:
+    """Flow fields for all T-1 adjacent frame pairs of a video.
 
-
-def estimate_flow(video: Video, params: FlowEstimatorParams | None = None) -> list[FlowField]:
-    """Flow fields for all T-1 adjacent frame pairs of a video."""
+    The pairs run on one thread per CPU of this process's share of the usable
+    CPUs, split evenly among `processes` concurrent video processes: at least
+    1, at most one per pair, and with 1 the calling thread runs them itself.
+    The fields are views of one (T-1, 2, H, W) array.
+    """
     params = params or FlowEstimatorParams()
     frames = video.frames
-    return [
-        estimate_flow_pair(frames[t - 1], frames[t], params)
-        for t in range(1, video.n_frames)
-    ]
+    n_pairs = video.n_frames - 1
+    threads = min(max(1, usable_cpus() // processes), n_pairs)
+    workspaces = [_Workspace(video.height, video.width, params) for _ in range(threads)]
+    out = np.empty((n_pairs, 2, video.height, video.width))
+
+    def run(k: int) -> None:
+        for t in range(k, n_pairs, threads):
+            workspaces[k].estimate(frames[t], frames[t + 1], out[t])
+
+    if threads == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(run, range(threads)))
+    return [FlowField(u, v) for u, v in out]

@@ -90,7 +90,13 @@ def ssim(a: np.ndarray | SsimStats, b: np.ndarray | SsimStats) -> float:
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+    """Mean squared error of two uint8 frames, summed exactly in integers.
+
+    The one rounding is the final division, so the result equals the float64
+    mean of the squared differences, whose partial sums are exact below 2^53.
+    """
+    d = np.subtract(a, b, dtype=np.int16).ravel()
+    return int(np.einsum("i,i->", d, d, dtype=np.int64)) / d.size
 
 
 def psnr(mse_value: float) -> float:
@@ -118,9 +124,9 @@ def frame_losses(reconstructed: Video, original: Video, reference=None) -> Quali
         m = mse(reconstructed.frames[t], original.frames[t])
         f_mse.append(m)
         f_psnr.append(psnr(m))
-        # An exact copy (frame 0 always is) scores exactly 1; skip the kernel for it.
-        same = np.array_equal(reconstructed.frames[t], original.frames[t])
-        f_ssim.append(1.0 if same else ssim(reconstructed.frames[t], reference[t]))
+        # An exact copy (frame 0 always is) has zero squared error and scores
+        # exactly 1; skip the kernel for it.
+        f_ssim.append(1.0 if m == 0.0 else ssim(reconstructed.frames[t], reference[t]))
     mean_mse = float(np.mean(f_mse))
     return QualityReport(
         frame_ssim=f_ssim,

@@ -69,14 +69,18 @@ class VideoRun:
     never estimates it; the patch grid is built and checked only where
     selections are made, before any flow. Seeds are keyed by grid position:
     extraction by the video index, the channel by the cell's index in the
-    whole (video, rho, snr_db) grid.
+    whole (video, rho, snr_db) grid. `processes` is the number of video
+    processes running at once, which share the CPUs that flow runs on.
     """
 
-    def __init__(self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str):
+    def __init__(
+        self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str, processes: int = 1
+    ):
         self.cfg = cfg
         self.run_seed = run_seed
         self.index = index
         self.directory = directory
+        self.processes = processes
         self.video_id = video_id(directory)
         self.video = _stage("load", (directory,), lambda: load_ppm_sequence(directory))
 
@@ -94,7 +98,11 @@ class VideoRun:
 
     @cached_property
     def flows(self) -> list:
-        return _stage("flow", (self.directory,), lambda: estimate_flow(self.video, self.cfg.flow_params))
+        return _stage(
+            "flow",
+            (self.directory,),
+            lambda: estimate_flow(self.video, self.cfg.flow_params, self.processes),
+        )
 
     def breakdown(self, rho: float) -> LoadBreakdown:
         v, cfg = self.video, self.cfg
@@ -231,10 +239,15 @@ def _run_video_task(args):
 
 
 def run_pipeline(cfg: ExperimentConfig, run_seed: int, workers: int = 1) -> list[PointResult]:
-    """Run the full sweep grid; results come back in deterministic grid order."""
-    tasks = [(cfg, run_seed, k, d) for k, d in enumerate(cfg.video_dirs)]
+    """Run the full sweep grid; results come back in deterministic grid order.
+
+    With workers > 1 the videos fan out over min(workers, videos) processes,
+    which split the CPUs that flow's threads run on.
+    """
+    processes = min(workers, len(cfg.video_dirs)) if workers > 1 else 1
+    tasks = [(cfg, run_seed, k, d, processes) for k, d in enumerate(cfg.video_dirs)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             nested = list(pool.map(_run_video_task, tasks))
     else:
         nested = [_run_video_task(t) for t in tasks]

@@ -1,0 +1,132 @@
+"""Allocate-per-operation pyramidal Lucas-Kanade flow: the bit-exact oracle.
+
+This is the flow estimator written one whole-array expression at a time, each
+result a fresh array. `flowcomm.flow` runs the same float operations in the
+same order into preallocated planes, so every field it returns must equal
+`estimate_flow` here bit for bit.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
+
+from flowcomm.flow import DEGENERATE_DET, RESIDUAL_CLAMP_PX, FlowEstimatorParams
+from flowcomm.video import FlowField, Video
+
+
+@dataclass(frozen=True)
+class Pyramid:
+    """Grayscale levels, index 0 = coarsest, downsample factor 2 per level."""
+
+    levels: tuple
+
+
+def grayscale(frame: np.ndarray) -> np.ndarray:
+    """Integer luma (R + 2G + B) / 4, returned as float64 for downstream math."""
+    f = frame.astype(np.uint16)
+    return ((f[:, :, 0] + 2 * f[:, :, 1] + f[:, :, 2]) // 4).astype(np.float64)
+
+
+def build_pyramid(frame: np.ndarray, levels: int, smoothing_sigma: float = 1.0) -> Pyramid:
+    """Gaussian-blur + 2x decimate chain; finest level is the grayscale input."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    h, w = frame.shape[:2]
+    coarse_h = -(-h // (2 ** (levels - 1)))
+    coarse_w = -(-w // (2 ** (levels - 1)))
+    if coarse_h < 8 or coarse_w < 8:
+        raise ValueError(
+            f"too many levels for frame size: coarsest would be {coarse_h}x{coarse_w}"
+        )
+    fine_to_coarse = [grayscale(frame) if frame.ndim == 3 else frame.astype(np.float64)]
+    for _ in range(levels - 1):
+        blurred = gaussian_filter(fine_to_coarse[-1], smoothing_sigma, mode="nearest")
+        fine_to_coarse.append(blurred[::2, ::2])
+    return Pyramid(tuple(reversed(fine_to_coarse)))
+
+
+def warp_bilinear(image: np.ndarray, flow: FlowField) -> np.ndarray:
+    """Sample image at (x + u, y + v) with bilinear interpolation, border-clamped."""
+    if image.shape != (flow.height, flow.width):
+        raise ValueError(f"image {image.shape} does not match flow {(flow.height, flow.width)}")
+    yy, xx = np.mgrid[0 : flow.height, 0 : flow.width].astype(np.float64)
+    return map_coordinates(image, [yy + flow.v, xx + flow.u], order=1, mode="nearest")
+
+
+def _resize_bilinear(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """Half-pixel-convention bilinear resize (mean-preserving for 2x upsampling)."""
+    h, w = arr.shape
+    rows = np.clip((np.arange(new_h) + 0.5) * h / new_h - 0.5, 0, h - 1)
+    cols = np.clip((np.arange(new_w) + 0.5) * w / new_w - 0.5, 0, w - 1)
+    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    return map_coordinates(arr, [rr, cc], order=1, mode="nearest")
+
+
+def resize_flow(flow: FlowField, new_h: int, new_w: int) -> FlowField:
+    """Resize a flow field, scaling displacements with the resolution change."""
+    su = new_w / flow.width
+    sv = new_h / flow.height
+    return FlowField(
+        _resize_bilinear(flow.u, new_h, new_w) * su,
+        _resize_bilinear(flow.v, new_h, new_w) * sv,
+    )
+
+
+def refine_level(
+    prev_flow_up: FlowField,
+    ref: np.ndarray,
+    target: np.ndarray,
+    params: FlowEstimatorParams,
+) -> FlowField:
+    """Add an iterated windowed least-squares residual to the upsampled flow."""
+    if ref.shape != target.shape or ref.shape != (prev_flow_up.height, prev_flow_up.width):
+        raise ValueError("refine_level inputs must share dimensions")
+    u = prev_flow_up.u.copy()
+    v = prev_flow_up.v.copy()
+    win = params.lk_window
+    for _ in range(params.iterations_per_level):
+        warped = warp_bilinear(target, FlowField(u, v))
+        gy_r, gx_r = np.gradient(ref)
+        gy_w, gx_w = np.gradient(warped)
+        gx = 0.5 * (gx_r + gx_w)
+        gy = 0.5 * (gy_r + gy_w)
+        it = warped - ref
+        axx = uniform_filter(gx * gx, win, mode="nearest")
+        axy = uniform_filter(gx * gy, win, mode="nearest")
+        ayy = uniform_filter(gy * gy, win, mode="nearest")
+        bx = uniform_filter(gx * it, win, mode="nearest")
+        by = uniform_filter(gy * it, win, mode="nearest")
+        det = axx * ayy - axy * axy
+        ok = det >= DEGENERATE_DET
+        safe_det = np.where(ok, det, 1.0)
+        du = np.where(ok, -(ayy * bx - axy * by) / safe_det, 0.0)
+        dv = np.where(ok, -(-axy * bx + axx * by) / safe_det, 0.0)
+        u += np.clip(du, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX)
+        v += np.clip(dv, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX)
+    return FlowField(u, v)
+
+
+def estimate_flow_pair(
+    ref_frame: np.ndarray, target_frame: np.ndarray, params: FlowEstimatorParams
+) -> FlowField:
+    """Coarse-to-fine flow for one frame pair (displacement ref -> target)."""
+    pyr_ref = build_pyramid(ref_frame, params.levels, params.smoothing_sigma)
+    pyr_tgt = build_pyramid(target_frame, params.levels, params.smoothing_sigma)
+    coarse = pyr_ref.levels[0]
+    flow = refine_level(
+        FlowField(np.zeros(coarse.shape), np.zeros(coarse.shape)),
+        coarse,
+        pyr_tgt.levels[0],
+        params,
+    )
+    for ref_l, tgt_l in zip(pyr_ref.levels[1:], pyr_tgt.levels[1:]):
+        flow = refine_level(resize_flow(flow, *ref_l.shape), ref_l, tgt_l, params)
+    return flow
+
+
+def estimate_flow(video: Video, params: FlowEstimatorParams) -> list[FlowField]:
+    """Flow fields for all T-1 adjacent frame pairs, one pair after another."""
+    frames = video.frames
+    return [estimate_flow_pair(frames[t - 1], frames[t], params) for t in range(1, video.n_frames)]

@@ -1,18 +1,14 @@
+import sys
+import tracemalloc
+
+import flow_reference
 import numpy as np
 import pytest
+from flow_reference import build_pyramid, grayscale, refine_level, resize_flow, warp_bilinear
 
-from flowcomm import synth
-from flowcomm.flow import (
-    FlowEstimatorParams,
-    build_pyramid,
-    estimate_flow,
-    estimate_flow_pair,
-    grayscale,
-    refine_level,
-    resize_flow,
-    warp_bilinear,
-)
-from flowcomm.video import FlowField
+from flowcomm import flow, synth
+from flowcomm.flow import FlowEstimatorParams, estimate_flow
+from flowcomm.video import FlowField, Video
 
 
 def texture(h, w, seed):
@@ -141,7 +137,7 @@ class TestEstimateFlow:
         video = synth.global_translation_video(64, 64, 2, dx=2, dy=0, seed=14)
         ref = grayscale(video.frames[0])
         target = grayscale(video.frames[1])
-        field = estimate_flow_pair(video.frames[0], video.frames[1], FlowEstimatorParams(levels=3))
+        field = estimate_flow(video, FlowEstimatorParams(levels=3))[0]
         warped = warp_bilinear(target, field)
         assert np.mean((warped - ref) ** 2) < np.mean((target - ref) ** 2)
 
@@ -152,3 +148,99 @@ def test_resize_flow_scales_displacements():
     assert out.u.shape == (8, 6)
     assert np.allclose(out.u, 1.0 * 6 / 4)
     assert np.allclose(out.v, -2.0 * 8 / 4)
+
+
+# (video, pyramid levels) pairs the workspace path must reproduce bit for bit.
+EXACT_CASES = {
+    # odd sizes whose pyramid levels round up: 23x19, and 50x36, 25x18, 13x9
+    "45x37_2_levels": lambda: (
+        synth.block_motion_video(45, 37, 4, [(5, 5, 10, 10)], dx=2, dy=1, seed=15)[0], 2
+    ),
+    "100x72_4_levels": lambda: (
+        synth.block_motion_video(
+            100, 72, 5, [(20, 20, 20, 20)], dx=2, dy=1, seed=16, bg_dx=1, bg_dy=0
+        )[0],
+        4,
+    ),
+    # every structure-tensor determinant is 0: the degenerate-window branch
+    "constant": lambda: (Video(np.full((3, 32, 32, 3), 90, dtype=np.uint8)), 2),
+    # 3 px at the coarse level, so the 1 px residual clamp binds
+    "translation_6px": lambda: (
+        synth.global_translation_video(64, 64, 3, dx=6, dy=0, seed=17), 2
+    ),
+    # one pair: no thread pool even with two CPUs
+    "two_frames": lambda: (synth.global_translation_video(48, 48, 2, dx=1, dy=1, seed=18), 3),
+}
+
+
+@pytest.fixture(params=[1, 2], ids=["1_cpu", "2_cpus"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(flow, "usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each thread pool estimate_flow starts."""
+    started = []
+
+    class CountingPool(flow.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(flow, "ThreadPoolExecutor", CountingPool)
+    return started
+
+
+class TestMatchesReference:
+    """The workspace path against the allocate-per-operation oracle in flow_reference."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_bit_exact_pair_by_pair(self, cpus, pools, case):
+        video, levels = EXACT_CASES[case]()
+        params = FlowEstimatorParams(levels=levels)
+        fields = estimate_flow(video, params)
+        expected = flow_reference.estimate_flow(video, params)
+        assert len(fields) == len(expected) == video.n_frames - 1
+        for got, want in zip(fields, expected):
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+        assert pools == ([2] if cpus > 1 and len(fields) > 1 else [])
+
+    @pytest.mark.parametrize("processes, threads", [(1, 4), (2, 2), (3, 1), (8, 1)])
+    def test_cpus_split_among_video_processes(self, monkeypatch, pools, processes, threads):
+        monkeypatch.setattr(flow, "usable_cpus", lambda: 4)
+        video = synth.static_video(32, 32, 6, seed=21)
+        assert len(estimate_flow(video, FlowEstimatorParams(levels=2), processes)) == 5
+        assert pools == ([threads] if threads > 1 else [])
+
+    def test_one_thread_per_pair_switching_often(self, monkeypatch):
+        """Each thread writes only its own workspace and its own pairs' output slots."""
+        video, levels = EXACT_CASES["100x72_4_levels"]()
+        params = FlowEstimatorParams(levels=levels)
+        monkeypatch.setattr(flow, "usable_cpus", lambda: 64)  # capped at the 4 pairs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fields = estimate_flow(video, params)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(fields, flow_reference.estimate_flow(video, params)):
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+    def test_too_many_levels(self):
+        with pytest.raises(ValueError, match="too many levels"):
+            estimate_flow(synth.static_video(32, 32, 2, seed=19), FlowEstimatorParams(levels=4))
+
+    def test_one_pair_peak_memory(self):
+        """One 256x256 pair at 3 levels peaks near 17 frame-sized float64 planes,
+        workspace and output included; allocating per operation peaked at 32."""
+        video = synth.global_translation_video(256, 256, 2, dx=2, dy=1, seed=20)
+        params = FlowEstimatorParams(levels=3)
+        tracemalloc.start()
+        try:
+            estimate_flow(video, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 256 * 256 * 8

@@ -38,6 +38,21 @@ class TestSsim:
             metrics.ssim(random_frame(5, 32, 32), random_frame(6, 16, 16))
 
 
+class TestMse:
+    @pytest.mark.parametrize("size", [(1, 1), (37, 45), (512, 512)])
+    def test_equals_the_float64_mean_bit_for_bit(self, size):
+        """The integer sum has no overflow at the extremes and rounds once, like the float mean."""
+        h, w = size
+        rng = np.random.default_rng(h * w)
+        pairs = [(random_frame(k, h, w), random_frame(10 + k, h, w)) for k in (1, 2)]
+        pairs.append((np.full((h, w, 3), 255, np.uint8), np.zeros((h, w, 3), np.uint8)))
+        pairs.append((rng.choice([0, 255], (h, w, 3)).astype(np.uint8), np.zeros((h, w, 3), np.uint8)))
+        for a, b in pairs:
+            expected = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+            assert metrics.mse(a, b) == expected
+            assert metrics.mse(b, a) == expected
+
+
 class TestFrameLosses:
     def test_identical_videos(self):
         frames = np.stack([random_frame(7, 48, 48)] * 3)

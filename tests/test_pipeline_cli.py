@@ -132,6 +132,19 @@ class TestPipeline:
             assert a.report.mean_ssim == b.report.mean_ssim
             assert a.report.frame_mse == b.report.frame_mse
 
+    def test_no_more_processes_than_videos(self, tmp_path, clips, monkeypatch):
+        started = []
+
+        class CountingPool(pipeline.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5"))
+        assert len(run_pipeline(cfg, run_seed=3, workers=3)) == 1
+        assert started == [1]
+
     def test_empty_selection_survives_transmit(self, tmp_path, clips):
         # rho = 0.99 on a 16-patch grid rounds the selection count to zero
         cfg = parse_experiment_config(
@@ -248,6 +261,15 @@ class TestCli:
         # a stage failure in a sweep worker must reach the parent process intact
         rc = self.run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--workers", "2")
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, tmp_path, clips, capsys, command, workers):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"])
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out), "--workers", workers) == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 import os
 
-from flowcomm import cli, synth
+from flowcomm import cli, flow, synth
 from flowcomm.video import save_ppm_sequence
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
@@ -61,3 +61,26 @@ def test_traced_pipeline_extracts_once_per_video(tmp_path):
     # The hook reads extract's (flows, grid, params, seed) positional arguments.
     assert metrics["extractor.extract.calls"] == 1
     assert metrics["extractor.extract.useful_ratio"] == 1.0
+
+
+def test_traced_pipeline_with_flow_threads(tmp_path, monkeypatch):
+    """Flow's worker threads call no traced function, so the span stack stays whole."""
+    monkeypatch.setattr(flow, "usable_cpus", lambda: 2)
+    video, _ = synth.block_motion_video(64, 64, 5, [(16, 16, 16, 16)], dx=2, dy=0, seed=2)
+    save_ppm_sequence(video, tmp_path / "clip")
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n"
+        "[sweep]\nrho = 0.5\nsnr_db = 20\n"
+    )
+    tracer = load_spans().Tracer("tier-1")
+    tracer.install()
+    try:
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.metrics()
+    assert metrics["flow.estimate_flow.calls"] == 1
+    # The hook reads estimate_flow's video argument and the number of fields returned.
+    assert metrics["flow.pairs"] == 4
