@@ -68,45 +68,60 @@ def sample_channel(link: LinkParams, seed: int) -> ChannelRealization:
     return ChannelRealization(h, snr, capacity_per_s(link.bandwidth_hz, snr))
 
 
-def _quantize_unit(values: np.ndarray, bits: int) -> np.ndarray:
-    """Uniform quantizer on [0, 1] with 2^bits levels, in place; returns the reconstruction."""
-    levels = (1 << bits) - 1
+def _quantize_codes(values: np.ndarray, bits: int) -> np.ndarray:
+    """Uniform quantizer on [0, 1] with 2^bits levels, in place; returns the codes as floats."""
     np.clip(values, 0.0, 1.0, out=values)
-    values *= levels
+    values *= (1 << bits) - 1
     np.rint(values, out=values)
-    values /= levels
     return values
 
 
-def flow_encode(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
-    """Map flow patch payloads to symbols in [-1, 1].
+def flow_codes(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
+    """Quantizer codes of flow patch payloads, in flow_encode's symbol order.
 
     payloads: (n, 2, H', W') with channel 0 = u, 1 = v. Each flow vector
     becomes a (magnitude, angle) pair: m = min(|f|, cap)/cap, theta =
-    atan2(v, u)/(2 pi) + 1/2, each uniform-quantized to bits_per_symbol bits
-    and mapped to 2x - 1. Output is 1-D, interleaved (m, theta) per pixel.
+    atan2(v, u)/(2 pi) + 1/2, each uniform-quantized to a code in
+    [0, 2^bits - 1]. Output is 1-D, interleaved (m, theta) per pixel, uint8
+    up to 8 bits per symbol and uint16 above.
     """
     payloads = np.asarray(payloads, dtype=np.float64)
     if payloads.ndim != 4 or payloads.shape[1] != 2:
         raise ValueError(f"expected (n, 2, H', W') payloads, got {payloads.shape}")
     u = payloads[:, 0].reshape(-1)
     v = payloads[:, 1].reshape(-1)
-    symbols = np.empty(2 * u.size)
+    codes = np.empty(2 * u.size, dtype=np.uint8 if cp.bits_per_symbol <= 8 else np.uint16)
     mag = np.hypot(u, v)
     np.minimum(mag, cp.mag_cap, out=mag)
     mag /= cp.mag_cap
-    symbols[0::2] = _quantize_unit(mag, cp.bits_per_symbol)
+    codes[0::2] = _quantize_codes(mag, cp.bits_per_symbol)
     ang = np.arctan2(v, u)
     ang /= 2.0 * math.pi
     ang += 0.5
-    symbols[1::2] = _quantize_unit(ang, cp.bits_per_symbol)
-    symbols *= 2.0
-    symbols -= 1.0
-    return symbols
+    codes[1::2] = _quantize_codes(ang, cp.bits_per_symbol)
+    return codes
 
 
-def flow_decode(symbols: np.ndarray, cp: CodecParams, patch_h: int, patch_w: int) -> np.ndarray:
-    """Inverse of flow_encode: symbols back to (n, 2, H', W') flow payloads.
+def expand_codes(codes: np.ndarray, cp: CodecParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1, into `out` if given."""
+    if out is None:
+        out = np.empty(codes.shape)
+    np.copyto(out, codes)  # an unbuffered cast: a dividing ufunc would cast through a buffer
+    out /= (1 << cp.bits_per_symbol) - 1
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+def flow_encode(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
+    """Map flow patch payloads to symbols in [-1, 1]: flow_codes, expanded."""
+    return expand_codes(flow_codes(payloads, cp), cp)
+
+
+def flow_decode(
+    symbols: np.ndarray, cp: CodecParams, patch_h: int, patch_w: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of flow_encode: symbols back to (n, 2, H', W') flow payloads, into `out` if given.
 
     Re-snaps to the quantizer grid, so a noiseless transmit round trip
     decodes identically to encode alone.
@@ -119,16 +134,22 @@ def flow_decode(symbols: np.ndarray, cp: CodecParams, patch_h: int, patch_w: int
         )
     n = symbols.size // per_patch
     mag, ang = symbols[0::2] + 1.0, symbols[1::2] + 1.0
+    levels = (1 << cp.bits_per_symbol) - 1
     for unit in (mag, ang):
         unit /= 2.0
-        _quantize_unit(unit, cp.bits_per_symbol)
+        _quantize_codes(unit, cp.bits_per_symbol)
+        unit /= levels
     mag *= cp.mag_cap
     ang -= 0.5
     ang *= 2.0
     ang *= math.pi
-    out = np.empty((n, 2, patch_h, patch_w))
+    if out is None:
+        out = np.empty((n, 2, patch_h, patch_w))
+    term = np.empty_like(mag)  # a product straight into the strided out[:, k] would be buffered
     for k, wave in enumerate((np.cos, np.sin)):
-        np.multiply(mag.reshape(n, patch_h, patch_w), wave(ang).reshape(n, patch_h, patch_w), out=out[:, k])
+        wave(ang, out=term)
+        term *= mag
+        out[:, k] = term.reshape(n, patch_h, patch_w)
     return out
 
 
@@ -141,8 +162,12 @@ def power_normalize(symbols: np.ndarray, cp: CodecParams, p_ue: float) -> np.nda
     return symbols * (math.sqrt(cp.gamma * p_ue) / norm)
 
 
-def transmit_analog(symbols: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
-    """y = x + n with real n ~ N(0, sigma2 / 2), the in-phase half of CN(0, sigma2)."""
+def transmit_analog(symbols: np.ndarray, sigma2: float, seed) -> np.ndarray:
+    """y = x + n with real n ~ N(0, sigma2 / 2), the in-phase half of CN(0, sigma2).
+
+    `seed` is an int or a Generator. Chunks of one vector sent in order
+    through one Generator get the noise of the whole vector sent at once.
+    """
     if sigma2 < 0:
         raise ValueError("noise power cannot be negative")
     # Built in the draw's buffer: the input stays untouched without a second full-length array.

@@ -23,7 +23,7 @@ from .config import (
     parse_experiment_config,
     parse_scenario_config,
 )
-from .pipeline import StageError, run_pipeline, video_runs
+from .pipeline import StageError, run_pipeline, transmit_stats, video_runs
 from .video import FormatError, write_flo
 
 EXIT_OK = 0
@@ -84,10 +84,11 @@ def cmd_flow(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> No
     for run in video_runs(cfg, seed):
         vid_dir = os.path.join(out_dir, run.video_id)
         os.makedirs(vid_dir, exist_ok=True)
-        for t, field in enumerate(run.flows):
+        flows = run.estimate_flows()
+        for t, field in enumerate(flows):
             write_flo(field, os.path.join(vid_dir, f"flow_{t:04d}.flo"))
-        magnitude = float(np.mean([np.hypot(f.u, f.v).mean() for f in run.flows]))
-        rows.append([run.video_id, len(run.flows), magnitude])
+        magnitude = float(np.mean([np.hypot(f.u, f.v).mean() for f in flows]))
+        rows.append([run.video_id, len(flows), magnitude])
     write_csv_atomic(os.path.join(out_dir, "flow.csv"), ["video_id", "n_fields", "mean_magnitude"], rows)
 
 
@@ -124,9 +125,9 @@ def cmd_load(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> No
 def cmd_transmit(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
     rows = []
     for run in video_runs(cfg, seed):
-        for rho, snr_db, sel, channel_seed in run.cells():
-            _, stats = run.transmit(rho, snr_db, sel, channel_seed)
-            rows.append([run.video_id, rho, snr_db, stats["n_symbols"], stats["rms_flow_error"]])
+        for rho, snr_db, encoded, channel_seed in run.cells():
+            degraded = run.transmit(rho, snr_db, encoded, channel_seed)
+            rows.append([run.video_id, rho, snr_db, *transmit_stats(encoded, degraded)])
     write_csv_atomic(
         os.path.join(out_dir, "transmit.csv"),
         ["video_id", "rho", "snr_db", "n_symbols", "rms_flow_error"],

@@ -65,11 +65,11 @@ def _stage(name, digest_parts, fn):
 class VideoRun:
     """One video's stage graph: load, patch grid, flow, then one ranking for every rho.
 
-    The video is loaded once. Flow is estimated once, on first use, so `load`
-    never estimates it; the patch grid is built and checked only where
-    selections are made, before any flow. Seeds are keyed by grid position:
-    extraction by the video index, the channel by the cell's index in the
-    whole (video, rho, snr_db) grid. `processes` is the number of video
+    The video is loaded once. Flow is estimated only where selections are
+    made, after the patch grid is built and checked, and its fields are let
+    go once the widest selection holds the payloads every rho needs. Seeds
+    are keyed by grid position: extraction by the video index, the channel by
+    the cell's index in the whole (video, rho, snr_db) grid. `processes` is the number of video
     processes running at once, which share the CPUs that flow runs on.
     """
 
@@ -96,8 +96,8 @@ class VideoRun:
             "metrics", (self.directory,), lambda: [frames[0], *(ssim_stats(f) for f in frames[1:])]
         )
 
-    @cached_property
-    def flows(self) -> list:
+    def estimate_flows(self) -> list:
+        """The video's flow fields, estimated afresh on each call."""
         return _stage(
             "flow",
             (self.directory,),
@@ -138,32 +138,40 @@ class VideoRun:
                 f"{cfg.patch_h}x{cfg.patch_w} px patches) is too small for the quadratic "
                 "background model, which needs at least 3 patch rows and 3 patch columns"
             )
-        flows = self.flows
         seed = derive_seed(self.run_seed, "extract", self.index)
         # One ranking serves every rho: the selection count never grows with rho,
         # and the RANSAC seeds do not depend on it, so each rho keeps a prefix.
+        # The fields live only as extract's argument, so they are freed before any cell.
         params = replace(cfg.extractor, mask_ratio=min(cfg.rho_list))
         widest = _stage(
-            "extract", (self.video_id, params.mask_ratio), lambda: ex.extract(flows, grid, params, seed)
+            "extract",
+            (self.video_id, params.mask_ratio),
+            lambda: ex.extract(self.estimate_flows(), grid, params, seed),
         )
         for rho in cfg.rho_list:
             yield rho, widest.prefix(rho)
 
     def cells(self, scored: bool = False):
-        """Yield (rho, snr_db, selection, channel seed) in grid order."""
+        """Yield (rho, snr_db, encoded selection, channel seed) in grid order.
+
+        Each rho's selection is encoded once, for all of its SNR cells.
+        """
         snrs = self.cfg.snr_db_list
         point = self.index * len(self.cfg.rho_list) * len(snrs)
         for rho, sel in self.selections(scored):
+            encoded = _stage(
+                "transmit", (self.video_id, rho), lambda: encode_selection(sel, self.cfg.codec)
+            )
             for snr_db in snrs:
-                yield rho, snr_db, sel, derive_seed(self.run_seed, "channel", point)
+                yield rho, snr_db, encoded, derive_seed(self.run_seed, "channel", point)
                 point += 1
 
-    def transmit(self, rho, snr_db, sel, seed) -> tuple[ex.SelectionResult, dict]:
+    def transmit(self, rho, snr_db, encoded, seed) -> ex.SelectionResult:
         snr_linear = ch.db_to_linear(snr_db)
         return _stage(
             "transmit",
             (self.video_id, rho, snr_db),
-            lambda: transmit_selection(sel, self.cfg, snr_linear, seed),
+            lambda: transmit_selection(encoded, self.cfg, snr_linear, seed),
         )
 
     def quality(self, sel, *cell) -> QualityReport:
@@ -183,10 +191,30 @@ def video_runs(cfg: ExperimentConfig, run_seed: int):
         yield VideoRun(cfg, run_seed, k, directory)
 
 
+@dataclass(frozen=True)
+class EncodedSelection:
+    """A selection and its channel symbols, shared by every SNR cell of its rho.
+
+    Row t of `codes` holds flow frame t's quantizer codes (`ch.flow_codes`);
+    `norm` is the Euclidean norm of the whole expanded symbol vector.
+    """
+
+    selection: ex.SelectionResult
+    codes: np.ndarray
+    norm: float
+
+
+def encode_selection(sel: ex.SelectionResult, codec: ch.CodecParams) -> EncodedSelection:
+    """Encode a selection frame by frame, and take the norm of all its symbols at once."""
+    codes = np.stack([ch.flow_codes(payloads, codec) for payloads in sel.payloads])
+    symbols = ch.expand_codes(codes, codec)
+    return EncodedSelection(sel, codes, float(np.sqrt(np.vdot(symbols, symbols))))
+
+
 def transmit_selection(
-    sel: ex.SelectionResult, cfg: ExperimentConfig, snr_linear: float, seed: int
-) -> tuple[ex.SelectionResult, dict]:
-    """Push the selected payloads through an AWGN link at the cell's SNR.
+    encoded: EncodedSelection, cfg: ExperimentConfig, snr_linear: float, seed: int
+) -> ex.SelectionResult:
+    """Push the selected payloads through an AWGN link at the cell's SNR, frame by frame.
 
     `snr_linear` is the post-equalization SNR; path loss and fading enter only
     the allocation scenarios. Symbols are normalized to average power gamma
@@ -194,37 +222,45 @@ def transmit_selection(
     Gaussian noise of variance 1 / (2 snr), the real part of CN(0, 1 / snr),
     so gamma and snr act only through their product. The bandwidth B sets the
     capacity, hence `tx_seconds`. The transmitter-side scale factor travels
-    as error-free metadata alongside the bit payloads.
+    as error-free metadata alongside the bit payloads. One noise stream runs
+    through the frames in order, so the result equals sending all at once.
     """
+    sel = encoded.selection
     if not sel.n_selected:  # extreme mask ratios can round the selection to zero
-        return sel, {"n_symbols": 0, "rms_flow_error": 0.0}
-    # Each full-length array is dropped once the next exists: this leg's arrays,
-    # several times the payload, set the peak memory of a whole sweep. The input
-    # payloads are read only, since every SNR cell of a rho shares them.
+        return sel
     ph, pw = sel.grid.patch_h, sel.grid.patch_w
-    symbols = ch.flow_encode(sel.payloads.reshape(-1, 2, ph, pw), cfg.codec)
-    n_symbols = symbols.size
-    per_symbol = replace(cfg.codec, gamma=cfg.codec.gamma * n_symbols)
-    normalized = ch.power_normalize(symbols, per_symbol, 1.0)
-    scale = math.sqrt(per_symbol.gamma) / float(np.sqrt(np.vdot(symbols, symbols)))
-    del symbols
-    received = ch.transmit_analog(normalized, 1.0 / snr_linear, seed)
-    del normalized
-    received *= 1.0 / scale
-    decoded = ch.flow_decode(received, cfg.codec, ph, pw).reshape(sel.payloads.shape)
-    del received
-    error = decoded - sel.payloads
+    scale = math.sqrt(cfg.codec.gamma * encoded.codes.size) / encoded.norm
+    rng = np.random.default_rng(seed)
+    decoded = np.empty(sel.payloads.shape)
+    # Each frame's arrays are dropped once the next step's exist, so a cell holds
+    # the decoded payloads and about two frames' symbols at any time.
+    for t, codes in enumerate(encoded.codes):
+        symbols = ch.expand_codes(codes, cfg.codec)
+        symbols *= scale
+        received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng)
+        del symbols
+        received *= 1.0 / scale
+        ch.flow_decode(received, cfg.codec, ph, pw, out=decoded[t])
+        del received
+    return replace(sel, payloads=decoded)
+
+
+def transmit_stats(encoded: EncodedSelection, degraded: ex.SelectionResult) -> tuple[int, float]:
+    """A cell's symbol count and the RMS error of its decoded flow payloads."""
+    if not encoded.selection.n_selected:
+        return 0, 0.0
+    error = degraded.payloads - encoded.selection.payloads
     error **= 2
-    rms = float(np.sqrt(np.mean(error)))
-    return replace(sel, payloads=decoded), {"n_symbols": n_symbols, "rms_flow_error": rms}
+    return encoded.codes.size, float(np.sqrt(np.mean(error)))
 
 
 def run_point(
-    run: VideoRun, rho: float, snr_db: float, sel: ex.SelectionResult, channel_seed: int
+    run: VideoRun, rho: float, snr_db: float, encoded: EncodedSelection, channel_seed: int
 ) -> PointResult:
-    """One (video, rho, snr) cell of the sweep grid, from the video's selection for rho."""
+    """One (video, rho, snr) cell of the sweep grid, from the video's encoded selection for rho."""
+    sel = encoded.selection
     breakdown = run.breakdown(rho)
-    degraded, _ = run.transmit(rho, snr_db, sel, channel_seed)
+    degraded = run.transmit(rho, snr_db, encoded, channel_seed)
     report = run.quality(degraded, rho, snr_db)
     if sel.important is not None:
         report.map = motion_area_percentage(sel.important)

@@ -175,6 +175,14 @@ class TestTransmit:
         plain = ch.flow_decode(sym, cp, 4, 4)
         assert np.array_equal(via_channel, plain)
 
+    def test_chunks_through_one_generator_get_the_whole_vector_noise(self):
+        x = np.random.default_rng(12).uniform(-1.0, 1.0, 4099)
+        whole = ch.transmit_analog(x, 0.3, seed=13)
+        rng = np.random.default_rng(13)
+        bounds = np.cumsum([0, 1, 3, 999, 2001, 1095])  # odd chunk lengths covering x
+        chunks = [ch.transmit_analog(x[lo:hi], 0.3, rng) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
 
 def encode_reference(payloads, cp):
     """Oracle: the out-of-place codec expressions."""
@@ -221,6 +229,31 @@ class TestInPlaceLegMatchesExpressions:
         got = ch.flow_decode(received, cp, 5, 7)
         assert np.array_equal(got, decode_reference(received, cp, 5, 7))
         assert np.array_equal(received, kept)
+
+    @pytest.mark.parametrize("bits, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16)])
+    def test_codes_expand_to_the_encoded_symbols(self, bits, dtype):
+        rng = np.random.default_rng(bits)
+        payloads = rng.uniform(-40.0, 40.0, size=(6, 2, 5, 7))
+        payloads[0] = 0.0
+        payloads[1, :, 0, :] = [[32.0] * 7, [0.0] * 7]
+        payloads[2, 1] = 0.0
+        cp = ch.CodecParams(bits_per_symbol=bits)
+        codes = ch.flow_codes(payloads, cp)
+        assert codes.dtype == dtype
+        assert int(codes.max()) == (1 << bits) - 1 and int(codes.min()) == 0
+        expected = encode_reference(payloads, cp).tobytes()
+        assert ch.expand_codes(codes, cp).tobytes() == expected
+        assert ch.flow_encode(payloads, cp).tobytes() == expected
+        out = np.full(codes.shape, np.nan)
+        assert ch.expand_codes(codes, cp, out=out) is out
+        assert out.tobytes() == expected
+
+    def test_decode_into_a_given_array(self):
+        cp = ch.CodecParams()
+        symbols = np.random.default_rng(4).uniform(-1.2, 1.2, 2 * 3 * 5 * 7)
+        out = np.full((3, 2, 5, 7), np.nan)
+        assert ch.flow_decode(symbols, cp, 5, 7, out=out) is out
+        assert np.array_equal(out, decode_reference(symbols, cp, 5, 7))
 
     @pytest.mark.parametrize(
         "h", [1 + 0j, 0.8 - 0.3j, -0.3 + 1.1j], ids=["unit", "re-dominant", "im-dominant"]

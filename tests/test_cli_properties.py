@@ -1,0 +1,100 @@
+"""Property test of the command line over generated experiments.
+
+Every experiment, valid or not, exits 0 or 2 (1 would be a flowcomm bug). A run
+that exits 0 keeps round((1 - rho) N) patches in every flow frame, scores SSIM
+in [-1, 1] and reports finite, non-negative loads.
+"""
+import contextlib
+import csv
+import io
+import math
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowcomm import cli, synth
+from flowcomm import extractor as ex
+from flowcomm.video import save_ppm_sequence
+
+# Link SNRs from tiny to huge; 4000 dB gives no finite capacity.
+SNR_DB = st.one_of(st.floats(-100.0, 300.0), st.sampled_from([-150.0, 3000.0, 4000.0]))
+
+
+@st.composite
+def experiments(draw):
+    """(height, width, frames, patch h, patch w, pyramid levels, rho list, snr_db).
+
+    Patches mostly leave the 3x3 grid the background model needs, and rarely
+    tile the frame exactly; widths below 11 px fall under the SSIM window, and
+    3 levels need 29 px for the 8 px coarsest level.
+    """
+    height, width = draw(st.integers(11, 48)), draw(st.integers(6, 48))
+    return (
+        height,
+        width,
+        draw(st.integers(2, 4)),
+        draw(st.integers(1, max(1, height // 3 + 1))),
+        draw(st.integers(1, max(1, width // 3 + 1))),
+        draw(st.integers(1, 3)),
+        draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3,
+                      unique_by=lambda rho: f"{rho:g}")),
+        draw(SNR_DB),
+    )
+
+
+def run(command, config, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", config, "--seed", "3", "--out", out])
+    assert rc in (0, 2), err.getvalue()
+    if rc:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    return rc
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(experiments())
+def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
+    height, width, n_frames, patch_h, patch_w, levels, rhos, snr_db = experiment
+    video, _ = synth.block_motion_video(
+        height, width, n_frames, [(height // 4, width // 4, height // 3, width // 3)],
+        dx=2, dy=1, seed=height * width,
+    )
+    with tempfile.TemporaryDirectory() as root:
+        clip = os.path.join(root, "clip")
+        save_ppm_sequence(video, clip)
+        config = os.path.join(root, "c.ini")
+        with open(config, "w") as fh:
+            fh.write(
+                f"[input]\nvideos = {clip}\n[patches]\nheight = {patch_h}\nwidth = {patch_w}\n"
+                f"[flow]\nlevels = {levels}\n"
+                f"[sweep]\nrho = {' '.join(map(repr, rhos))}\nsnr_db = {snr_db!r}\n"
+            )
+        n_patches = math.ceil(height / patch_h) * math.ceil(width / patch_w)
+
+        extracted = os.path.join(root, "extract")
+        if run("extract", config, extracted) == 0:
+            for rho in rhos:
+                with open(os.path.join(extracted, "clip", f"selection_rho{rho:g}.bin"), "rb") as fh:
+                    sel = ex.SelectionResult.from_bytes(fh.read())
+                per_frame = sel.xi.reshape(n_frames - 1, -1).sum(axis=1)
+                assert per_frame.tolist() == [ex.selection_count(rho, n_patches)] * (n_frames - 1)
+
+        piped = os.path.join(root, "pipeline")
+        if run("pipeline", config, piped) == 0:
+            for row in read_rows(os.path.join(piped, "frames.csv")):
+                assert -1.0 <= float(row["ssim"]) <= 1.0, row
+            for row in read_rows(os.path.join(piped, "summary.csv")):
+                expected = (n_frames - 1) * ex.selection_count(float(row["rho"]), n_patches)
+                assert int(row["n_selected"]) == expected
+                for key in ("l_first", "l_sr", "l_b", "l_com"):
+                    load = float(row[key])
+                    assert math.isfinite(load) and load >= 0.0, (key, load)

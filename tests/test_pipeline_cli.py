@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from flowcomm import cli, pipeline, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
 from flowcomm.flow import estimate_flow
-from flowcomm.pipeline import run_pipeline, transmit_selection
+from flowcomm.pipeline import encode_selection, run_pipeline, transmit_selection, transmit_stats
 from flowcomm.video import PatchGrid, load_ppm_sequence, read_flo, save_ppm_sequence
 
 
@@ -160,7 +161,7 @@ class TestPipeline:
         flows = estimate_flow(video, cfg.flow_params)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, seed=4)
-        degraded, stats = transmit_selection(sel, cfg, math.inf, seed=5)
+        degraded = transmit_selection(encode_selection(sel, cfg.codec), cfg, math.inf, seed=5)
         payloads = sel.payloads.reshape(-1, 2, 16, 16)
         expected = ch.flow_decode(ch.flow_encode(payloads, cfg.codec), cfg.codec, 16, 16)
         assert np.array_equal(degraded.payloads.reshape(-1, 2, 16, 16), expected)
@@ -176,8 +177,9 @@ class TestPipeline:
         seed = derive_seed(3, "extract", 0)
         got = list(run.selections())
         assert [rho for rho, _ in got] == [0.6, 0.0, 0.99, 0.3]
+        flows = run.estimate_flows()
         for rho, sel in got:
-            alone = ex.extract(run.flows, grid, replace(cfg.extractor, mask_ratio=rho), seed)
+            alone = ex.extract(flows, grid, replace(cfg.extractor, mask_ratio=rho), seed)
             assert sel.to_bytes() == alone.to_bytes(), rho
             assert sel.picks.shape == (3, ex.selection_count(rho, 16))
         assert got[2][1].n_selected == 0  # rho 0.99 keeps round(0.16) = 0 of 16
@@ -215,25 +217,68 @@ class TestPipeline:
         noise = np.random.default_rng(5).standard_normal(normalized.shape) * math.sqrt(1.0 / 10.0 / 2.0)
         decoded = ch.flow_decode((normalized + noise) * (1.0 / scale), cfg.codec, 16, 16)
 
-        degraded, stats = transmit_selection(sel, cfg, 10.0, seed=5)
+        encoded = encode_selection(sel, cfg.codec)
+        degraded = transmit_selection(encoded, cfg, 10.0, seed=5)
         assert np.array_equal(degraded.payloads.reshape(-1, 2, 16, 16), decoded)
-        assert stats["rms_flow_error"] == float(np.sqrt(np.mean((decoded - payloads) ** 2)))
-        assert stats["n_symbols"] == symbols.size
         assert np.array_equal(sel.payloads.reshape(-1, 2, 16, 16), payloads)
+        n_symbols, rms = transmit_stats(encoded, degraded)
+        assert rms == float(np.sqrt(np.mean((decoded - payloads) ** 2)))
+        assert n_symbols == symbols.size
 
     def test_transmit_selection_peak_memory(self, tmp_path, clips):
-        # The symbol leg frees each full-length intermediate once used: its peak
-        # stays within a few copies of the payload (the out-of-place leg peaked near 10).
+        # A cell holds its decoded payloads plus one frame's symbol arrays (the
+        # whole-vector leg peaked at 4.85 payloads); each rho is encoded once, before its cells.
         cfg, sel = self.full_selection(tmp_path, clips)
+        encoded = encode_selection(sel, cfg.codec)
         payload_bytes = sel.payloads.nbytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            transmit_selection(sel, cfg, 10.0, seed=5)
+            transmit_selection(encoded, cfg, 10.0, seed=5)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 6.0 * payload_bytes, peak / payload_bytes
+        assert peak < 2.0 * payload_bytes, peak / payload_bytes
+        assert encoded.codes.nbytes * 8 == payload_bytes  # uint8 codes, one per float64 payload value
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
+    def test_each_rho_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
+        encoded = []
+        original = pipeline.encode_selection
+
+        def counting(sel, codec):
+            encoded.append(sel.mask_ratio)
+            return original(sel, codec)
+
+        monkeypatch.setattr(pipeline, "encode_selection", counting)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
+        if entry == "run_pipeline":
+            assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
+        else:
+            assert cli.main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert encoded == [0.0, 0.5]  # one encode per rho, shared by both SNR cells
+
+    def test_flow_fields_are_freed_before_the_first_cell(self, tmp_path, clips, monkeypatch):
+        refs = []
+        estimate, run_point = pipeline.estimate_flow, pipeline.run_point
+
+        def tracked(*args):
+            flows = estimate(*args)
+            refs.extend(weakref.ref(a) for f in flows for a in (f, f.u, f.v, f.u.base))
+            return flows
+
+        alive_at_cells = []
+
+        def cell(*args):
+            alive_at_cells.append(sum(ref() is not None for ref in refs))
+            return run_point(*args)
+
+        monkeypatch.setattr(pipeline, "estimate_flow", tracked)
+        monkeypatch.setattr(pipeline, "run_point", cell)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
+        assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
+        assert len(refs) == 3 * 4
+        assert alive_at_cells == [0, 0, 0, 0]
 
 
 class TestCli:
@@ -348,8 +393,9 @@ class TestCli:
         flows = estimate_flow(load_ppm_sequence(clips / "motion1"), cfg.flow_params)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", 1))
-        _, stats = transmit_selection(sel, cfg, 10.0, derive_seed(1, "channel", 1))
-        assert float(row["rms_flow_error"]) == stats["rms_flow_error"]
+        encoded = encode_selection(sel, cfg.codec)
+        degraded = transmit_selection(encoded, cfg, 10.0, derive_seed(1, "channel", 1))
+        assert float(row["rms_flow_error"]) == transmit_stats(encoded, degraded)[1]
 
     def test_link_is_awgn_at_the_swept_snr(self, tmp_path, clips, monkeypatch):
         def no_fading(*args):

@@ -7,6 +7,7 @@ import importlib.util
 import os
 
 from flowcomm import cli, flow, synth
+from flowcomm.extractor import selection_count
 from flowcomm.video import save_ppm_sequence
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
@@ -84,3 +85,32 @@ def test_traced_pipeline_with_flow_threads(tmp_path, monkeypatch):
     assert metrics["flow.estimate_flow.calls"] == 1
     # The hook reads estimate_flow's video argument and the number of fields returned.
     assert metrics["flow.pairs"] == 4
+
+
+def test_traced_counters_under_the_frame_by_frame_leg(tmp_path):
+    """channel.symbols sums transmit_analog's first argument, which is now one frame's symbols."""
+    n_frames, patch = 4, 16
+    video, _ = synth.block_motion_video(64, 64, n_frames, [(16, 16, 16, 16)], dx=2, dy=0, seed=3)
+    save_ppm_sequence(video, tmp_path / "clip")
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n"
+        "[sweep]\nrho = 0.0 0.5\nsnr_db = 10 30\n"
+    )
+    tracer = load_spans().Tracer("tier-1")
+    tracer.install()
+    try:
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.metrics()
+    n_patches = (64 // patch) ** 2
+    cells = [(rho, snr) for rho in (0.0, 0.5) for snr in (10, 30)]
+    # Per cell: T' flow frames x k patches x 2 symbols per pixel x ph x pw pixels.
+    expected = sum(
+        (n_frames - 1) * selection_count(rho, n_patches) * 2 * patch * patch for rho, _ in cells
+    )
+    assert metrics["channel.symbols"] == expected
+    assert metrics["channel.transmit_analog.calls"] == len(cells) * (n_frames - 1)
+    assert metrics["reconstruct.frames"] == len(cells) * n_frames
