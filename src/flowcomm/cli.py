@@ -1,6 +1,7 @@
 """Command line entry points: stage runs, end-to-end pipeline, sweeps, allocation.
 
-Exit codes: 0 success, 1 internal error, 2 bad input or config.
+Exit codes: 0 success, 1 internal error (with a traceback), 2 a bad config or
+input file, found before flow runs.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .config import (
     parse_experiment_config,
     parse_scenario_config,
 )
-from .pipeline import StageError, run_pipeline, transmit_stats, video_runs
+from .pipeline import run_pipeline, transmit_stats, video_runs
 from .video import FormatError, write_flo
 
 EXIT_OK = 0
@@ -126,7 +128,7 @@ def cmd_transmit(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -
     rows = []
     for run in video_runs(cfg, seed):
         for rho, snr_db, encoded, channel_seed in run.cells():
-            degraded = run.transmit(rho, snr_db, encoded, channel_seed)
+            degraded = run.transmit(snr_db, encoded, channel_seed)
             rows.append([run.video_id, rho, snr_db, *transmit_stats(encoded, degraded)])
     write_csv_atomic(
         os.path.join(out_dir, "transmit.csv"),
@@ -148,7 +150,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int
     frame_rows = []
     for run in video_runs(cfg, seed):
         for rho, sel in run.selections(scored=True):
-            frame_rows += _frame_rows([run.video_id, rho, ""], run.quality(sel, rho))
+            frame_rows += _frame_rows([run.video_id, rho, ""], run.quality(sel))
     write_csv_atomic(os.path.join(out_dir, "reconstruct.csv"), FRAME_HEADER, frame_rows)
 
 
@@ -247,19 +249,9 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except StageError as exc:
-        if isinstance(exc.cause, (FileNotFoundError, FormatError, ValueError)) and exc.stage in (
-            "load", "flow"
-        ):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except Exception as exc:  # pragma: no cover - last-resort guard
-        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
     return EXIT_OK
 

@@ -5,7 +5,7 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .allocator import AllocationScenario, DdpgHyper
 from .channel import CodecParams, LinkParams, capacity_per_s, db_to_linear, sample_channel
@@ -45,7 +45,10 @@ class ExperimentConfig:
 def _read_ini(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys like P and B are case-sensitive
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     return parser
@@ -56,10 +59,10 @@ def _get(parser, section, key, cast, default=None):
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
-    raw = parser.get(section, key)
+    raw = parser.get(section, key, raw=True)
     try:
-        return cast(raw)
-    except ValueError as exc:
+        return cast(parser.get(section, key))  # a '%' in the value must be a valid interpolation
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
@@ -75,6 +78,27 @@ def _paths(raw: str) -> tuple:
     if not vals:
         raise ValueError("empty list")
     return vals
+
+
+def _build(cls, **kwargs):
+    """cls(**kwargs), its ValueError raised again as a ConfigError with the same message."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _section(parser, section, cls, skip=()):
+    """A params dataclass from a section's keys, named as its fields.
+
+    A missing key keeps the field's default, whose type casts the value.
+    """
+    values = {
+        f.name: _get(parser, section, f.name, type(f.default))
+        for f in fields(cls)
+        if f.name not in skip and parser.has_option(section, f.name)
+    }
+    return _build(cls, **values)
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
@@ -118,33 +142,29 @@ def parse_experiment_config(path) -> ExperimentConfig:
             )
         if snr_db in snr_db_list[:k]:
             raise ConfigError(f"[sweep] snr_db {snr_db!r} is listed twice")
+    patch_h, patch_w = (_get(p, "patches", key, int, 16) for key in ("height", "width"))
+    for key, size in (("height", patch_h), ("width", patch_w)):
+        if size < 1:
+            raise ConfigError(f"[patches] {key} must be >= 1, got {size}")
+    zip_ratio = _get(p, "load", "zip_ratio", float, 0.0)
+    if not 0.0 <= zip_ratio < 1.0:
+        raise ConfigError(f"[load] zip_ratio must lie in [0, 1), got {zip_ratio!r}")
     return ExperimentConfig(
         video_dirs=video_dirs,
-        patch_h=_get(p, "patches", "height", int, 16),
-        patch_w=_get(p, "patches", "width", int, 16),
-        flow_params=FlowEstimatorParams(
-            levels=_get(p, "flow", "levels", int, 4),
-            iterations_per_level=_get(p, "flow", "iterations_per_level", int, 3),
-            smoothing_sigma=_get(p, "flow", "smoothing_sigma", float, 1.0),
-            lk_window=_get(p, "flow", "lk_window", int, 5),
-        ),
-        extractor=ExtractorParams(
-            alpha1=_get(p, "extractor", "alpha1", float, 0.5),
-            alpha2=_get(p, "extractor", "alpha2", float, 1.0),
-            theta_th=_get(p, "extractor", "theta_th", float, 0.98),
-            ransac_iters=_get(p, "extractor", "ransac_iters", int, 64),
-            inlier_eps=_get(p, "extractor", "inlier_eps", float, 0.5),
-        ),
-        codec=CodecParams(
-            bits_per_symbol=_get(p, "codec", "bits_per_symbol", int, 8),
-            mag_cap=_get(p, "codec", "mag_cap", float, 32.0),
-            gamma=_get(p, "codec", "gamma", float, 1.0),
-        ),
+        patch_h=patch_h,
+        patch_w=patch_w,
+        flow_params=_section(p, "flow", FlowEstimatorParams),
+        extractor=_section(p, "extractor", ExtractorParams, skip=("mask_ratio",)),
+        codec=_section(p, "codec", CodecParams),
         bandwidth_hz=bandwidth_hz,
-        zip_ratio=_get(p, "load", "zip_ratio", float, 0.0),
+        zip_ratio=zip_ratio,
         rho_list=rho_list,
         snr_db_list=snr_db_list,
     )
+
+
+# [channel] key -> LinkParams field
+CHANNEL_KEYS = {"f_c": "carrier_hz", "alpha": "path_loss_exp", "P": "tx_power", "sigma2": "noise_power"}
 
 
 def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
@@ -159,9 +179,11 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
         raise ConfigError("missing [scenario] section")
     seed = _get(p, "scenario", "seed", int, 0)
     bandwidth = _get(p, "scenario", "bandwidth_hz", float)
-    ue_sections = sorted(
-        (s for s in p.sections() if s.startswith("ue.")), key=lambda s: int(s.split(".", 1)[1])
-    )
+    ue_sections = [s for s in p.sections() if s.startswith("ue.")]
+    try:
+        ue_sections.sort(key=lambda s: int(s[3:]))
+    except ValueError as exc:
+        raise ConfigError(f"UE sections are named [ue.N] with an integer N: {exc}") from exc
     if len(ue_sections) < 2:
         raise ConfigError("need at least 2 [ue.N] sections")
     loads, snrs, rhos = [], [], []
@@ -174,34 +196,22 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
         else:
             if not p.has_section("channel") or dist <= 0:
                 raise ConfigError(f"[{sec}] needs snr, or distance plus a [channel] section")
-            link = LinkParams(
+            link = _build(
+                LinkParams,
                 distance=dist,
-                carrier_hz=_get(p, "channel", "f_c", float, 2.4e9),
-                path_loss_exp=_get(p, "channel", "alpha", float, 1.0),
-                tx_power=_get(p, "channel", "P", float, 1.0),
-                noise_power=_get(p, "channel", "sigma2", float, 1e-9),
                 bandwidth_hz=bandwidth,
+                **{field: _get(p, "channel", key, float)
+                   for key, field in CHANNEL_KEYS.items() if p.has_option("channel", key)},
             )
             snrs.append(sample_channel(link, derive_seed(seed, "scenario-fading", k)).snr)
-    scenario = AllocationScenario(
+    scenario = _build(
+        AllocationScenario,
         loads=tuple(loads),
         snrs=tuple(snrs),
         bandwidth_hz=bandwidth,
         mask_ratios=tuple(rhos),
     )
-    hyper = DdpgHyper(
-        actor_lr=_get(p, "ddpg", "actor_lr", float, 1e-4),
-        critic_lr=_get(p, "ddpg", "critic_lr", float, 1e-3),
-        gamma=_get(p, "ddpg", "gamma", float, 0.99),
-        tau=_get(p, "ddpg", "tau", float, 0.005),
-        noise_scale=_get(p, "ddpg", "noise_scale", float, 0.2),
-        noise_floor=_get(p, "ddpg", "noise_floor", float, 0.01),
-        noise_decay=_get(p, "ddpg", "noise_decay", float, 0.999),
-        batch_size=_get(p, "ddpg", "batch_size", int, 64),
-        buffer_capacity=_get(p, "ddpg", "buffer_capacity", int, 100_000),
-        episode_len=_get(p, "ddpg", "episode_len", int, 50),
-        episodes=_get(p, "ddpg", "episodes", int, 500),
-    )
+    hyper = _section(p, "ddpg", DdpgHyper, skip=("hidden", "alpha_r"))
     return scenario, hyper, seed
 
 

@@ -26,6 +26,11 @@ class ExtractorParams:
     mask_ratio: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2", "theta_th", "inlier_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.inlier_eps <= 0.0:
+            raise ValueError(f"inlier_eps must be positive, got {self.inlier_eps!r}")
         if self.ransac_iters < 1:
             raise ValueError("ransac_iters must be >= 1")
         if not 0.0 <= self.mask_ratio < 1.0:

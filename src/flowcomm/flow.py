@@ -12,6 +12,7 @@ no frame-sized array, whose freed memory their malloc arenas would keep.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ RESIDUAL_CLAMP_PX = 1.0
 # reference), the reference's x/y gradients, a product (the determinant in the
 # solve) and the five structure-tensor and mismatch window means
 _N_SCRATCH = 11
+# the coarsest pyramid level's smaller side must span at least this many pixels
+MIN_LEVEL_PX = 8
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,28 @@ class FlowEstimatorParams:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if self.iterations_per_level < 1:
+            raise ValueError(f"iterations_per_level must be >= 1, got {self.iterations_per_level!r}")
+        if not 0.0 <= self.smoothing_sigma < math.inf:
+            raise ValueError(
+                f"smoothing_sigma must be finite and non-negative, got {self.smoothing_sigma!r}"
+            )
         if self.lk_window < 3 or self.lk_window % 2 == 0:
             raise ValueError("lk_window must be odd and >= 3")
+
+
+def pyramid_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]]:
+    """Each pyramid level's (h, w), coarsest first; each level halves the next, rounding up.
+
+    Raises ValueError when the coarsest level is smaller than MIN_LEVEL_PX.
+    """
+    shapes = [(height, width)]
+    for _ in range(levels - 1):
+        shapes.insert(0, (-(-shapes[0][0] // 2), -(-shapes[0][1] // 2)))
+    coarse_h, coarse_w = shapes[0]
+    if coarse_h < MIN_LEVEL_PX or coarse_w < MIN_LEVEL_PX:
+        raise ValueError(f"too many levels for frame size: coarsest would be {coarse_h}x{coarse_w}")
+    return shapes
 
 
 def usable_cpus() -> int:
@@ -80,14 +103,7 @@ class _Workspace:
     """Every plane of every pyramid level that one frame pair needs; one per pair in flight."""
 
     def __init__(self, height: int, width: int, params: FlowEstimatorParams):
-        shapes = [(height, width)]  # coarsest first; each level halves the next, rounding up
-        for _ in range(params.levels - 1):
-            shapes.insert(0, (-(-shapes[0][0] // 2), -(-shapes[0][1] // 2)))
-        coarse_h, coarse_w = shapes[0]
-        if coarse_h < 8 or coarse_w < 8:
-            raise ValueError(
-                f"too many levels for frame size: coarsest would be {coarse_h}x{coarse_w}"
-            )
+        shapes = pyramid_shapes(height, width, params.levels)
         self.params = params
         scratch = np.empty(_N_SCRATCH * height * width)
         mask = np.empty(height * width, dtype=bool)

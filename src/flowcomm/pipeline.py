@@ -5,9 +5,9 @@ per-stage CLI command, so each command draws the same seeds for the same cell.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -16,30 +16,12 @@ import numpy as np
 from . import channel as ch
 from . import extractor as ex
 from . import load as ld
-from .config import ExperimentConfig, derive_seed, video_id
-from .flow import estimate_flow
+from .config import ConfigError, ExperimentConfig, derive_seed, video_id
+from .flow import estimate_flow, pyramid_shapes
 from .load import LoadBreakdown
 from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage, ssim_stats
 from .reconstruct import reconstruct_video
 from .video import PatchGrid, load_ppm_sequence
-
-
-class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and an inputs digest."""
-
-    def __init__(self, stage: str, digest: str, cause: BaseException):
-        super().__init__(f"stage {stage!r} failed (inputs {digest}): {cause}")
-        self.stage = stage
-        self.digest = digest
-        self.cause = cause
-
-    def __reduce__(self):
-        # Sweep workers send failures back to the parent process by pickling.
-        return StageError, (self.stage, self.digest, self.cause)
-
-
-def _digest(*parts) -> str:
-    return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -53,21 +35,13 @@ class PointResult:
     n_selected: int
 
 
-def _stage(name, digest_parts, fn):
-    try:
-        return fn()
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, _digest(*digest_parts), exc) from exc
-
-
 class VideoRun:
     """One video's stage graph: load, patch grid, flow, then one ranking for every rho.
 
-    The video is loaded once. Flow is estimated only where selections are
-    made, after the patch grid is built and checked, and its fields are let
-    go once the widest selection holds the payloads every rho needs. Seeds
+    The video is loaded once. Its frames are checked against the config before
+    flow runs: a failed check is a ConfigError naming the video. Flow is
+    estimated only where selections are made, and its fields are let go once
+    the widest selection holds the payloads every rho needs. Seeds
     are keyed by grid position: extraction by the video index, the channel by
     the cell's index in the whole (video, rho, snr_db) grid. `processes` is the number of video
     processes running at once, which share the CPUs that flow runs on.
@@ -79,10 +53,17 @@ class VideoRun:
         self.cfg = cfg
         self.run_seed = run_seed
         self.index = index
-        self.directory = directory
         self.processes = processes
         self.video_id = video_id(directory)
-        self.video = _stage("load", (directory,), lambda: load_ppm_sequence(directory))
+        self.video = load_ppm_sequence(directory)
+
+    @contextmanager
+    def _input_check(self):
+        """Raise a check's ValueError again as a ConfigError naming the video."""
+        try:
+            yield
+        except ValueError as exc:
+            raise ConfigError(f"{self.video_id}: {exc}") from exc
 
     @cached_property
     def ssim_reference(self) -> list:
@@ -92,17 +73,14 @@ class VideoRun:
         exactly 1 without reaching the SSIM kernel.
         """
         frames = self.video.frames
-        return _stage(
-            "metrics", (self.directory,), lambda: [frames[0], *(ssim_stats(f) for f in frames[1:])]
-        )
+        return [frames[0], *(ssim_stats(f) for f in frames[1:])]
 
     def estimate_flows(self) -> list:
-        """The video's flow fields, estimated afresh on each call."""
-        return _stage(
-            "flow",
-            (self.directory,),
-            lambda: estimate_flow(self.video, self.cfg.flow_params, self.processes),
-        )
+        """The video's flow fields, estimated afresh on each call, once the pyramid fits the frames."""
+        v, params = self.video, self.cfg.flow_params
+        with self._input_check():
+            pyramid_shapes(v.height, v.width, params.levels)
+        return estimate_flow(v, params, self.processes)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
         v, cfg = self.video, self.cfg
@@ -115,39 +93,36 @@ class VideoRun:
             mask_ratio=rho,
             zip_ratio=cfg.zip_ratio,
         )
-        return _stage("load", (self.video_id, rho), lambda: ld.total_load(params))
+        return ld.total_load(params)
 
     def selections(self, scored: bool = False):
         """Yield (rho, selection) for each rho: a rho=0 selection holds every patch.
 
         `scored` selections are reconstructed and scored by SSIM, so their
-        frames must cover the SSIM window. Both checks run before any flow.
+        frames must cover the SSIM window. Every check runs before any flow.
         """
         cfg, v = self.cfg, self.video
-        if scored and min(v.height, v.width) < SSIM_WINDOW:
-            raise ValueError(
-                f"{self.video_id}: {v.height}x{v.width} px frames are smaller than the "
-                f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window that scores reconstructions"
-            )
-        grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
-        # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
-        # of i and 1, so every 6-patch draw of the quadratic background is singular.
-        if min(grid.rows, grid.cols) < 3:
-            raise ValueError(
-                f"{self.video_id}: {grid.rows}x{grid.cols} patch grid ({v.height}x{v.width} px, "
-                f"{cfg.patch_h}x{cfg.patch_w} px patches) is too small for the quadratic "
-                "background model, which needs at least 3 patch rows and 3 patch columns"
-            )
+        with self._input_check():
+            if scored and min(v.height, v.width) < SSIM_WINDOW:
+                raise ValueError(
+                    f"{v.height}x{v.width} px frames are smaller than the "
+                    f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window that scores reconstructions"
+                )
+            grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
+            # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
+            # of i and 1, so every 6-patch draw of the quadratic background is singular.
+            if min(grid.rows, grid.cols) < 3:
+                raise ValueError(
+                    f"{grid.rows}x{grid.cols} patch grid ({v.height}x{v.width} px, "
+                    f"{cfg.patch_h}x{cfg.patch_w} px patches) is too small for the quadratic "
+                    "background model, which needs at least 3 patch rows and 3 patch columns"
+                )
         seed = derive_seed(self.run_seed, "extract", self.index)
         # One ranking serves every rho: the selection count never grows with rho,
         # and the RANSAC seeds do not depend on it, so each rho keeps a prefix.
         # The fields live only as extract's argument, so they are freed before any cell.
         params = replace(cfg.extractor, mask_ratio=min(cfg.rho_list))
-        widest = _stage(
-            "extract",
-            (self.video_id, params.mask_ratio),
-            lambda: ex.extract(self.estimate_flows(), grid, params, seed),
-        )
+        widest = ex.extract(self.estimate_flows(), grid, params, seed)
         for rho in cfg.rho_list:
             yield rho, widest.prefix(rho)
 
@@ -159,30 +134,18 @@ class VideoRun:
         snrs = self.cfg.snr_db_list
         point = self.index * len(self.cfg.rho_list) * len(snrs)
         for rho, sel in self.selections(scored):
-            encoded = _stage(
-                "transmit", (self.video_id, rho), lambda: encode_selection(sel, self.cfg.codec)
-            )
+            encoded = encode_selection(sel, self.cfg.codec)
             for snr_db in snrs:
                 yield rho, snr_db, encoded, derive_seed(self.run_seed, "channel", point)
                 point += 1
 
-    def transmit(self, rho, snr_db, encoded, seed) -> ex.SelectionResult:
-        snr_linear = ch.db_to_linear(snr_db)
-        return _stage(
-            "transmit",
-            (self.video_id, rho, snr_db),
-            lambda: transmit_selection(encoded, self.cfg, snr_linear, seed),
-        )
+    def transmit(self, snr_db, encoded, seed) -> ex.SelectionResult:
+        return transmit_selection(encoded, self.cfg, ch.db_to_linear(snr_db), seed)
 
-    def quality(self, sel, *cell) -> QualityReport:
+    def quality(self, sel) -> QualityReport:
         """Reconstruct from the selection's payloads and score against the source."""
-        digest = (self.video_id, *cell)
-        reconstructed = _stage(
-            "reconstruct", digest, lambda: reconstruct_video(self.video.frames[0], sel)
-        )
-        return _stage(
-            "metrics", digest, lambda: frame_losses(reconstructed, self.video, self.ssim_reference)
-        )
+        reconstructed = reconstruct_video(self.video.frames[0], sel)
+        return frame_losses(reconstructed, self.video, self.ssim_reference)
 
 
 def video_runs(cfg: ExperimentConfig, run_seed: int):
@@ -260,8 +223,8 @@ def run_point(
     """One (video, rho, snr) cell of the sweep grid, from the video's encoded selection for rho."""
     sel = encoded.selection
     breakdown = run.breakdown(rho)
-    degraded = run.transmit(rho, snr_db, encoded, channel_seed)
-    report = run.quality(degraded, rho, snr_db)
+    degraded = run.transmit(snr_db, encoded, channel_seed)
+    report = run.quality(degraded)
     if sel.important is not None:
         report.map = motion_area_percentage(sel.important)
     capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, ch.db_to_linear(snr_db))

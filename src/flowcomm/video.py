@@ -113,6 +113,8 @@ def load_ppm(path: str | os.PathLike) -> np.ndarray:
         tokens.append(int(m.group()))
         pos += m.end()
     width, height, maxval = tokens
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: empty {width}x{height} raster")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte terminating the header
@@ -139,12 +141,12 @@ def load_ppm_sequence(directory: str | os.PathLike) -> Video:
         raise FileNotFoundError(f"no such directory: {directory}")
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".ppm"))
     if len(names) < 2:
-        raise ValueError(f"insufficient frames: found {len(names)} PPM files in {directory}")
+        raise FormatError(f"insufficient frames: found {len(names)} PPM files in {directory}")
     frames = [load_ppm(os.path.join(directory, n)) for n in names]
     shape = frames[0].shape
     for name, fr in zip(names, frames):
         if fr.shape != shape:
-            raise ValueError(f"dimension mismatch: {name} is {fr.shape}, expected {shape}")
+            raise FormatError(f"dimension mismatch: {name} is {fr.shape}, expected {shape}")
     return Video(np.stack(frames))
 
 

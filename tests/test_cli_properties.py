@@ -1,7 +1,7 @@
 """Property test of the command line over generated experiments.
 
-Every experiment, valid or not, exits 0 or 2 (1 would be a flowcomm bug). A run
-that exits 0 keeps round((1 - rho) N) patches in every flow frame, scores SSIM
+Every experiment, valid or not, exits 0 or 2 on every command that reads an
+experiment config (1 would be a flowcomm bug). A run that exits 0 keeps round((1 - rho) N) patches in every flow frame, scores SSIM
 in [-1, 1] and reports finite, non-negative loads.
 """
 import contextlib
@@ -87,6 +87,9 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                     sel = ex.SelectionResult.from_bytes(fh.read())
                 per_frame = sel.xi.reshape(n_frames - 1, -1).sum(axis=1)
                 assert per_frame.tolist() == [ex.selection_count(rho, n_patches)] * (n_frames - 1)
+
+        for command in ("flow", "load", "transmit", "reconstruct"):
+            run(command, config, os.path.join(root, command))
 
         piped = os.path.join(root, "pipeline")
         if run("pipeline", config, piped) == 0:

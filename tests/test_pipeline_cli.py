@@ -521,6 +521,88 @@ class TestCli:
         if code:
             assert "10x40 px frames are smaller than the 11x11 SSIM window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["estimate_flow", "motion_area_percentage"])
+    def test_a_failing_stage_is_an_internal_error(self, tmp_path, clips, capsys, monkeypatch, name):
+        def broken(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(pipeline, name, broken)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"])
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: injected"), err
+        assert "Traceback (most recent call last)" in err
+
+    @pytest.mark.parametrize("command", ["flow", "extract", "load", "transmit", "reconstruct", "pipeline"])
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("load", "zip_ratio", "1.5", "[load] zip_ratio must lie in [0, 1), got 1.5"),
+            ("load", "zip_ratio", "-0.2", "[load] zip_ratio must lie in [0, 1), got -0.2"),
+            ("load", "zip_ratio", "nan", "[load] zip_ratio must lie in [0, 1), got nan"),
+            ("patches", "height", "0", "[patches] height must be >= 1, got 0"),
+            ("patches", "width", "-4", "[patches] width must be >= 1, got -4"),
+            ("flow", "smoothing_sigma", "-1", "smoothing_sigma must be finite and non-negative, got -1.0"),
+            ("flow", "smoothing_sigma", "nan", "smoothing_sigma must be finite and non-negative, got nan"),
+            ("flow", "iterations_per_level", "0", "iterations_per_level must be >= 1, got 0"),
+            ("extractor", "alpha1", "inf", "alpha1 must be finite, got inf"),
+            ("extractor", "alpha2", "-inf", "alpha2 must be finite, got -inf"),
+            ("extractor", "theta_th", "nan", "theta_th must be finite, got nan"),
+            ("extractor", "inlier_eps", "inf", "inlier_eps must be finite, got inf"),
+            ("extractor", "inlier_eps", "0", "inlier_eps must be positive, got 0.0"),
+            ("extractor", "inlier_eps", "-0.5", "inlier_eps must be positive, got -0.5"),
+        ],
+    )
+    def test_value_that_changes_results_silently_rejected(
+        self, tmp_path, clips, capsys, command, section, key, value, message
+    ):
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(write_config(tmp_path / "c.ini", [clips / "motion0"]))
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        cfg = tmp_path / "bad.ini"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"videos = a\n", b"[input]\nvideos = a\nvideos = b\n", b"[input]\nvideos = a%b\n",
+         b"[input]\nvideos = \xff\n"],
+        ids=["no-section", "duplicate-key", "bad-interpolation", "not-utf8"],
+    )
+    def test_malformed_config_file_exit_code_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(text)
+        out = tmp_path / "o"
+        assert self.run("load", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, levels, patches, message",
+        [
+            ("flow", 5, "", "motion0: too many levels for frame size: coarsest would be 4x4"),
+            ("extract", 5, "", "motion0: too many levels for frame size: coarsest would be 4x4"),
+            ("extract", 3, "[patches]\nheight = 65\n", "motion0: patch 65x16 exceeds field 64x64"),
+        ],
+    )
+    def test_frames_checked_against_the_config_before_flow(
+        self, tmp_path, clips, capsys, monkeypatch, command, levels, patches, message
+    ):
+        def no_flow(*args):
+            raise AssertionError("flow ran for a clip that the config does not fit")
+
+        monkeypatch.setattr(pipeline, "estimate_flow", no_flow)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], levels=levels, extra=patches)
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 SCENARIO_INI = """
 [scenario]

@@ -30,7 +30,7 @@ class TestPpm:
 
     def test_single_file_rejected(self, tmp_path):
         save_ppm(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "a.ppm")
-        with pytest.raises(ValueError, match="insufficient frames"):
+        with pytest.raises(FormatError, match="insufficient frames"):
             load_ppm_sequence(tmp_path)
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -48,8 +48,14 @@ class TestPpm:
     def test_dimension_mismatch(self, tmp_path):
         save_ppm(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "a.ppm")
         save_ppm(np.zeros((5, 4, 3), dtype=np.uint8), tmp_path / "b.ppm")
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(FormatError, match="dimension mismatch"):
             load_ppm_sequence(tmp_path)
+
+    @pytest.mark.parametrize("header", [b"P6\n0 4\n255\n", b"P6\n4 0\n255\n"])
+    def test_empty_raster_rejected(self, tmp_path, header):
+        (tmp_path / "a.ppm").write_bytes(header)
+        with pytest.raises(FormatError, match="empty"):
+            load_ppm(tmp_path / "a.ppm")
 
     def test_non_p6_header(self, tmp_path):
         (tmp_path / "a.ppm").write_bytes(b"P3\n4 4\n255\n" + b"0 " * 48)
