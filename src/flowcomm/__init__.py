@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .video import FlowField, PatchGrid, Video  # noqa: F401
+from .video import PatchGrid, Video  # noqa: F401

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,8 +61,7 @@ class DdpgHyper:
     buffer_capacity: int = 100_000
     episode_len: int = 50          # TTIs per episode
     episodes: int = 500
-    hidden: tuple = (64, 64)
-    alpha_r: float | None = None   # reward scale; None -> ln(10) / equal-split time
+    hidden: ClassVar[tuple] = (64, 64)  # actor and critic hidden widths; no config sets them
 
     def __post_init__(self):
         at_least_1 = "at least 1"
@@ -243,7 +243,7 @@ def train_ddpg(
     learning-curve rows. Deterministic for a given seed.
     """
     hyper = hyper or DdpgHyper()
-    env = AllocationEnv(sc, hyper.alpha_r)
+    env = AllocationEnv(sc)
     agent = build_agent(sc.n_ue, hyper, seed)
     actor_opt = AdamState.for_net(agent.actor, hyper.actor_lr)
     critic_opt = AdamState.for_net(agent.critic, hyper.critic_lr)

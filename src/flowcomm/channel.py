@@ -21,8 +21,9 @@ class LinkParams:
     def __post_init__(self):
         for name in ("distance", "carrier_hz", "path_loss_exp", "tx_power",
                      "noise_power", "bandwidth_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

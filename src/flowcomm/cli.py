@@ -43,23 +43,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
-    """Write a CSV via temp file + rename so readers never see partial output."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+def _write_atomic(path: str, text: str) -> None:
+    """Write text via temp file + rename so readers never see partial output."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
+    """Write a CSV, every float as its repr, through `_write_atomic`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    _write_atomic(path, buf.getvalue())
 
 
 def write_manifest(out_dir: str, command: str, config_path: str, seed: int, extra=None) -> None:
@@ -73,12 +79,8 @@ def write_manifest(out_dir: str, command: str, config_path: str, seed: int, extr
     }
     if extra:
         manifest.update(extra)
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(os.path.join(out_dir, "manifest.json"), text)
 
 
 def cmd_flow(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
@@ -89,7 +91,7 @@ def cmd_flow(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> No
         flows = run.estimate_flows()
         for t, field in enumerate(flows):
             write_flo(field, os.path.join(vid_dir, f"flow_{t:04d}.flo"))
-        magnitude = float(np.mean([np.hypot(f.u, f.v).mean() for f in flows]))
+        magnitude = float(np.mean([np.hypot(*field).mean() for field in flows]))
         rows.append([run.video_id, len(flows), magnitude])
     write_csv_atomic(os.path.join(out_dir, "flow.csv"), ["video_id", "n_fields", "mean_magnitude"], rows)
 
@@ -183,7 +185,7 @@ def cmd_allocate(config_path: str, seed: int | None, out_dir: str, workers: int)
     run_seed = file_seed if seed is None else seed
     write_manifest(out_dir, "allocate", config_path, run_seed)
     agent, curve = al.train_ddpg(scenario, hyper, run_seed)
-    env = al.AllocationEnv(scenario, hyper.alpha_r)
+    env = al.AllocationEnv(scenario)
 
     methods = {}
     frac_ddpg, _ = agent.allocate(env)
@@ -246,7 +248,7 @@ def main(argv=None) -> int:
             seed = 0 if args.seed is None else args.seed
             write_manifest(args.out, args.command, args.config, seed)
             COMMANDS[args.command](cfg, seed, args.out, args.workers)
-    except (ConfigError, FormatError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, FormatError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:

@@ -211,7 +211,7 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
         bandwidth_hz=bandwidth,
         mask_ratios=tuple(rhos),
     )
-    hyper = _section(p, "ddpg", DdpgHyper, skip=("hidden", "alpha_r"))
+    hyper = _section(p, "ddpg", DdpgHyper)
     return scenario, hyper, seed
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .video import FlowField, PatchGrid, partition_patches
+from .video import PatchGrid, partition_patches
 
 SELECTION_MAGIC = b"FCSR"
 
@@ -163,15 +163,14 @@ class SelectionResult:
         return cls(grid, rho, order[:, 1:].astype(np.intp), payloads, fh, fw)
 
 
-def patch_mean_flow(flow: FlowField, grid: PatchGrid) -> PatchFlowGrid:
-    """Mean (u, v) per patch over the patch's in-field pixels (padding excluded)."""
+def patch_mean_flow(flow: np.ndarray, grid: PatchGrid) -> PatchFlowGrid:
+    """Mean (u, v) per patch of a (2, H, W) field, over the patch's in-field pixels (padding excluded)."""
+    ph, pw = grid.patch_h, grid.patch_w
     mean = np.zeros((grid.rows, grid.cols, 2))
     for i in range(grid.rows):
         for j in range(grid.cols):
-            us = flow.u[i * grid.patch_h : (i + 1) * grid.patch_h, j * grid.patch_w : (j + 1) * grid.patch_w]
-            vs = flow.v[i * grid.patch_h : (i + 1) * grid.patch_h, j * grid.patch_w : (j + 1) * grid.patch_w]
-            mean[i, j, 0] = us.mean()
-            mean[i, j, 1] = vs.mean()
+            u, v = flow[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw]
+            mean[i, j] = u.mean(), v.mean()
     return PatchFlowGrid(grid, mean)
 
 
@@ -293,10 +292,10 @@ def select_patches(
 
 
 def extract(
-    flows: list[FlowField], grid: PatchGrid, params: ExtractorParams, seed: int
+    flows: np.ndarray, grid: PatchGrid, params: ExtractorParams, seed: int
 ) -> SelectionResult:
-    """Run the per-frame mean/background/threshold/classify/select pipeline."""
-    if not flows:
+    """Run the per-frame mean/background/threshold/classify/select pipeline on (T', 2, H, W) flows."""
+    if len(flows) == 0:
         raise ValueError("no flow fields to extract from")
     k = selection_count(params.mask_ratio, grid.n_patches)
     picks = np.empty((len(flows), k), dtype=np.intp)
@@ -309,6 +308,5 @@ def extract(
         important_all[t], resid, _ = classify_patches(pf, model, l_th, params)
         picks[t] = select_patches(important_all[t], resid, grid, params.mask_ratio)
         payloads[t] = partition_patches(flow, grid)[picks[t]]
-    return SelectionResult(
-        grid, params.mask_ratio, picks, payloads, flows[0].height, flows[0].width, important_all
-    )
+    _, height, width = flows[0].shape
+    return SelectionResult(grid, params.mask_ratio, picks, payloads, height, width, important_all)

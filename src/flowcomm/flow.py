@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
 
-from .video import FlowField, Video
+from .video import Video
 
 # windows whose structure-tensor determinant falls below this get zero residual
 DEGENERATE_DET = 1e-6
@@ -220,13 +220,13 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
 
 def estimate_flow(
     video: Video, params: FlowEstimatorParams | None = None, processes: int = 1
-) -> list[FlowField]:
-    """Flow fields for all T-1 adjacent frame pairs of a video.
+) -> np.ndarray:
+    """Flow fields for all T-1 adjacent frame pairs of a video, as one (T-1, 2, H, W) array.
 
     The pairs run on one thread per CPU of this process's share of the usable
     CPUs, split evenly among `processes` concurrent video processes: at least
     1, at most one per pair, and with 1 the calling thread runs them itself.
-    The fields are views of one (T-1, 2, H, W) array.
+    Raises ValueError if any estimated value is not finite.
     """
     params = params or FlowEstimatorParams()
     frames = video.frames
@@ -244,4 +244,7 @@ def estimate_flow(
     else:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(run, range(threads)))
-    return [FlowField(u, v) for u, v in out]
+    # min and max propagate NaN and reach any infinity, without a mask the size of out
+    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        raise ValueError("flow values must be finite")
+    return out

@@ -75,7 +75,7 @@ class VideoRun:
         frames = self.video.frames
         return [frames[0], *(ssim_stats(f) for f in frames[1:])]
 
-    def estimate_flows(self) -> list:
+    def estimate_flows(self) -> np.ndarray:
         """The video's flow fields, estimated afresh on each call, once the pyramid fits the frames."""
         v, params = self.video, self.cfg.flow_params
         with self._input_check():

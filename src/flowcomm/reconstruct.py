@@ -12,14 +12,12 @@ from .video import Video
 
 
 def dense_flows(sel: SelectionResult):
-    """Yield each flow frame's (H, W, 2) flow: selected payloads in place, zero elsewhere."""
+    """Yield each flow frame's (2, H, W) flow: selected payloads in place, zero elsewhere."""
     grid = sel.grid
-    ph, pw = grid.patch_h, grid.patch_w
     for picks, payloads in zip(sel.picks, sel.payloads):
-        full = np.zeros((2, grid.rows * ph, grid.cols * pw))
-        patches = full.reshape(2, grid.rows, ph, grid.cols, pw).transpose(1, 3, 0, 2, 4)  # a view
+        canvas, patches = grid.canvas()
         patches[np.divmod(picks, grid.cols)] = payloads
-        yield np.moveaxis(full[:, : sel.field_h, : sel.field_w], 0, -1)
+        yield canvas[:, : sel.field_h, : sel.field_w]
 
 
 def _bilinear_taps(coord: np.ndarray, n: int):
@@ -58,7 +56,7 @@ def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult) -> Video:
     current = first_frame.reshape(h * w, 3).T.astype(np.float64, order="C")
     for t, flow in enumerate(dense_flows(sel), start=1):
         frames[t] = frames[t - 1]
-        u, v = np.moveaxis(flow, -1, 0).reshape(2, h * w)
+        u, v = flow.reshape(2, h * w)
         moved = np.flatnonzero((u != 0.0) | (v != 0.0))
         rows, cols = np.divmod(moved, w)
         i0, i1, wr0, wr1 = _bilinear_taps(rows - v[moved], h)

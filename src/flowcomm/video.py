@@ -1,4 +1,7 @@
-"""Canonical video/flow tensors and bit-exact file I/O (PPM P6, .flo)."""
+"""Canonical video/flow tensors and bit-exact file I/O (PPM P6, .flo).
+
+A flow field is a float64 (2, H, W) array: channel 0 = u (horizontal px), 1 = v (vertical px).
+"""
 from __future__ import annotations
 
 import os
@@ -45,32 +48,6 @@ class Video:
 
 
 @dataclass(frozen=True)
-class FlowField:
-    """Per-pixel displacement field: u = horizontal (px), v = vertical (px)."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if u.ndim != 2 or u.shape != v.shape:
-            raise ValueError(f"u/v must be matching 2-D arrays, got {u.shape} vs {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("flow values must be finite")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-
-@dataclass(frozen=True)
 class PatchGrid:
     """Non-overlapping patch layout; boundary patches are zero-padded to full size."""
 
@@ -92,6 +69,13 @@ class PatchGrid:
     @property
     def n_patches(self) -> int:
         return self.rows * self.cols
+
+    def canvas(self) -> tuple[np.ndarray, np.ndarray]:
+        """A zeroed (2, rows * patch_h, cols * patch_w) flow canvas, and its
+        (rows, cols, 2, patch_h, patch_w) patch view, which writes through to it."""
+        ph, pw = self.patch_h, self.patch_w
+        canvas = np.zeros((2, self.rows * ph, self.cols * pw))
+        return canvas, canvas.reshape(2, self.rows, ph, self.cols, pw).transpose(1, 3, 0, 2, 4)
 
 
 def load_ppm(path: str | os.PathLike) -> np.ndarray:
@@ -160,8 +144,11 @@ def save_ppm_sequence(video: Video, directory: str | os.PathLike) -> list[str]:
     return paths
 
 
-def read_flo(path: str | os.PathLike) -> FlowField:
-    """Read a .flo file (magic 'PIEH', LE int32 width/height, interleaved float32 u,v)."""
+def read_flo(path: str | os.PathLike) -> np.ndarray:
+    """Read a .flo file (magic 'PIEH', LE int32 width/height, interleaved float32 u,v).
+
+    Returns a C-contiguous (2, H, W) float64 field; a non-finite value is a FormatError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FLO_MAGIC:
@@ -174,28 +161,29 @@ def read_flo(path: str | os.PathLike) -> FlowField:
     if len(raw) != 8 * width * height:
         raise FormatError(f"{path}: truncated payload")
     uv = np.frombuffer(raw, dtype="<f4").reshape(height, width, 2)
-    return FlowField(uv[:, :, 0].astype(np.float64), uv[:, :, 1].astype(np.float64))
+    if not np.isfinite(uv).all():
+        raise FormatError(f"{path}: flow values must be finite")
+    return np.ascontiguousarray(uv.transpose(2, 0, 1), dtype=np.float64)
 
 
-def write_flo(flow: FlowField, path: str | os.PathLike) -> None:
-    uv = np.stack([flow.u, flow.v], axis=-1).astype("<f4")
+def write_flo(flow: np.ndarray, path: str | os.PathLike) -> None:
+    """Write a (2, H, W) field as .flo: u and v interleaved per pixel, float32."""
+    _, height, width = flow.shape
     with open(path, "wb") as fh:
         fh.write(FLO_MAGIC)
-        fh.write(struct.pack("<ii", flow.width, flow.height))
-        fh.write(np.ascontiguousarray(uv).tobytes())
+        fh.write(struct.pack("<ii", width, height))
+        fh.write(np.ascontiguousarray(flow.transpose(1, 2, 0), dtype="<f4").tobytes())
 
 
-def partition_patches(flow: FlowField, grid: PatchGrid) -> np.ndarray:
-    """Split a flow field into grid patches.
+def partition_patches(flow: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Split a (2, H, W) flow field into grid patches.
 
     Returns an (N, 2, patch_h, patch_w) array, patch i * cols + j at row-major
     index, channel 0 = u and 1 = v, zero-padded beyond the field border.
     """
-    if grid.patch_h > flow.height or grid.patch_w > flow.width:
+    _, height, width = flow.shape
+    if grid.patch_h > height or grid.patch_w > width:
         raise ValueError("patch larger than field")
-    ph, pw = grid.patch_h, grid.patch_w
-    canvas = np.zeros((2, grid.rows, ph, grid.cols, pw))
-    flat = canvas.reshape(2, grid.rows * ph, grid.cols * pw)
-    flat[0, : flow.height, : flow.width] = flow.u
-    flat[1, : flow.height, : flow.width] = flow.v
-    return canvas.transpose(1, 3, 0, 2, 4).reshape(grid.n_patches, 2, ph, pw)
+    canvas, patches = grid.canvas()
+    canvas[:, :height, :width] = flow
+    return patches.reshape(grid.n_patches, 2, grid.patch_h, grid.patch_w)

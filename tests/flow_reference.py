@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
 
 from flowcomm.flow import DEGENERATE_DET, RESIDUAL_CLAMP_PX, FlowEstimatorParams
-from flowcomm.video import FlowField, Video
+from flowcomm.video import Video
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,13 @@ def build_pyramid(frame: np.ndarray, levels: int, smoothing_sigma: float = 1.0) 
     return Pyramid(tuple(reversed(fine_to_coarse)))
 
 
-def warp_bilinear(image: np.ndarray, flow: FlowField) -> np.ndarray:
-    """Sample image at (x + u, y + v) with bilinear interpolation, border-clamped."""
-    if image.shape != (flow.height, flow.width):
-        raise ValueError(f"image {image.shape} does not match flow {(flow.height, flow.width)}")
-    yy, xx = np.mgrid[0 : flow.height, 0 : flow.width].astype(np.float64)
-    return map_coordinates(image, [yy + flow.v, xx + flow.u], order=1, mode="nearest")
+def warp_bilinear(image: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """Sample image at (x + u, y + v) of a (2, H, W) flow, bilinear and border-clamped."""
+    if image.shape != flow.shape[1:]:
+        raise ValueError(f"image {image.shape} does not match flow {flow.shape[1:]}")
+    u, v = flow
+    yy, xx = np.mgrid[0 : image.shape[0], 0 : image.shape[1]].astype(np.float64)
+    return map_coordinates(image, [yy + v, xx + u], order=1, mode="nearest")
 
 
 def _resize_bilinear(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
@@ -64,30 +65,28 @@ def _resize_bilinear(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     return map_coordinates(arr, [rr, cc], order=1, mode="nearest")
 
 
-def resize_flow(flow: FlowField, new_h: int, new_w: int) -> FlowField:
-    """Resize a flow field, scaling displacements with the resolution change."""
-    su = new_w / flow.width
-    sv = new_h / flow.height
-    return FlowField(
-        _resize_bilinear(flow.u, new_h, new_w) * su,
-        _resize_bilinear(flow.v, new_h, new_w) * sv,
-    )
+def resize_flow(flow: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """Resize a (2, H, W) flow field, scaling displacements with the resolution change."""
+    u, v = flow
+    su = new_w / u.shape[1]
+    sv = new_h / u.shape[0]
+    return np.stack([_resize_bilinear(u, new_h, new_w) * su, _resize_bilinear(v, new_h, new_w) * sv])
 
 
 def refine_level(
-    prev_flow_up: FlowField,
+    prev_flow_up: np.ndarray,
     ref: np.ndarray,
     target: np.ndarray,
     params: FlowEstimatorParams,
-) -> FlowField:
-    """Add an iterated windowed least-squares residual to the upsampled flow."""
-    if ref.shape != target.shape or ref.shape != (prev_flow_up.height, prev_flow_up.width):
+) -> np.ndarray:
+    """Add an iterated windowed least-squares residual to the upsampled (2, H, W) flow."""
+    if ref.shape != target.shape or ref.shape != prev_flow_up.shape[1:]:
         raise ValueError("refine_level inputs must share dimensions")
-    u = prev_flow_up.u.copy()
-    v = prev_flow_up.v.copy()
+    flow = prev_flow_up.copy()
+    u, v = flow
     win = params.lk_window
     for _ in range(params.iterations_per_level):
-        warped = warp_bilinear(target, FlowField(u, v))
+        warped = warp_bilinear(target, flow)
         gy_r, gx_r = np.gradient(ref)
         gy_w, gx_w = np.gradient(warped)
         gx = 0.5 * (gx_r + gx_w)
@@ -105,18 +104,18 @@ def refine_level(
         dv = np.where(ok, -(-axy * bx + axx * by) / safe_det, 0.0)
         u += np.clip(du, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX)
         v += np.clip(dv, -RESIDUAL_CLAMP_PX, RESIDUAL_CLAMP_PX)
-    return FlowField(u, v)
+    return flow
 
 
 def estimate_flow_pair(
     ref_frame: np.ndarray, target_frame: np.ndarray, params: FlowEstimatorParams
-) -> FlowField:
-    """Coarse-to-fine flow for one frame pair (displacement ref -> target)."""
+) -> np.ndarray:
+    """Coarse-to-fine (2, H, W) flow for one frame pair (displacement ref -> target)."""
     pyr_ref = build_pyramid(ref_frame, params.levels, params.smoothing_sigma)
     pyr_tgt = build_pyramid(target_frame, params.levels, params.smoothing_sigma)
     coarse = pyr_ref.levels[0]
     flow = refine_level(
-        FlowField(np.zeros(coarse.shape), np.zeros(coarse.shape)),
+        np.zeros((2, *coarse.shape)),
         coarse,
         pyr_tgt.levels[0],
         params,
@@ -126,7 +125,7 @@ def estimate_flow_pair(
     return flow
 
 
-def estimate_flow(video: Video, params: FlowEstimatorParams) -> list[FlowField]:
+def estimate_flow(video: Video, params: FlowEstimatorParams) -> list[np.ndarray]:
     """Flow fields for all T-1 adjacent frame pairs, one pair after another."""
     frames = video.frames
     return [estimate_flow_pair(frames[t - 1], frames[t], params) for t in range(1, video.n_frames)]

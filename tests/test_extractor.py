@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowcomm import extractor as ex
 from flowcomm import synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
-from flowcomm.video import FlowField, PatchGrid
+from flowcomm.video import PatchGrid
 
 
 def quadratic_field(grid: PatchGrid, phi: np.ndarray) -> ex.PatchFlowGrid:
@@ -19,25 +19,25 @@ GRID_14 = PatchGrid(16, 16, 14, 14)
 
 class TestPatchMeanFlow:
     def test_constant_field(self):
-        flow = FlowField(np.full((32, 32), 3.0), np.full((32, 32), -1.0))
+        flow = np.stack([np.full((32, 32), 3.0), np.full((32, 32), -1.0)])
         pf = ex.patch_mean_flow(flow, PatchGrid.for_shape(32, 32, 16, 16))
         assert np.allclose(pf.mean_flow[..., 0], 3.0)
         assert np.allclose(pf.mean_flow[..., 1], -1.0)
 
     def test_zero_field(self):
-        flow = FlowField(np.zeros((32, 32)), np.zeros((32, 32)))
+        flow = np.zeros((2, 32, 32))
         pf = ex.patch_mean_flow(flow, PatchGrid.for_shape(32, 32, 16, 16))
         assert not pf.mean_flow.any()
 
     def test_half_patch(self):
         u = np.zeros((16, 16))
         u[:, :8] = 1.0
-        pf = ex.patch_mean_flow(FlowField(u, np.zeros((16, 16))), PatchGrid.for_shape(16, 16, 16, 16))
+        pf = ex.patch_mean_flow(np.stack([u, np.zeros((16, 16))]), PatchGrid.for_shape(16, 16, 16, 16))
         assert pf.mean_flow[0, 0, 0] == pytest.approx(0.5)
 
     def test_boundary_patch_uses_valid_pixels_only(self):
         # 20x20 field of ones: the padded border patch must still average to 1
-        flow = FlowField(np.ones((20, 20)), np.ones((20, 20)))
+        flow = np.stack([np.ones((20, 20)), np.ones((20, 20))])
         pf = ex.patch_mean_flow(flow, PatchGrid.for_shape(20, 20, 16, 16))
         assert np.allclose(pf.mean_flow, 1.0)
 
@@ -221,7 +221,7 @@ class TestSelect:
 
 class TestExtract:
     def test_static_video_selects_from_lsr(self):
-        zero = [FlowField(np.zeros((64, 64)), np.zeros((64, 64)))]
+        zero = [np.zeros((2, 64, 64))]
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(zero, grid, ex.ExtractorParams(mask_ratio=0.9), seed=13)
         assert not sel.important.any()           # p_sr empty everywhere
@@ -249,7 +249,7 @@ class TestExtract:
 
     def test_determinism(self):
         rng = np.random.default_rng(18)
-        flows = [FlowField(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))]
+        flows = [np.stack([rng.standard_normal((64, 64)), rng.standard_normal((64, 64))])]
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         a = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.5), seed=19)
         b = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.5), seed=19)
@@ -259,7 +259,7 @@ class TestExtract:
     @pytest.mark.parametrize("rho", [1.0, 1.5, -0.5, float("nan")])
     def test_prefix_rejects_mask_ratio_outside_unit_interval(self, rho):
         rng = np.random.default_rng(18)
-        flows = [FlowField(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))]
+        flows = [np.stack([rng.standard_normal((64, 64)), rng.standard_normal((64, 64))])]
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.0), seed=19)
         with pytest.raises(ValueError, match=r"mask_ratio must lie in \[0, 1\)"):
@@ -269,7 +269,7 @@ class TestExtract:
     @given(st.floats(0.0, 0.99), st.integers(0, 2**31 - 1))
     def test_selection_count_property(self, rho, seed):
         rng = np.random.default_rng(seed)
-        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48)))]
+        flows = [np.stack([rng.standard_normal((48, 48)), rng.standard_normal((48, 48))])]
         grid = PatchGrid.for_shape(48, 48, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=rho), seed=seed)
         assert sel.n_selected == ex.selection_count(rho, grid.n_patches)
@@ -286,7 +286,7 @@ class TestExtract:
         grid = PatchGrid.for_shape(96, 96, 16, 16)
         params = ex.ExtractorParams(mask_ratio=0.8)  # n_sel = 7 >= 3 motion patches
         for shift in ((0.0, 0.0), (2.0, -1.0), (-3.0, 3.0)):
-            flows = [FlowField(base_u + shift[0], base_v + shift[1])]
+            flows = [np.stack([base_u + shift[0], base_v + shift[1]])]
             sel = ex.extract(flows, grid, params, seed=21)
             picked = set(sel.picks[0].tolist())
             if shift == (0.0, 0.0):
@@ -296,7 +296,7 @@ class TestExtract:
 
     def test_partition_into_sr_and_lsr(self):
         rng = np.random.default_rng(22)
-        flows = [FlowField(rng.standard_normal((64, 64)) * 2, rng.standard_normal((64, 64)) * 2)]
+        flows = [np.stack([rng.standard_normal((64, 64)) * 2, rng.standard_normal((64, 64)) * 2])]
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.3), seed=23)
         # important is a subset of all patches; its complement is the lsr set
@@ -308,8 +308,8 @@ class TestSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(24)
         flows = [
-            FlowField(rng.standard_normal((40, 56)).astype(np.float32).astype(np.float64),
-                      rng.standard_normal((40, 56)).astype(np.float32).astype(np.float64))
+            np.stack([rng.standard_normal((40, 56)).astype(np.float32).astype(np.float64),
+                      rng.standard_normal((40, 56)).astype(np.float32).astype(np.float64)])
             for _ in range(3)
         ]
         grid = PatchGrid.for_shape(40, 56, 16, 16)
@@ -324,7 +324,7 @@ class TestSerialization:
 
     def test_roundtrip_without_patches(self):
         rng = np.random.default_rng(26)
-        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48))) for _ in range(2)]
+        flows = [np.stack([rng.standard_normal((48, 48)), rng.standard_normal((48, 48))]) for _ in range(2)]
         grid = PatchGrid.for_shape(48, 48, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.99), seed=27)  # k = 0 of 9
         assert sel.picks.shape == (2, 0) and sel.payloads.shape == (2, 0, 2, 16, 16)
@@ -335,7 +335,7 @@ class TestSerialization:
 
     def test_frames_with_different_counts_rejected(self):
         rng = np.random.default_rng(28)
-        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48))) for _ in range(2)]
+        flows = [np.stack([rng.standard_normal((48, 48)), rng.standard_normal((48, 48))]) for _ in range(2)]
         grid = PatchGrid.for_shape(48, 48, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.5), seed=29)  # k = 5 of 9
         # Rewrite the index table as the old per-frame layout could: frame 0 keeps
@@ -352,7 +352,7 @@ class TestSerialization:
 
     def test_truncated_blob_rejected(self):
         rng = np.random.default_rng(30)
-        flows = [FlowField(rng.standard_normal((48, 48)), rng.standard_normal((48, 48))) for _ in range(2)]
+        flows = [np.stack([rng.standard_normal((48, 48)), rng.standard_normal((48, 48))]) for _ in range(2)]
         sel = ex.extract(flows, PatchGrid.for_shape(48, 48, 16, 16), ex.ExtractorParams(), seed=31)
         blob = sel.to_bytes()
         for cut in (3, 20, 41, 50, len(blob) - 1):  # magic, header, bitmap, index table, payloads

@@ -8,7 +8,7 @@ from flow_reference import build_pyramid, grayscale, refine_level, resize_flow, 
 
 from flowcomm import flow, synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
-from flowcomm.video import FlowField, Video
+from flowcomm.video import Video
 
 
 def texture(h, w, seed):
@@ -41,70 +41,70 @@ class TestPyramid:
 class TestWarp:
     def test_zero_flow_identity(self):
         img = grayscale(texture(16, 16, 3))
-        zero = FlowField(np.zeros((16, 16)), np.zeros((16, 16)))
+        zero = np.zeros((2, 16, 16))
         assert np.array_equal(warp_bilinear(img, zero), img)
 
     def test_integer_shift_on_gradient(self):
         img = np.tile(np.arange(8, dtype=np.float64), (8, 1))
-        flow = FlowField(np.ones((8, 8)), np.zeros((8, 8)))
+        flow = np.stack([np.ones((8, 8)), np.zeros((8, 8))])
         out = warp_bilinear(img, flow)
         assert np.array_equal(out[:, :-1], img[:, 1:])
         assert np.array_equal(out[:, -1], img[:, -1])  # clamped at the border
 
     def test_far_out_of_frame_clamps(self):
         img = np.tile(np.arange(8, dtype=np.float64), (8, 1))
-        flow = FlowField(np.full((8, 8), 1000.0), np.zeros((8, 8)))
+        flow = np.stack([np.full((8, 8), 1000.0), np.zeros((8, 8))])
         out = warp_bilinear(img, flow)
         assert np.all(out == img[:, -1][:, None])
 
     def test_dimension_mismatch(self):
         img = np.zeros((8, 8))
         with pytest.raises(ValueError):
-            warp_bilinear(img, FlowField(np.zeros((4, 4)), np.zeros((4, 4))))
+            warp_bilinear(img, np.zeros((2, 4, 4)))
 
 
 class TestUpsample:
     def test_constant_field_scales(self):
-        flow = FlowField(np.ones((2, 2)), np.zeros((2, 2)))
-        up = resize_flow(flow, 2 * flow.height, 2 * flow.width)
-        assert up.u.shape == (4, 4)
-        assert np.allclose(up.u, 2.0) and np.allclose(up.v, 0.0)
+        flow = np.stack([np.ones((2, 2)), np.zeros((2, 2))])
+        up = resize_flow(flow, 4, 4)
+        assert up.shape == (2, 4, 4)
+        assert np.allclose(up[0], 2.0) and np.allclose(up[1], 0.0)
 
     def test_zero_flow(self):
-        flow = FlowField(np.zeros((3, 3)), np.zeros((3, 3)))
-        up = resize_flow(flow, 2 * flow.height, 2 * flow.width)
-        assert up.u.shape == (6, 6)
-        assert not up.u.any() and not up.v.any()
+        flow = np.zeros((2, 3, 3))
+        up = resize_flow(flow, 6, 6)
+        assert up.shape == (2, 6, 6)
+        assert not up.any()
 
     def test_mean_doubles(self):
         rng = np.random.default_rng(4)
-        flow = FlowField(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
-        up = resize_flow(flow, 2 * flow.height, 2 * flow.width)
-        assert abs(up.u.mean() - 2.0 * flow.u.mean()) < 1e-6
-        assert abs(up.v.mean() - 2.0 * flow.v.mean()) < 1e-6
+        flow = np.stack([rng.standard_normal((4, 4)), rng.standard_normal((4, 4))])
+        up = resize_flow(flow, 8, 8)
+        assert abs(up[0].mean() - 2.0 * flow[0].mean()) < 1e-6
+        assert abs(up[1].mean() - 2.0 * flow[1].mean()) < 1e-6
 
 
 class TestRefineLevel:
     def test_no_motion(self):
         ref = grayscale(texture(32, 32, 5))
-        zero = FlowField(np.zeros((32, 32)), np.zeros((32, 32)))
+        zero = np.zeros((2, 32, 32))
         out = refine_level(zero, ref, ref, FlowEstimatorParams())
-        assert np.abs(out.u).max() < 1e-6 and np.abs(out.v).max() < 1e-6
+        assert np.abs(out[0]).max() < 1e-6 and np.abs(out[1]).max() < 1e-6
 
     def test_one_pixel_shift(self):
         ref = grayscale(texture(32, 32, 6))
         target = np.roll(ref, 1, axis=1)  # true displacement u = +1
-        zero = FlowField(np.zeros((32, 32)), np.zeros((32, 32)))
+        zero = np.zeros((2, 32, 32))
         out = refine_level(zero, ref, target, FlowEstimatorParams())
-        interior = out.u[8:-8, 8:-8]
+        interior = out[0, 8:-8, 8:-8]
         assert abs(np.median(interior) - 1.0) < 0.25
 
     def test_true_prior_cancels_motion(self):
         ref = grayscale(texture(32, 32, 7))
         target = np.roll(ref, 1, axis=1)
-        prior = FlowField(np.ones((32, 32)), np.zeros((32, 32)))
+        prior = np.stack([np.ones((32, 32)), np.zeros((32, 32))])
         out = refine_level(prior, ref, target, FlowEstimatorParams())
-        interior_err = np.hypot(out.u[4:-4, 4:-4] - 1.0, out.v[4:-4, 4:-4])
+        interior_err = np.hypot(out[0, 4:-4, 4:-4] - 1.0, out[1, 4:-4, 4:-4])
         assert np.median(interior_err) < 0.05
 
 
@@ -112,14 +112,14 @@ class TestEstimateFlow:
     def test_static_video_near_zero(self):
         video = synth.static_video(64, 64, 2, seed=8)
         fields = estimate_flow(video, FlowEstimatorParams(levels=3))
-        mags = np.hypot(fields[0].u, fields[0].v)
+        mags = np.hypot(*fields[0])
         assert mags.mean() < 0.05
 
     def test_global_translation(self):
         video = synth.global_translation_video(64, 64, 2, dx=2, dy=0, seed=9)
         fields = estimate_flow(video, FlowEstimatorParams(levels=3))
-        assert 1.5 <= np.median(fields[0].u) <= 2.5
-        assert abs(np.median(fields[0].v)) < 0.5
+        assert 1.5 <= np.median(fields[0, 0]) <= 2.5
+        assert abs(np.median(fields[0, 1])) < 0.5
 
     def test_field_count(self):
         video = synth.static_video(32, 32, 8, seed=10)
@@ -130,7 +130,7 @@ class TestEstimateFlow:
         for dx, dy, seed in ((1, 0, 11), (2, 1, 12), (0, 2, 13)):
             video = synth.global_translation_video(64, 64, 2, dx=dx, dy=dy, seed=seed)
             field = estimate_flow(video, FlowEstimatorParams(levels=3))[0]
-            epe = np.hypot(field.u - dx, field.v - dy)
+            epe = np.hypot(field[0] - dx, field[1] - dy)
             assert np.median(epe) < 0.5, (dx, dy, np.median(epe))
 
     def test_warp_with_true_flow_beats_unwarped(self):
@@ -143,11 +143,11 @@ class TestEstimateFlow:
 
 
 def test_resize_flow_scales_displacements():
-    flow = FlowField(np.full((4, 4), 1.0), np.full((4, 4), -2.0))
+    flow = np.stack([np.full((4, 4), 1.0), np.full((4, 4), -2.0)])
     out = resize_flow(flow, 8, 6)
-    assert out.u.shape == (8, 6)
-    assert np.allclose(out.u, 1.0 * 6 / 4)
-    assert np.allclose(out.v, -2.0 * 8 / 4)
+    assert out.shape == (2, 8, 6)
+    assert np.allclose(out[0], 1.0 * 6 / 4)
+    assert np.allclose(out[1], -2.0 * 8 / 4)
 
 
 # (video, pyramid levels) pairs the workspace path must reproduce bit for bit.
@@ -203,8 +203,9 @@ class TestMatchesReference:
         fields = estimate_flow(video, params)
         expected = flow_reference.estimate_flow(video, params)
         assert len(fields) == len(expected) == video.n_frames - 1
+        assert fields.dtype == np.float64 and fields.flags.c_contiguous
         for got, want in zip(fields, expected):
-            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+            assert np.array_equal(got, want)
         assert pools == ([2] if cpus > 1 and len(fields) > 1 else [])
 
     @pytest.mark.parametrize("processes, threads", [(1, 4), (2, 2), (3, 1), (8, 1)])
@@ -226,11 +227,23 @@ class TestMatchesReference:
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(fields, flow_reference.estimate_flow(video, params)):
-            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+            assert np.array_equal(got, want)
 
     def test_too_many_levels(self):
         with pytest.raises(ValueError, match="too many levels"):
             estimate_flow(synth.static_video(32, 32, 2, seed=19), FlowEstimatorParams(levels=4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, monkeypatch, bad):
+        estimate = flow._Workspace.estimate
+
+        def poisoned(self, ref_frame, target_frame, out):
+            estimate(self, ref_frame, target_frame, out)
+            out[1, -1, -1] = bad
+
+        monkeypatch.setattr(flow._Workspace, "estimate", poisoned)
+        with pytest.raises(ValueError, match="flow values must be finite"):
+            estimate_flow(synth.static_video(32, 32, 3, seed=22), FlowEstimatorParams(levels=2))
 
     def test_one_pair_peak_memory(self):
         """One 256x256 pair at 3 levels peaks near 17 frame-sized float64 planes,

@@ -264,7 +264,8 @@ class TestPipeline:
 
         def tracked(*args):
             flows = estimate(*args)
-            refs.extend(weakref.ref(a) for f in flows for a in (f, f.u, f.v, f.u.base))
+            assert flows.shape == (3, 2, 64, 64)  # one buffer holds every field
+            refs.append(weakref.ref(flows))
             return flows
 
         alive_at_cells = []
@@ -277,7 +278,7 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "run_point", cell)
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
         assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
-        assert len(refs) == 3 * 4
+        assert len(refs) == 1
         assert alive_at_cells == [0, 0, 0, 0]
 
 
@@ -324,6 +325,16 @@ class TestCli:
         assert self.run("pipeline", "--config", str(no_bandwidth), "--out", str(tmp_path / "o")) == 2
         assert "[link] B must be positive" in capsys.readouterr().err
 
+    def test_out_naming_a_regular_file_exit_code_2(self, tmp_path, clips, capsys):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"])
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        assert self.run("load", "--config", str(cfg), "--out", str(afile)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err
+        assert "Traceback" not in err
+        assert afile.read_text() == "keep"
+
     def test_byte_identical_reruns(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"])
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -348,7 +359,7 @@ class TestCli:
         flo_files = sorted((out / "motion0").glob("*.flo"))
         assert len(flo_files) == 3  # T - 1
         field = read_flo(flo_files[0])
-        assert field.u.shape == (64, 64)
+        assert field.shape == (2, 64, 64)
 
     def test_extract_subcommand_roundtrips(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5")
@@ -629,6 +640,29 @@ episodes = 30
 """
 
 
+CHANNEL_SCENARIO_INI = """
+[scenario]
+bandwidth_hz = 1e6
+seed = 3
+
+[ue.1]
+load_bits = 1e6
+distance = 50
+rho = 0.2
+
+[ue.2]
+load_bits = 2e6
+distance = 150
+rho = 0.4
+
+[channel]
+f_c = 2.4e9
+alpha = 1.0
+P = 1.0
+sigma2 = 1e-12
+"""
+
+
 class TestAllocateCli:
     @pytest.mark.parametrize(
         "key, value",
@@ -715,35 +749,31 @@ class TestAllocateCli:
 
     def test_scenario_snr_from_channel_section(self, tmp_path):
         cfg = tmp_path / "sc.ini"
-        cfg.write_text(
-            """
-[scenario]
-bandwidth_hz = 1e6
-seed = 3
-
-[ue.1]
-load_bits = 1e6
-distance = 50
-rho = 0.2
-
-[ue.2]
-load_bits = 2e6
-distance = 150
-rho = 0.4
-
-[channel]
-f_c = 2.4e9
-alpha = 1.0
-P = 1.0
-sigma2 = 1e-12
-"""
-        )
+        cfg.write_text(CHANNEL_SCENARIO_INI)
         scenario, hyper, seed = parse_scenario_config(cfg)
         assert seed == 3
         assert scenario.n_ue == 2
         assert all(s > 0 for s in scenario.snrs)
         again, _, _ = parse_scenario_config(cfg)
         assert scenario.snrs == again.snrs  # fading frozen by the scenario seed
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, field",
+        [("f_c", "carrier_hz"), ("alpha", "path_loss_exp"), ("P", "tx_power"), ("sigma2", "noise_power")],
+    )
+    def test_channel_value_not_finite_rejected(self, tmp_path, capsys, key, field, value):
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read_string(CHANNEL_SCENARIO_INI)
+        parser.set("channel", key, value)
+        cfg = tmp_path / "sc.ini"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {field} must be finite and positive, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_missing_snr_rejected(self, tmp_path):
         from flowcomm.config import ConfigError

@@ -10,21 +10,21 @@ from flowcomm import extractor as ex
 from flowcomm import metrics, synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
 from flowcomm.reconstruct import dense_flows, reconstruct_video
-from flowcomm.video import FlowField, PatchGrid, partition_patches
+from flowcomm.video import PatchGrid, partition_patches
 
 
 def full_selection_from_flows(flows, grid):
-    """rho = 0 selection carrying the given flow fields verbatim."""
+    """rho = 0 selection carrying the given (2, H, W) flow fields verbatim."""
     picks = np.tile(np.arange(grid.n_patches), (len(flows), 1))
     payloads = np.stack([partition_patches(field, grid) for field in flows])
-    return ex.SelectionResult(grid, 0.0, picks, payloads, flows[0].height, flows[0].width)
+    return ex.SelectionResult(grid, 0.0, picks, payloads, *flows[0].shape[1:])
 
 
 class TestReconstruct:
     def test_static_zero_flow_identity(self):
         video = synth.static_video(48, 48, 4, seed=0)
         grid = PatchGrid.for_shape(48, 48, 16, 16)
-        zero = [FlowField(np.zeros((48, 48)), np.zeros((48, 48))) for _ in range(3)]
+        zero = np.zeros((3, 2, 48, 48))
         sel = full_selection_from_flows(zero, grid)
         rec = reconstruct_video(video.frames[0], sel)
         assert np.array_equal(rec.frames, video.frames)
@@ -34,9 +34,8 @@ class TestReconstruct:
         dx, n_frames = 1, 4
         video = synth.global_translation_video(64, 64, n_frames, dx=dx, dy=0, seed=1)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
-        true_flows = [
-            FlowField(np.full((64, 64), float(dx)), np.zeros((64, 64))) for _ in range(n_frames - 1)
-        ]
+        true_flows = np.zeros((n_frames - 1, 2, 64, 64))
+        true_flows[:, 0] = dx
         rec = reconstruct_video(video.frames[0], full_selection_from_flows(true_flows, grid))
         for t in range(n_frames):
             interior = slice(t * dx + 1, None)  # wrap/clamp divergence stays at the left edge
@@ -59,18 +58,19 @@ class TestReconstruct:
 
     def test_geometry_mismatch(self):
         grid = PatchGrid.for_shape(32, 32, 16, 16)
-        sel = full_selection_from_flows([FlowField(np.zeros((32, 32)), np.zeros((32, 32)))], grid)
+        sel = full_selection_from_flows(np.zeros((1, 2, 32, 32)), grid)
         with pytest.raises(ValueError):
             reconstruct_video(np.zeros((64, 64, 3), dtype=np.uint8), sel)
 
     def test_masked_patches_carry_zero_flow(self):
         grid = PatchGrid.for_shape(32, 32, 16, 16)
-        flows = [FlowField(np.full((32, 32), 2.0), np.zeros((32, 32)))]
+        flows = [np.stack([np.full((32, 32), 2.0), np.zeros((32, 32))])]
         sel = full_selection_from_flows(flows, grid).prefix(0.75)  # patch (0, 0) alone
         assert sel.picks.tolist() == [[0]]
         dense = next(dense_flows(sel))
-        assert np.all(dense[:16, :16, 0] == 2.0)
-        assert not dense[16:, :, 0].any() and not dense[:, 16:, 0].any()
+        assert dense.shape == (2, 32, 32)
+        assert np.all(dense[0, :16, :16] == 2.0)
+        assert not dense[0, 16:, :].any() and not dense[0, :, 16:].any()
 
 
 def map_coordinates_reconstruction(first_frame, sel):
@@ -117,7 +117,7 @@ def edge_reaching_flows(h, w, n, seed):
         # 1 - (1 - frac) loses, which tells the two forms of the second weight apart.
         v[0] = rng.uniform(-1.0, 1.0, w) ** 3
         u[:, 0] = rng.uniform(-1.0, 1.0, h) ** 3
-        flows.append(FlowField(u, v))
+        flows.append(np.stack([u, v]))
     return flows
 
 
@@ -169,7 +169,7 @@ class TestMatchesMapCoordinates:
         # Wide, for many sub-pixel offsets at row 0.
         h, w = 30, 401
         first = np.broadcast_to((100 + np.arange(w) % 2)[None, :, None], (h, w, 3)).astype(np.uint8)
-        half_pixel = FlowField(np.full((h, w), 0.5), np.zeros((h, w)))
+        half_pixel = np.stack([np.full((h, w), 0.5), np.zeros((h, w))])
         flows = [half_pixel] + edge_reaching_flows(h, w, 2, seed=5)
         sel = full_selection_from_flows(flows, PatchGrid.for_shape(h, w, 16, 16))
         expected = map_coordinates_reconstruction(first, sel)

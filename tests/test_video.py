@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from flowcomm import synth
 from flowcomm.video import (
-    FlowField,
     FormatError,
     PatchGrid,
     Video,
@@ -80,36 +79,43 @@ class TestPpm:
 
 class TestFlo:
     def test_zero_roundtrip(self, tmp_path):
-        flow = FlowField(np.zeros((2, 2)), np.zeros((2, 2)))
+        flow = np.zeros((2, 2, 2))
         write_flo(flow, tmp_path / "z.flo")
         back = read_flo(tmp_path / "z.flo")
-        assert np.array_equal(back.u, flow.u) and np.array_equal(back.v, flow.v)
+        assert np.array_equal(back, flow)
 
     def test_representable_values_exact(self, tmp_path):
-        flow = FlowField(np.full((3, 5), 1.5), np.full((3, 5), -2.25))
+        flow = np.stack([np.full((3, 5), 1.5), np.full((3, 5), -2.25)])
         write_flo(flow, tmp_path / "r.flo")
         back = read_flo(tmp_path / "r.flo")
-        assert np.array_equal(back.u, flow.u) and np.array_equal(back.v, flow.v)
+        assert back.shape == (2, 3, 5) and back.dtype == np.float64 and back.flags.c_contiguous
+        assert np.array_equal(back, flow)
 
     def test_random_field_seed7(self, tmp_path):
         rng = np.random.default_rng(7)
         # values pre-quantized to float32 so the 32-bit container is exact
         u = rng.standard_normal((16, 16)).astype(np.float32).astype(np.float64)
         v = rng.standard_normal((16, 16)).astype(np.float32).astype(np.float64)
-        flow = FlowField(u, v)
-        write_flo(flow, tmp_path / "x.flo")
+        write_flo(np.stack([u, v]), tmp_path / "x.flo")
         back = read_flo(tmp_path / "x.flo")
-        assert np.abs(back.u - u).max() == 0.0
-        assert np.abs(back.v - v).max() == 0.0
+        assert np.abs(back[0] - u).max() == 0.0
+        assert np.abs(back[1] - v).max() == 0.0
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.flo").write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(FormatError, match="magic"):
             read_flo(tmp_path / "bad.flo")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        flow = np.zeros((2, 3, 4))
+        flow[1, 2, 3] = bad
+        write_flo(flow, tmp_path / "n.flo")
+        with pytest.raises(FormatError, match="finite"):
+            read_flo(tmp_path / "n.flo")
+
     def test_truncated(self, tmp_path):
-        flow = FlowField(np.zeros((4, 4)), np.zeros((4, 4)))
-        write_flo(flow, tmp_path / "t.flo")
+        write_flo(np.zeros((2, 4, 4)), tmp_path / "t.flo")
         blob = (tmp_path / "t.flo").read_bytes()
         (tmp_path / "t.flo").write_bytes(blob[:-7])
         with pytest.raises(FormatError, match="truncated"):
@@ -122,36 +128,45 @@ class TestFlo:
         u = (rng.uniform(-50, 50, (h, w))).astype(np.float32).astype(np.float64)
         v = (rng.uniform(-50, 50, (h, w))).astype(np.float32).astype(np.float64)
         path = tmp_path_factory.mktemp("flo") / "f.flo"
-        write_flo(FlowField(u, v), path)
+        write_flo(np.stack([u, v]), path)
         back = read_flo(path)
-        assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
+        assert np.array_equal(back[0], u) and np.array_equal(back[1], v)
 
 
 class TestPartition:
     def test_identity_partition(self):
         rng = np.random.default_rng(0)
-        flow = FlowField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
+        flow = np.stack([rng.standard_normal((16, 16)), rng.standard_normal((16, 16))])
         grid = PatchGrid.for_shape(16, 16, 16, 16)
         patches = partition_patches(flow, grid)
         assert patches.shape == (1, 2, 16, 16)
-        assert np.array_equal(patches[0, 0], flow.u) and np.array_equal(patches[0, 1], flow.v)
+        assert np.array_equal(patches[0, 0], flow[0]) and np.array_equal(patches[0, 1], flow[1])
 
     def test_224_grid_count(self):
-        flow = FlowField(np.zeros((224, 224)), np.zeros((224, 224)))
+        flow = np.zeros((2, 224, 224))
         grid = PatchGrid.for_shape(224, 224, 16, 16)
         assert grid.rows == grid.cols == 14
         assert partition_patches(flow, grid).shape == (196, 2, 16, 16)
 
     def test_boundary_padding(self):
         rng = np.random.default_rng(1)
-        flow = FlowField(rng.standard_normal((20, 20)), rng.standard_normal((20, 20)))
+        flow = np.stack([rng.standard_normal((20, 20)), rng.standard_normal((20, 20))])
         grid = PatchGrid.for_shape(20, 20, 16, 16)
         patches = partition_patches(flow, grid)
         assert patches.shape == (4, 2, 16, 16)
         # bottom-right patch (row-major index 1 * 2 + 1) holds a 4x4 valid corner, zero elsewhere
         corner = patches[3]
-        assert np.array_equal(corner[0, :4, :4], flow.u[16:, 16:])
+        assert np.array_equal(corner[0, :4, :4], flow[0, 16:, 16:])
         assert not corner[0, 4:, :].any() and not corner[0, :, 4:].any()
+
+    def test_canvas_patch_view_writes_the_canvas(self):
+        grid = PatchGrid.for_shape(30, 41, 16, 8)
+        canvas, patches = grid.canvas()
+        assert canvas.shape == (2, 32, 48) and patches.shape == (2, 6, 2, 16, 8)
+        patches[1, 4] = np.arange(2 * 16 * 8).reshape(2, 16, 8)
+        assert np.array_equal(canvas[:, 16:32, 32:40], patches[1, 4])
+        canvas[:, 16:32, 32:40] = 0.0
+        assert not canvas.any()
 
     def test_oversized_patch_rejected(self):
         with pytest.raises(ValueError):
@@ -159,15 +174,15 @@ class TestPartition:
 
     def test_reassemble_identity(self):
         rng = np.random.default_rng(2)
-        flow = FlowField(rng.standard_normal((30, 41)), rng.standard_normal((30, 41)))
+        flow = np.stack([rng.standard_normal((30, 41)), rng.standard_normal((30, 41))])
         grid = PatchGrid.for_shape(30, 41, 16, 16)
         # place every patch back on the padded canvas, then crop the padding
         canvas = np.zeros((2, grid.rows * 16, grid.cols * 16))
         for n, patch in enumerate(partition_patches(flow, grid)):
             i, j = divmod(n, grid.cols)
             canvas[:, i * 16 : (i + 1) * 16, j * 16 : (j + 1) * 16] = patch
-        assert np.array_equal(canvas[0, :30, :41], flow.u)
-        assert np.array_equal(canvas[1, :30, :41], flow.v)
+        assert np.array_equal(canvas[0, :30, :41], flow[0])
+        assert np.array_equal(canvas[1, :30, :41], flow[1])
         assert not canvas[:, 30:, :].any() and not canvas[:, :, 41:].any()
 
     @settings(max_examples=40, deadline=None)
