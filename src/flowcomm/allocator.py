@@ -213,7 +213,6 @@ class DdpgAgent:
     critic: Mlp
     actor_target: Mlp
     critic_target: Mlp
-    hyper: DdpgHyper
 
     def allocate(self, env: AllocationEnv) -> tuple[np.ndarray, float]:
         """Noise-free policy evaluated on the reset state."""
@@ -222,17 +221,17 @@ class DdpgAgent:
         return fractions, t_max
 
 
-def build_agent(n_ue: int, hyper: DdpgHyper, seed: int) -> DdpgAgent:
+def build_agent(n_ue: int, seed: int) -> DdpgAgent:
     state_dim = n_ue + 1
-    actor = Mlp((state_dim, *hyper.hidden, n_ue), ("relu",) * len(hyper.hidden) + ("identity",), seed)
-    critic = Mlp(
-        (state_dim + n_ue, *hyper.hidden, 1), ("relu",) * len(hyper.hidden) + ("identity",), seed + 1
-    )
-    return DdpgAgent(actor, critic, actor.copy(), critic.copy(), hyper)
+    hidden = DdpgHyper.hidden
+    activations = ("relu",) * len(hidden) + ("identity",)
+    actor = Mlp((state_dim, *hidden, n_ue), activations, seed)
+    critic = Mlp((state_dim + n_ue, *hidden, 1), activations, seed + 1)
+    return DdpgAgent(actor, critic, actor.copy(), critic.copy())
 
 
 def train_ddpg(
-    sc: AllocationScenario, hyper: DdpgHyper | None = None, seed: int = 0
+    sc: AllocationScenario, hyper: DdpgHyper, seed: int
 ) -> tuple[DdpgAgent, list[tuple[int, float, float]]]:
     """Run the episode/TTI training loop on one scenario.
 
@@ -242,9 +241,8 @@ def train_ddpg(
     both targets. Returns the agent and (episode, mean reward, greedy t_max)
     learning-curve rows. Deterministic for a given seed.
     """
-    hyper = hyper or DdpgHyper()
     env = AllocationEnv(sc)
-    agent = build_agent(sc.n_ue, hyper, seed)
+    agent = build_agent(sc.n_ue, seed)
     actor_opt = AdamState.for_net(agent.actor, hyper.actor_lr)
     critic_opt = AdamState.for_net(agent.critic, hyper.critic_lr)
     buffer = ReplayBuffer(hyper.buffer_capacity, env.state_dim, sc.n_ue)

@@ -103,10 +103,9 @@ def flow_codes(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
     return codes
 
 
-def expand_codes(codes: np.ndarray, cp: CodecParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1, into `out` if given."""
-    if out is None:
-        out = np.empty(codes.shape)
+def expand_codes(codes: np.ndarray, cp: CodecParams) -> np.ndarray:
+    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1."""
+    out = np.empty(codes.shape)
     np.copyto(out, codes)  # an unbuffered cast: a dividing ufunc would cast through a buffer
     out /= (1 << cp.bits_per_symbol) - 1
     out *= 2.0

@@ -68,7 +68,7 @@ def write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
     _write_atomic(path, buf.getvalue())
 
 
-def write_manifest(out_dir: str, command: str, config_path: str, seed: int, extra=None) -> None:
+def write_manifest(out_dir: str, command: str, config_path: str, seed: int) -> None:
     """Everything needed to reproduce the run's CSVs byte for byte."""
     manifest = {
         "version": __version__,
@@ -77,8 +77,6 @@ def write_manifest(out_dir: str, command: str, config_path: str, seed: int, extr
         "config_sha256": config_digest(config_path),
         "config_file": os.path.basename(str(config_path)),
     }
-    if extra:
-        manifest.update(extra)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     _write_atomic(os.path.join(out_dir, "manifest.json"), text)
 

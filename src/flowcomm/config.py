@@ -17,7 +17,7 @@ class ConfigError(ValueError):
     """Bad or missing experiment configuration."""
 
 
-def derive_seed(run_seed: int, stage: str, index: int = 0) -> int:
+def derive_seed(run_seed: int, stage: str, index: int) -> int:
     """Stable per-stage seed: sha256 over (run seed, stage, index)."""
     digest = hashlib.sha256(f"{run_seed}:{stage}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -66,18 +66,16 @@ def _get(parser, section, key, cast, default=None):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _floats(raw: str) -> tuple:
-    vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+def _list_of(cast):
+    """A parser of a non-empty comma- or space-separated list, each token cast."""
 
+    def parse(raw: str) -> tuple:
+        vals = tuple(cast(tok) for tok in raw.replace(",", " ").split())
+        if not vals:
+            raise ValueError("empty list")
+        return vals
 
-def _paths(raw: str) -> tuple:
-    vals = tuple(tok for tok in raw.replace(",", " ").split())
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+    return parse
 
 
 def _build(cls, **kwargs):
@@ -105,7 +103,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     p = _read_ini(path)
     if not p.has_section("input"):
         raise ConfigError("missing [input] section")
-    video_dirs = _get(p, "input", "videos", _paths)
+    video_dirs = _get(p, "input", "videos", _list_of(str))
     seen = {}
     for directory in video_dirs:
         vid = video_id(directory)
@@ -118,7 +116,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     bandwidth_hz = _get(p, "link", "B", float, 1e6)
     if not bandwidth_hz > 0:
         raise ConfigError(f"[link] B must be positive, got {bandwidth_hz!r}")
-    rho_list = _get(p, "sweep", "rho", _floats, (0.0,))
+    rho_list = _get(p, "sweep", "rho", _list_of(float), (0.0,))
     for k, rho in enumerate(rho_list):
         if not 0.0 <= rho < 1.0:
             raise ConfigError(f"[sweep] rho must lie in [0, 1), got {rho!r}")
@@ -128,7 +126,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
                     f"[sweep] rho {other!r} and {rho!r} would share the selection blob "
                     f"selection_rho{rho:g}.bin and their summary rows"
                 )
-    snr_db_list = _get(p, "sweep", "snr_db", _floats, (20.0,))
+    snr_db_list = _get(p, "sweep", "snr_db", _list_of(float), (20.0,))
     for k, snr_db in enumerate(snr_db_list):
         try:
             snr = db_to_linear(snr_db)

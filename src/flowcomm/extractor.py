@@ -10,6 +10,8 @@ import numpy as np
 from .video import PatchGrid, partition_patches
 
 SELECTION_MAGIC = b"FCSR"
+# smallest singular value of a 6-sample design matrix that still determines the background fit
+SINGULAR_TOL = 1e-9
 
 
 class DegenerateSampleError(ValueError):
@@ -174,9 +176,7 @@ def patch_mean_flow(flow: np.ndarray, grid: PatchGrid) -> PatchFlowGrid:
     return PatchFlowGrid(grid, mean)
 
 
-def fit_background_lstsq(
-    positions: np.ndarray, flows: np.ndarray, singular_tol: float = 1e-9
-) -> BackgroundModel:
+def fit_background_lstsq(positions: np.ndarray, flows: np.ndarray) -> BackgroundModel:
     """Least-squares fit of the 6x2 quadratic model from exactly 6 patch samples.
 
     positions: (6, 2) of (i, j); flows: (6, 2) of (mean u, mean v).
@@ -187,7 +187,7 @@ def fit_background_lstsq(
     if positions.shape != (6, 2) or flows.shape != (6, 2):
         raise ValueError("exactly 6 (position, flow) samples required")
     q = position_features(positions[:, 0], positions[:, 1])  # (6, 6)
-    if np.linalg.svd(q, compute_uv=False)[-1] < singular_tol:
+    if np.linalg.svd(q, compute_uv=False)[-1] < SINGULAR_TOL:
         raise DegenerateSampleError("degenerate sample: singular design matrix")
     phi = np.linalg.solve(q, flows)  # column-wise solve of Q phi = P
     return BackgroundModel(phi)
@@ -252,13 +252,13 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def classify_patches(
     patch_flows: PatchFlowGrid, model: BackgroundModel, l_th: float, params: ExtractorParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Split patches into important / less-important sets.
 
     A patch is important when its L1 residual against the background
     prediction exceeds l_th AND its direction departs from the predicted
     background direction (cosine below theta_th). Returns (important mask,
-    residual L1 map, predicted background flow).
+    residual L1 map).
     """
     grid = patch_flows.grid
     ii, jj = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
@@ -266,7 +266,7 @@ def classify_patches(
     resid = np.abs(patch_flows.mean_flow - predicted).sum(axis=2)
     cos = _cosine(patch_flows.mean_flow, predicted)
     important = (resid > l_th) & (cos < params.theta_th)
-    return important, resid, predicted
+    return important, resid
 
 
 def selection_count(mask_ratio: float, n_patches: int) -> int:
@@ -274,13 +274,8 @@ def selection_count(mask_ratio: float, n_patches: int) -> int:
     return int(math.floor((1.0 - mask_ratio) * n_patches + 0.5))
 
 
-def select_patches(
-    important: np.ndarray,
-    resid: np.ndarray,
-    grid: PatchGrid,
-    mask_ratio: float,
-) -> np.ndarray:
-    """Pick round((1-rho) * N) patches: important first, by descending residual.
+def select_patches(important: np.ndarray, resid: np.ndarray, k: int) -> np.ndarray:
+    """Pick k patches, k = round((1-rho) * N): important first, by descending residual.
 
     Spillover continues into the less-important set with the same sort key;
     ties go to the lower row-major index, as lexsort is stable. Returns the
@@ -288,7 +283,7 @@ def select_patches(
     larger rho are a prefix of these.
     """
     order = np.lexsort((-resid.reshape(-1), ~important.reshape(-1)))
-    return order[: selection_count(mask_ratio, grid.n_patches)]
+    return order[:k]
 
 
 def extract(
@@ -305,8 +300,8 @@ def extract(
         pf = patch_mean_flow(flow, grid)
         model = ransac_background(pf, params, seed ^ t)
         l_th = adaptive_threshold(pf, params)
-        important_all[t], resid, _ = classify_patches(pf, model, l_th, params)
-        picks[t] = select_patches(important_all[t], resid, grid, params.mask_ratio)
+        important_all[t], resid = classify_patches(pf, model, l_th, params)
+        picks[t] = select_patches(important_all[t], resid, k)
         payloads[t] = partition_patches(flow, grid)[picks[t]]
     _, height, width = flows[0].shape
     return SelectionResult(grid, params.mask_ratio, picks, payloads, height, width, important_all)

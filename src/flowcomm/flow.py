@@ -218,9 +218,7 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
             field += step
 
 
-def estimate_flow(
-    video: Video, params: FlowEstimatorParams | None = None, processes: int = 1
-) -> np.ndarray:
+def estimate_flow(video: Video, params: FlowEstimatorParams, processes: int = 1) -> np.ndarray:
     """Flow fields for all T-1 adjacent frame pairs of a video, as one (T-1, 2, H, W) array.
 
     The pairs run on one thread per CPU of this process's share of the usable
@@ -228,7 +226,6 @@ def estimate_flow(
     1, at most one per pair, and with 1 the calling thread runs them itself.
     Raises ValueError if any estimated value is not finite.
     """
-    params = params or FlowEstimatorParams()
     frames = video.frames
     n_pairs = video.n_frames - 1
     threads = min(max(1, usable_cpus() // processes), n_pairs)

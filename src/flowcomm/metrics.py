@@ -35,15 +35,9 @@ def luma(frame: np.ndarray) -> np.ndarray:
     return (f[:, :, 0] + 2.0 * f[:, :, 1] + f[:, :, 2]) / 4.0
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Unit-sum 1-D Gaussian taps; the SSIM weighting window is their outer product."""
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
-    g /= g.sum()
-    return g
-
-
-_TAPS = gaussian_window()
+# Unit-sum 1-D Gaussian taps; the SSIM weighting window is their outer product.
+_TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2) / (2.0 * SSIM_SIGMA**2))
+_TAPS /= _TAPS.sum()
 
 
 def _windowed_mean(a: np.ndarray) -> np.ndarray:
@@ -107,18 +101,16 @@ def psnr(mse_value: float) -> float:
     return 10.0 * math.log10(DYNAMIC_RANGE**2 / mse_value)
 
 
-def frame_losses(reconstructed: Video, original: Video, reference=None) -> QualityReport:
+def frame_losses(reconstructed: Video, original: Video, reference) -> QualityReport:
     """Per-frame MSE/PSNR/SSIM plus video means (mean SSIM is the objective).
 
-    `reference` holds one SSIM operand per original frame, such as its
-    `ssim_stats` computed once per video; by default the frames themselves.
+    `reference` holds one SSIM operand per original frame: the frames
+    themselves, or their `ssim_stats` computed once per video.
     The video-level PSNR is the PSNR of the mean MSE; averaging per-frame
     PSNR would be pinned at infinity by any losslessly carried frame.
     """
     if reconstructed.frames.shape != original.frames.shape:
         raise ValueError("video shapes differ")
-    if reference is None:
-        reference = original.frames
     f_ssim, f_psnr, f_mse = [], [], []
     for t in range(original.n_frames):
         m = mse(reconstructed.frames[t], original.frames[t])

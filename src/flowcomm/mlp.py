@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
@@ -129,9 +133,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     scratch: tuple = field(init=False, repr=False)
 
@@ -153,19 +154,18 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     params = net.params
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
-    beta1, beta2 = state.beta1, state.beta2
     state.step = step = state.step + 1
-    bc1 = 1.0 - beta1**step
-    bc2 = 1.0 - beta2**step
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     m, v, (t, u) = state.m, state.v, state.scratch
-    m *= beta1
-    m += np.multiply(1.0 - beta1, grad, out=t)
-    v *= beta2
-    np.multiply(1.0 - beta2, grad, out=t)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=t)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=t)
     t *= grad
     v += t
     np.sqrt(np.divide(v, bc2, out=t), out=t)
-    t += state.eps
+    t += ADAM_EPS
     np.divide(m, bc1, out=u)
     u *= state.lr
     u /= t

@@ -225,8 +225,7 @@ def run_point(
     breakdown = run.breakdown(rho)
     degraded = run.transmit(snr_db, encoded, channel_seed)
     report = run.quality(degraded)
-    if sel.important is not None:
-        report.map = motion_area_percentage(sel.important)
+    report.map = motion_area_percentage(sel.important)
     capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, ch.db_to_linear(snr_db))
     tx_seconds = float(breakdown.l_com) / capacity  # the config admits only positive capacities
     return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, sel.n_selected)
@@ -240,12 +239,12 @@ def _run_video_task(args):
 def run_pipeline(cfg: ExperimentConfig, run_seed: int, workers: int = 1) -> list[PointResult]:
     """Run the full sweep grid; results come back in deterministic grid order.
 
-    With workers > 1 the videos fan out over min(workers, videos) processes,
-    which split the CPUs that flow's threads run on.
+    The videos fan out over min(workers, videos) processes, which split the
+    CPUs that flow's threads run on; with one process the videos run in this one.
     """
-    processes = min(workers, len(cfg.video_dirs)) if workers > 1 else 1
+    processes = min(workers, len(cfg.video_dirs))
     tasks = [(cfg, run_seed, k, d, processes) for k, d in enumerate(cfg.video_dirs)]
-    if workers > 1:
+    if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             nested = list(pool.map(_run_video_task, tasks))
     else:

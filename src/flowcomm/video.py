@@ -157,6 +157,8 @@ def read_flo(path: str | os.PathLike) -> np.ndarray:
         if len(header) != 8:
             raise FormatError(f"{path}: truncated header")
         width, height = struct.unpack("<ii", header)
+        if width < 1 or height < 1:
+            raise FormatError(f"{path}: empty {width}x{height} field")
         raw = fh.read(8 * width * height)
     if len(raw) != 8 * width * height:
         raise FormatError(f"{path}: truncated payload")

@@ -159,7 +159,7 @@ class TestClassify:
     def test_perfect_fit_is_less_important(self):
         model = self.constant_background(1.0, 0.0)
         pf = ex.PatchFlowGrid(GRID_14, np.tile([1.0, 0.0], (14, 14, 1)))
-        important, resid, _ = ex.classify_patches(pf, model, l_th=0.5, params=ex.ExtractorParams())
+        important, resid = ex.classify_patches(pf, model, l_th=0.5, params=ex.ExtractorParams())
         assert not important.any()
         assert np.allclose(resid, 0.0)
 
@@ -170,7 +170,7 @@ class TestClassify:
         flows = np.tile([1.0, 0.0], (14, 14, 1))
         flows[3, 3] = [1.0 + 2 * l_th, 0.0]
         pf = ex.PatchFlowGrid(GRID_14, flows)
-        important, _, _ = ex.classify_patches(pf, model, l_th, ex.ExtractorParams())
+        important, _ = ex.classify_patches(pf, model, l_th, ex.ExtractorParams())
         assert not important[3, 3]
 
     def test_orthogonal_motion_selected(self):
@@ -179,7 +179,7 @@ class TestClassify:
         flows = np.tile([1.0, 0.0], (14, 14, 1))
         flows[3, 3] = [0.0, 1.0 + 2 * l_th]
         pf = ex.PatchFlowGrid(GRID_14, flows)
-        important, _, _ = ex.classify_patches(pf, model, l_th, ex.ExtractorParams())
+        important, _ = ex.classify_patches(pf, model, l_th, ex.ExtractorParams())
         assert important[3, 3]
         assert important.sum() == 1
 
@@ -187,7 +187,7 @@ class TestClassify:
         model = self.constant_background(0.0, 0.0)
         flows = np.tile([9.0, 0.0], (14, 14, 1))
         pf = ex.PatchFlowGrid(GRID_14, flows)
-        important, _, _ = ex.classify_patches(pf, model, l_th=0.5, params=ex.ExtractorParams())
+        important, _ = ex.classify_patches(pf, model, l_th=0.5, params=ex.ExtractorParams())
         # background prediction is the zero vector -> cos defined as 1 -> blocked
         assert not important.any()
 
@@ -196,7 +196,8 @@ class TestSelect:
     def test_rho_zero_selects_all(self):
         grid = PatchGrid(16, 16, 4, 4)
         resid = np.random.default_rng(11).random((4, 4))
-        picked = ex.select_patches(np.zeros((4, 4), bool), resid, grid, 0.0)
+        n_sel = ex.selection_count(0.0, grid.n_patches)
+        picked = ex.select_patches(np.zeros((4, 4), bool), resid, n_sel)
         assert sorted(picked) == list(range(16))
 
     def test_rounding_rule(self):
@@ -209,7 +210,8 @@ class TestSelect:
         resid = rng.random((4, 4))
         important = np.zeros((4, 4), bool)
         important.flat[[0, 3, 5, 9, 14]] = True  # 5 important patches
-        picked = ex.select_patches(important, resid, grid, 0.5)  # n_sel = 8
+        n_sel = ex.selection_count(0.5, grid.n_patches)  # 8
+        picked = ex.select_patches(important, resid, n_sel)
         assert len(picked) == 8
         picked_set = {divmod(int(k), 4) for k in picked}
         assert {divmod(k, 4) for k in (0, 3, 5, 9, 14)} <= picked_set

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomm.load import (
+    COMPENSATION_RATIO,
     LoadParams,
-    compensation_ratio,
     mask_load,
     numeric_load,
     total_load,
@@ -32,7 +32,7 @@ class TestNumericLoad:
 
 class TestMaskLoad:
     def test_compensation_ratio(self):
-        assert compensation_ratio(LoadParams(**REFERENCE_CFG, color_depth=8)) == Fraction(1, 8)
+        assert COMPENSATION_RATIO == Fraction(1, 8)
 
     def test_reference_configuration(self):
         assert mask_load(LoadParams(**REFERENCE_CFG)) == 8 * 196 == 1568
@@ -46,11 +46,11 @@ class TestMaskLoad:
 class TestTotalLoad:
     def test_no_compression(self):
         b = total_load(LoadParams(**REFERENCE_CFG, zip_ratio=0.0))
-        assert b.l_com == b.l_n + b.l_b
+        assert b.l_com == b.l_first_frame + b.l_sr + b.l_b
 
     def test_half_compression(self):
         b = total_load(LoadParams(n_frames=2, height=16, width=16, patch_h=16, patch_w=16, zip_ratio=0.5))
-        expected = Fraction(1, 2) * b.l_n + b.l_b
+        expected = Fraction(1, 2) * (b.l_first_frame + b.l_sr) + b.l_b
         assert b.l_com == expected
 
     def test_high_mask_limit(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import max_relative_gradient_error
-from flowcomm.mlp import AdamState, Mlp, adam_step
+from flowcomm.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Mlp, adam_step
 
 
 class TestForward:
@@ -132,7 +132,7 @@ class TestFlatLayout:
         params = [p.copy() for layer in zip(net.weights, net.biases) for p in layer]
         moments = [np.zeros_like(p) for p in params]
         seconds = [np.zeros_like(p) for p in params]
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
         for step in range(start + 1, start + 6):
             net.grad[...] = rng.standard_normal(net.grad.size)
             grads = [g.copy() for layer in grad_views for g in layer]

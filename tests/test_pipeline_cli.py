@@ -133,7 +133,8 @@ class TestPipeline:
             assert a.report.mean_ssim == b.report.mean_ssim
             assert a.report.frame_mse == b.report.frame_mse
 
-    def test_no_more_processes_than_videos(self, tmp_path, clips, monkeypatch):
+    @staticmethod
+    def counted_pools(monkeypatch) -> list:
         started = []
 
         class CountingPool(pipeline.ProcessPoolExecutor):
@@ -142,9 +143,20 @@ class TestPipeline:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        return started
+
+    def test_no_more_processes_than_videos(self, tmp_path, clips, monkeypatch):
+        started = self.counted_pools(monkeypatch)
+        videos = [clips / "motion0", clips / "motion1"]
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", videos, rho="0.5"))
+        assert len(run_pipeline(cfg, run_seed=3, workers=3)) == 2
+        assert started == [2]
+
+    def test_one_video_runs_in_process(self, tmp_path, clips, monkeypatch):
+        started = self.counted_pools(monkeypatch)
         cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5"))
         assert len(run_pipeline(cfg, run_seed=3, workers=3)) == 1
-        assert started == [1]
+        assert started == []
 
     def test_empty_selection_survives_transmit(self, tmp_path, clips):
         # rho = 0.99 on a 16-patch grid rounds the selection count to zero
@@ -304,9 +316,25 @@ class TestCli:
         cfg = write_config(tmp_path / "c.ini", [tmp_path / "missing_video"])
         rc = self.run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == 2
-        # a stage failure in a sweep worker must reach the parent process intact
+        # a stage failure in a sweep worker must reach the parent process intact;
+        # one video runs in process, so two are needed to start the workers
+        cfg = write_config(tmp_path / "c2.ini", [tmp_path / "missing0", tmp_path / "missing1"])
         rc = self.run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--workers", "2")
         assert rc == 2
+
+    def test_failed_atomic_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("before\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            cli.write_csv_atomic(str(target), ["a"], [[1.5]])
+        assert target.read_text() == "before\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
     @pytest.mark.parametrize("command", ["pipeline", "sweep"])
     @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -28,7 +28,7 @@ class TestReconstruct:
         sel = full_selection_from_flows(zero, grid)
         rec = reconstruct_video(video.frames[0], sel)
         assert np.array_equal(rec.frames, video.frames)
-        assert metrics.frame_losses(rec, video).mean_ssim == 1.0
+        assert metrics.frame_losses(rec, video, video.frames).mean_ssim == 1.0
 
     def test_integer_translation_with_true_flow(self):
         dx, n_frames = 1, 4
@@ -42,7 +42,7 @@ class TestReconstruct:
             assert np.array_equal(
                 rec.frames[t][:, interior], video.frames[t][:, interior]
             ), f"frame {t}"
-        assert metrics.frame_losses(rec, video).mean_ssim > 0.95
+        assert metrics.frame_losses(rec, video, video.frames).mean_ssim > 0.95
 
     def test_heavy_masking_strictly_worse(self):
         video = synth.global_translation_video(64, 64, 5, dx=3, dy=0, seed=2)
@@ -50,9 +50,11 @@ class TestReconstruct:
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel_full = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.0), seed=3)
         sel_masked = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.99), seed=3)
-        ssim_full = metrics.frame_losses(reconstruct_video(video.frames[0], sel_full), video).mean_ssim
+        ssim_full = metrics.frame_losses(
+            reconstruct_video(video.frames[0], sel_full), video, video.frames
+        ).mean_ssim
         ssim_masked = metrics.frame_losses(
-            reconstruct_video(video.frames[0], sel_masked), video
+            reconstruct_video(video.frames[0], sel_masked), video, video.frames
         ).mean_ssim
         assert ssim_masked < ssim_full
 

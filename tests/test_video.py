@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowcomm import synth
 from flowcomm.video import (
+    FLO_MAGIC,
     FormatError,
     PatchGrid,
     Video,
@@ -120,6 +123,13 @@ class TestFlo:
         (tmp_path / "t.flo").write_bytes(blob[:-7])
         with pytest.raises(FormatError, match="truncated"):
             read_flo(tmp_path / "t.flo")
+
+    @pytest.mark.parametrize("width, height, payload", [(-2, 3, b""), (-1, -1, b"\0" * 8), (0, 0, b"")])
+    def test_header_dimensions_below_one_rejected(self, tmp_path, width, height, payload):
+        path = tmp_path / "e.flo"
+        path.write_bytes(FLO_MAGIC + struct.pack("<ii", width, height) + payload)
+        with pytest.raises(FormatError, match=f"empty {width}x{height} field"):
+            read_flo(path)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1))
