@@ -153,13 +153,18 @@ def flow_decode(
     return out
 
 
+def power_scale(norm: float, gamma: float, power: float) -> float:
+    """The factor that takes a vector of Euclidean norm `norm` to squared norm gamma * power."""
+    return math.sqrt(gamma * power) / norm
+
+
 def power_normalize(symbols: np.ndarray, cp: CodecParams, p_ue: float) -> np.ndarray:
     """Scale a symbol vector so its Hermitian self-product equals gamma * P."""
     symbols = np.asarray(symbols)
     norm = float(np.sqrt(np.vdot(symbols, symbols).real))
     if norm == 0.0:
         raise ValueError("cannot power-normalize a zero vector")
-    return symbols * (math.sqrt(cp.gamma * p_ue) / norm)
+    return symbols * power_scale(norm, cp.gamma, p_ue)
 
 
 def transmit_analog(symbols: np.ndarray, sigma2: float, seed) -> np.ndarray:

@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 import traceback
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .config import (
     parse_experiment_config,
     parse_scenario_config,
 )
-from .pipeline import run_pipeline, transmit_stats, video_runs
+from .pipeline import run_videos, transmit_stats
 from .video import FormatError, write_flo
 
 EXIT_OK = 0
@@ -81,60 +82,9 @@ def write_manifest(out_dir: str, command: str, config_path: str, seed: int) -> N
     _write_atomic(os.path.join(out_dir, "manifest.json"), text)
 
 
-def cmd_flow(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
-    rows = []
-    for run in video_runs(cfg, seed):
-        vid_dir = os.path.join(out_dir, run.video_id)
-        os.makedirs(vid_dir, exist_ok=True)
-        flows = run.estimate_flows()
-        for t, field in enumerate(flows):
-            write_flo(field, os.path.join(vid_dir, f"flow_{t:04d}.flo"))
-        magnitude = float(np.mean([np.hypot(*field).mean() for field in flows]))
-        rows.append([run.video_id, len(flows), magnitude])
-    write_csv_atomic(os.path.join(out_dir, "flow.csv"), ["video_id", "n_fields", "mean_magnitude"], rows)
-
-
-def cmd_extract(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
-    rows = []
-    for run in video_runs(cfg, seed):
-        vid_dir = os.path.join(out_dir, run.video_id)
-        for rho, sel in run.selections():
-            os.makedirs(vid_dir, exist_ok=True)
-            with open(os.path.join(vid_dir, f"selection_rho{rho:g}.bin"), "wb") as fh:
-                fh.write(sel.to_bytes())
-            rows.append([run.video_id, rho, sel.n_selected, int(sel.xi.sum())])
-    write_csv_atomic(
-        os.path.join(out_dir, "extract.csv"), ["video_id", "rho", "n_selected", "xi_bits"], rows
-    )
-
-
-def cmd_load(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
-    rows = []
-    for run in video_runs(cfg, seed):
-        for rho in cfg.rho_list:
-            b = run.breakdown(rho)
-            rows.append(
-                [run.video_id, rho, cfg.zip_ratio, float(b.l_first_frame), float(b.l_sr),
-                 float(b.l_b), float(b.l_com)]
-            )
-    write_csv_atomic(
-        os.path.join(out_dir, "load.csv"),
-        ["video_id", "rho", "rho_zip", "l_first", "l_sr", "l_b", "l_com"],
-        rows,
-    )
-
-
-def cmd_transmit(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
-    rows = []
-    for run in video_runs(cfg, seed):
-        for rho, snr_db, encoded, channel_seed in run.cells():
-            degraded = run.transmit(snr_db, encoded, channel_seed)
-            rows.append([run.video_id, rho, snr_db, *transmit_stats(encoded, degraded)])
-    write_csv_atomic(
-        os.path.join(out_dir, "transmit.csv"),
-        ["video_id", "rho", "snr_db", "n_symbols", "rms_flow_error"],
-        rows,
-    )
+def _loads(b) -> list[float]:
+    """The l_first, l_sr, l_b and l_com columns of a load breakdown."""
+    return [float(b.l_first_frame), float(b.l_sr), float(b.l_b), float(b.l_com)]
 
 
 def _frame_rows(key: list, report) -> list[list]:
@@ -145,42 +95,101 @@ def _frame_rows(key: list, report) -> list[list]:
     return rows
 
 
-def cmd_reconstruct(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
+# Each experiment command's per-video task takes (out dir, VideoRun), writes the
+# video's own files and returns its rows, one list per CSV of the command.
+
+
+def flow_rows(out_dir: str, run) -> tuple[list]:
+    vid_dir = os.path.join(out_dir, run.video_id)
+    os.makedirs(vid_dir, exist_ok=True)
+    flows = run.estimate_flows()
+    for t, field in enumerate(flows):
+        write_flo(field, os.path.join(vid_dir, f"flow_{t:04d}.flo"))
+    magnitude = float(np.mean([np.hypot(*field).mean() for field in flows]))
+    return ([[run.video_id, len(flows), magnitude]],)
+
+
+def extract_rows(out_dir: str, run) -> tuple[list]:
+    vid_dir = os.path.join(out_dir, run.video_id)
+    rows = []
+    for rho, sel in run.selections():
+        os.makedirs(vid_dir, exist_ok=True)
+        with open(os.path.join(vid_dir, f"selection_rho{rho:g}.bin"), "wb") as fh:
+            fh.write(sel.to_bytes())
+        rows.append([run.video_id, rho, sel.n_selected, int(sel.xi.sum())])
+    return (rows,)
+
+
+def load_rows(out_dir: str, run) -> tuple[list]:
+    cfg = run.cfg
+    return ([[run.video_id, rho, cfg.zip_ratio, *_loads(run.breakdown(rho))]
+             for rho in cfg.rho_list],)
+
+
+def transmit_rows(out_dir: str, run) -> tuple[list]:
+    rows = []
+    for rho, snr_db, encoded, channel_seed in run.cells():
+        degraded = run.transmit(snr_db, encoded, channel_seed)
+        rows.append([run.video_id, rho, snr_db, *transmit_stats(encoded, degraded)])
+    return (rows,)
+
+
+def reconstruct_rows(out_dir: str, run) -> tuple[list]:
     """Local reconstruction from lossless selections (no channel in the loop)."""
-    frame_rows = []
-    for run in video_runs(cfg, seed):
-        for rho, sel in run.selections(scored=True):
-            frame_rows += _frame_rows([run.video_id, rho, ""], run.quality(sel))
-    write_csv_atomic(os.path.join(out_dir, "reconstruct.csv"), FRAME_HEADER, frame_rows)
+    rows = []
+    for rho, sel in run.selections(scored=True):
+        rows += _frame_rows([run.video_id, rho, ""], run.quality(sel))
+    return (rows,)
 
 
-def cmd_pipeline(cfg: ExperimentConfig, seed: int, out_dir: str, workers: int) -> None:
-    summary_rows = []
-    frame_rows = []
-    for r in run_pipeline(cfg, seed, workers=workers):
+def pipeline_rows(out_dir: str, run) -> tuple[list, list]:
+    summary_rows, frame_rows = [], []
+    for r in run.points():
+        report = r.report
         summary_rows.append(
-            [
-                r.video_id, r.rho, r.snr_db,
-                r.report.mean_ssim, r.report.mean_psnr, r.report.mean_mse,
-                r.report.map, r.n_selected,
-                float(r.breakdown.l_first_frame), float(r.breakdown.l_sr),
-                float(r.breakdown.l_b), float(r.breakdown.l_com),
-                r.tx_seconds,
-            ]
+            [r.video_id, r.rho, r.snr_db, report.mean_ssim, report.mean_psnr, report.mean_mse,
+             report.map, r.n_selected, *_loads(r.breakdown), r.tx_seconds]
         )
-        frame_rows += _frame_rows([r.video_id, r.rho, r.snr_db], r.report)
-    write_csv_atomic(
-        os.path.join(out_dir, "summary.csv"),
-        ["video_id", "rho", "snr_db", "mean_ssim", "mean_psnr", "mean_mse", "map",
-         "n_selected", "l_first", "l_sr", "l_b", "l_com", "tx_seconds"],
-        summary_rows,
-    )
-    write_csv_atomic(os.path.join(out_dir, "frames.csv"), FRAME_HEADER, frame_rows)
+        frame_rows += _frame_rows([r.video_id, r.rho, r.snr_db], report)
+    return summary_rows, frame_rows
 
 
-def cmd_allocate(config_path: str, seed: int | None, out_dir: str, workers: int) -> None:
+LOAD_HEADER = ["l_first", "l_sr", "l_b", "l_com"]
+# command -> (per-video task, [(CSV name, header)] in the order of the task's row lists)
+EXPERIMENTS = {
+    "flow": (flow_rows, [("flow.csv", ["video_id", "n_fields", "mean_magnitude"])]),
+    "extract": (extract_rows, [("extract.csv", ["video_id", "rho", "n_selected", "xi_bits"])]),
+    "load": (load_rows, [("load.csv", ["video_id", "rho", "rho_zip", *LOAD_HEADER])]),
+    "transmit": (
+        transmit_rows,
+        [("transmit.csv", ["video_id", "rho", "snr_db", "n_symbols", "rms_flow_error"])],
+    ),
+    "reconstruct": (reconstruct_rows, [("reconstruct.csv", FRAME_HEADER)]),
+    "pipeline": (
+        pipeline_rows,
+        [("summary.csv", ["video_id", "rho", "snr_db", "mean_ssim", "mean_psnr", "mean_mse", "map",
+                          "n_selected", *LOAD_HEADER, "tx_seconds"]),
+         ("frames.csv", FRAME_HEADER)],
+    ),
+}
+EXPERIMENTS["sweep"] = EXPERIMENTS["pipeline"]  # pipeline under the name of its grid
+
+
+def run_experiment(command: str, cfg: ExperimentConfig, seed: int, out_dir: str, workers: int):
+    """Run the command's task on every video, then write each of its CSVs once."""
+    task, tables = EXPERIMENTS[command]
+    per_video = run_videos(cfg, seed, workers, partial(task, out_dir))
+    for k, (name, header) in enumerate(tables):
+        rows = [row for lists in per_video for row in lists[k]]
+        write_csv_atomic(os.path.join(out_dir, name), header, rows)
+
+
+def cmd_allocate(config_path: str, seed: int | None, out_dir: str) -> None:
     scenario, hyper, file_seed = parse_scenario_config(config_path)
     run_seed = file_seed if seed is None else seed
+    if run_seed < 0:  # it seeds numpy generators directly; the scenario seed only hashes
+        source = "[scenario] seed" if seed is None else "--seed"
+        raise ConfigError(f"{source} seeds the DDPG training and must be >= 0, got {run_seed}")
     write_manifest(out_dir, "allocate", config_path, run_seed)
     agent, curve = al.train_ddpg(scenario, hyper, run_seed)
     env = al.AllocationEnv(scenario)
@@ -210,21 +219,10 @@ def cmd_allocate(config_path: str, seed: int | None, out_dir: str, workers: int)
     )
 
 
-COMMANDS = {
-    "flow": cmd_flow,
-    "extract": cmd_extract,
-    "load": cmd_load,
-    "transmit": cmd_transmit,
-    "reconstruct": cmd_reconstruct,
-    "pipeline": cmd_pipeline,
-    "sweep": cmd_pipeline,  # pipeline grid with --workers parallelism
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowcomm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*COMMANDS, "allocate"):
+    for name in (*EXPERIMENTS, "allocate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
@@ -240,12 +238,12 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     try:
         if args.command == "allocate":
-            cmd_allocate(args.config, args.seed, args.out, args.workers)
+            cmd_allocate(args.config, args.seed, args.out)
         else:
             cfg = parse_experiment_config(args.config)
             seed = 0 if args.seed is None else args.seed
             write_manifest(args.out, args.command, args.config, seed)
-            COMMANDS[args.command](cfg, seed, args.out, args.workers)
+            run_experiment(args.command, cfg, seed, args.out, args.workers)
     except (ConfigError, FormatError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

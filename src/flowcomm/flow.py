@@ -70,6 +70,28 @@ def pyramid_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]
     return shapes
 
 
+def check_frame_size(height: int, width: int, params: FlowEstimatorParams) -> None:
+    """Raise ValueError unless the pyramid and both filters fit height x width frames.
+
+    A window or blur wider than the frame mostly averages replicated border
+    pixels, and its cost grows with its size without bound. scipy's Gaussian
+    blur reaches int(4 sigma + 0.5) pixels each way; only levels > 1 blur.
+    """
+    pyramid_shapes(height, width, params.levels)
+    side = min(height, width)
+    if params.lk_window > side:
+        raise ValueError(
+            f"[flow] lk_window {params.lk_window} is wider than the smaller side of "
+            f"{height}x{width} px frames"
+        )
+    # int(4 sigma + 0.5) > side, in floats: 4 sigma overflows to inf for the largest sigmas
+    if params.levels > 1 and 4.0 * params.smoothing_sigma + 0.5 >= side + 1:
+        raise ValueError(
+            f"[flow] smoothing_sigma {params.smoothing_sigma!r} blurs further than the "
+            f"smaller side of {height}x{width} px frames (radius int(4 sigma + 0.5) > {side})"
+        )
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):

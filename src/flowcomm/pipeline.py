@@ -1,11 +1,11 @@
 """End-to-end experiment runs: video -> flow -> selection -> channel -> quality rows.
 
 `VideoRun` is the per-video stage graph behind `pipeline`, `sweep` and every
-per-stage CLI command, so each command draws the same seeds for the same cell.
+per-stage CLI command, so each command draws the same seeds for the same cell;
+`run_videos` runs a task on every configured video's graph, for every command.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -17,7 +17,7 @@ from . import channel as ch
 from . import extractor as ex
 from . import load as ld
 from .config import ConfigError, ExperimentConfig, derive_seed, video_id
-from .flow import estimate_flow, pyramid_shapes
+from .flow import check_frame_size, estimate_flow
 from .load import LoadBreakdown
 from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage, ssim_stats
 from .reconstruct import reconstruct_video
@@ -38,7 +38,8 @@ class PointResult:
 class VideoRun:
     """One video's stage graph: load, patch grid, flow, then one ranking for every rho.
 
-    The video is loaded once. Its frames are checked against the config before
+    The video is loaded once, on first use, so a run crosses to a worker
+    process as its config alone. Its frames are checked against the config before
     flow runs: a failed check is a ConfigError naming the video. Flow is
     estimated only where selections are made, and its fields are let go once
     the widest selection holds the payloads every rho needs. Seeds
@@ -48,14 +49,18 @@ class VideoRun:
     """
 
     def __init__(
-        self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str, processes: int = 1
+        self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str, processes: int
     ):
         self.cfg = cfg
         self.run_seed = run_seed
         self.index = index
         self.processes = processes
+        self.directory = directory
         self.video_id = video_id(directory)
-        self.video = load_ppm_sequence(directory)
+
+    @cached_property
+    def video(self):
+        return load_ppm_sequence(self.directory)
 
     @contextmanager
     def _input_check(self):
@@ -79,7 +84,7 @@ class VideoRun:
         """The video's flow fields, estimated afresh on each call, once the pyramid fits the frames."""
         v, params = self.video, self.cfg.flow_params
         with self._input_check():
-            pyramid_shapes(v.height, v.width, params.levels)
+            check_frame_size(v.height, v.width, params)
         return estimate_flow(v, params, self.processes)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
@@ -147,11 +152,9 @@ class VideoRun:
         reconstructed = reconstruct_video(self.video.frames[0], sel)
         return frame_losses(reconstructed, self.video, self.ssim_reference)
 
-
-def video_runs(cfg: ExperimentConfig, run_seed: int):
-    """The stage graph of each configured video, one video at a time."""
-    for k, directory in enumerate(cfg.video_dirs):
-        yield VideoRun(cfg, run_seed, k, directory)
+    def points(self) -> list[PointResult]:
+        """Every (rho, snr_db) cell of the video through the channel, scored, in grid order."""
+        return [run_point(self, *cell) for cell in self.cells(scored=True)]
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ def transmit_selection(
     if not sel.n_selected:  # extreme mask ratios can round the selection to zero
         return sel
     ph, pw = sel.grid.patch_h, sel.grid.patch_w
-    scale = math.sqrt(cfg.codec.gamma * encoded.codes.size) / encoded.norm
+    scale = ch.power_scale(encoded.norm, cfg.codec.gamma, encoded.codes.size)
     rng = np.random.default_rng(seed)
     decoded = np.empty(sel.payloads.shape)
     # Each frame's arrays are dropped once the next step's exist, so a cell holds
@@ -231,22 +234,17 @@ def run_point(
     return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, sel.n_selected)
 
 
-def _run_video_task(args):
-    run = VideoRun(*args)
-    return [run_point(run, *cell) for cell in run.cells(scored=True)]
-
-
-def run_pipeline(cfg: ExperimentConfig, run_seed: int, workers: int = 1) -> list[PointResult]:
-    """Run the full sweep grid; results come back in deterministic grid order.
+def run_videos(cfg: ExperimentConfig, run_seed: int, workers: int, task) -> list:
+    """task(run) for each configured video's VideoRun, in config order.
 
     The videos fan out over min(workers, videos) processes, which split the
-    CPUs that flow's threads run on; with one process the videos run in this one.
+    CPUs that flow's threads run on; with one process the videos run in this
+    one, each let go once its task returns. `task` must pickle, as a
+    module-level function or a partial of one.
     """
     processes = min(workers, len(cfg.video_dirs))
-    tasks = [(cfg, run_seed, k, d, processes) for k, d in enumerate(cfg.video_dirs)]
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            nested = list(pool.map(_run_video_task, tasks))
-    else:
-        nested = [_run_video_task(t) for t in tasks]
-    return [r for group in nested for r in group]
+    runs = (VideoRun(cfg, run_seed, k, d, processes) for k, d in enumerate(cfg.video_dirs))
+    if processes == 1:
+        return [task(run) for run in runs]
+    with ProcessPoolExecutor(processes) as pool:
+        return list(pool.map(task, runs))

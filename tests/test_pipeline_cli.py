@@ -15,7 +15,7 @@ from flowcomm import cli, pipeline, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
 from flowcomm.flow import estimate_flow
-from flowcomm.pipeline import encode_selection, run_pipeline, transmit_selection, transmit_stats
+from flowcomm.pipeline import encode_selection, run_videos, transmit_selection, transmit_stats
 from flowcomm.video import PatchGrid, load_ppm_sequence, read_flo, save_ppm_sequence
 
 
@@ -38,7 +38,9 @@ def clips(tmp_path_factory):
     return root
 
 
-def write_config(path, videos, rho="0.0 0.5", snr_db="30", bits=8, levels=3, extra="", codec=""):
+def write_config(
+    path, videos, rho="0.0 0.5", snr_db="30", bits=8, levels=3, extra="", codec="", flow=""
+):
     path.write_text(
         f"""
 [input]
@@ -46,6 +48,7 @@ videos = {' '.join(str(v) for v in videos)}
 
 [flow]
 levels = {levels}
+{flow}
 
 [codec]
 bits_per_symbol = {bits}
@@ -62,6 +65,11 @@ snr_db = {snr_db}
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_points(cfg, run_seed, workers=1):
+    """Every cell's PointResult in grid order, each video's cells from its VideoRun."""
+    return [r for points in run_videos(cfg, run_seed, workers, pipeline.VideoRun.points) for r in points]
 
 
 class TestConfig:
@@ -108,7 +116,7 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "static"], rho="0.0", snr_db="200", bits=12)
         )
-        results = run_pipeline(cfg, run_seed=1)
+        results = run_points(cfg, run_seed=1)
         assert len(results) == 1
         assert results[0].report.mean_ssim > 0.999
 
@@ -117,7 +125,7 @@ class TestPipeline:
             write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"],
                          rho="0.0 0.3 0.6 0.9", snr_db="30")
         )
-        results = run_pipeline(cfg, run_seed=2)
+        results = run_points(cfg, run_seed=2)
         assert len(results) == 8  # 2 videos x 4 rho x 1 snr
         assert [r.rho for r in results[:4]] == [0.0, 0.3, 0.6, 0.9]
 
@@ -125,8 +133,8 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"], rho="0.0 0.5")
         )
-        seq = run_pipeline(cfg, run_seed=3, workers=1)
-        par = run_pipeline(cfg, run_seed=3, workers=2)
+        seq = run_points(cfg, run_seed=3, workers=1)
+        par = run_points(cfg, run_seed=3, workers=2)
         assert len(seq) == len(par)
         for a, b in zip(seq, par):
             assert (a.video_id, a.rho, a.snr_db) == (b.video_id, b.rho, b.snr_db)
@@ -149,13 +157,13 @@ class TestPipeline:
         started = self.counted_pools(monkeypatch)
         videos = [clips / "motion0", clips / "motion1"]
         cfg = parse_experiment_config(write_config(tmp_path / "c.ini", videos, rho="0.5"))
-        assert len(run_pipeline(cfg, run_seed=3, workers=3)) == 2
+        assert len(run_points(cfg, run_seed=3, workers=3)) == 2
         assert started == [2]
 
     def test_one_video_runs_in_process(self, tmp_path, clips, monkeypatch):
         started = self.counted_pools(monkeypatch)
         cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5"))
-        assert len(run_pipeline(cfg, run_seed=3, workers=3)) == 1
+        assert len(run_points(cfg, run_seed=3, workers=3)) == 1
         assert started == []
 
     def test_empty_selection_survives_transmit(self, tmp_path, clips):
@@ -163,7 +171,7 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.99", snr_db="30")
         )
-        results = run_pipeline(cfg, run_seed=6)
+        results = run_points(cfg, run_seed=6)
         assert results[0].n_selected == 0
         assert 0.0 <= results[0].report.mean_ssim <= 1.0
 
@@ -184,7 +192,7 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.6 0.0 0.99 0.3")
         )
-        run = pipeline.VideoRun(cfg, 3, 0, str(clips / "motion0"))
+        run = pipeline.VideoRun(cfg, 3, 0, str(clips / "motion0"), 1)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         seed = derive_seed(3, "extract", 0)
         got = list(run.selections())
@@ -208,7 +216,7 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"], snr_db="10 30")
         )
-        assert len(run_pipeline(cfg, run_seed=1)) == 8
+        assert len(run_points(cfg, run_seed=1)) == 8
         assert len(calls) == 2 * (4 - 1)  # per video: every frame but frame 0
 
 
@@ -253,7 +261,7 @@ class TestPipeline:
         assert peak < 2.0 * payload_bytes, peak / payload_bytes
         assert encoded.codes.nbytes * 8 == payload_bytes  # uint8 codes, one per float64 payload value
 
-    @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
+    @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
     def test_each_rho_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
         encoded = []
         original = pipeline.encode_selection
@@ -264,8 +272,8 @@ class TestPipeline:
 
         monkeypatch.setattr(pipeline, "encode_selection", counting)
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
-        if entry == "run_pipeline":
-            assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
+        if entry == "run_videos":
+            assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
         else:
             assert cli.main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert encoded == [0.0, 0.5]  # one encode per rho, shared by both SNR cells
@@ -289,7 +297,7 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "estimate_flow", tracked)
         monkeypatch.setattr(pipeline, "run_point", cell)
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
-        assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
+        assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
         assert len(refs) == 1
         assert alive_at_cells == [0, 0, 0, 0]
 
@@ -379,6 +387,24 @@ class TestCli:
             "sweep", "--config", str(cfg), "--seed", "4", "--out", str(out_b), "--workers", "2"
         ) == 0
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", ["flow", "extract", "load", "transmit", "reconstruct", "pipeline", "sweep"]
+    )
+    def test_every_command_fans_videos_out_over_workers(self, tmp_path, clips, monkeypatch, command):
+        started = TestPipeline.counted_pools(monkeypatch)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"], snr_db="10 30")
+        written = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            argv = ["--config", str(cfg), "--seed", "5", "--out", str(out), "--workers", workers]
+            assert self.run(command, *argv) == 0
+            written[workers] = {
+                str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            }
+        assert started == [2]  # one pool of min(workers, videos), none for --workers 1
+        assert written["2"] == written["1"]
+        assert len(written["1"]) >= 2  # the manifest and at least one CSV
 
     def test_flow_subcommand_emits_flo(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"])
@@ -510,7 +536,7 @@ class TestCli:
         assert f"rho must lie in [0, 1), got {float(rho)!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry", ["run_pipeline", "transmit"])
+    @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
     def test_extract_runs_once_per_video(self, tmp_path, clips, monkeypatch, entry):
         calls = []
         original = ex.extract
@@ -521,8 +547,8 @@ class TestCli:
 
         monkeypatch.setattr(ex, "extract", counting)
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5 0.0", snr_db="10 30")
-        if entry == "run_pipeline":
-            assert len(run_pipeline(parse_experiment_config(cfg), run_seed=1)) == 4
+        if entry == "run_videos":
+            assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
         else:
             assert self.run("transmit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
         assert calls == [0.0]  # the smallest rho; every other rho keeps a prefix of its ranking
@@ -559,6 +585,15 @@ class TestCli:
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *workers) == code
         if code:
             assert "10x40 px frames are smaller than the 11x11 SSIM window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "levels, flow",
+        [(3, "lk_window = 63"), (2, "smoothing_sigma = 15.9"), (1, "smoothing_sigma = 1e300")],
+        ids=["window-fits", "blur-radius-fits", "one-level-never-blurs"],
+    )
+    def test_flow_filters_that_fit_the_frames_accepted(self, tmp_path, clips, levels, flow):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], levels=levels, flow=flow)
+        assert self.run("flow", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
     @pytest.mark.parametrize("name", ["estimate_flow", "motion_area_percentage"])
     def test_a_failing_stage_is_an_internal_error(self, tmp_path, clips, capsys, monkeypatch, name):
@@ -624,21 +659,34 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, levels, patches, message",
+        "command, levels, flow, patches, message",
         [
-            ("flow", 5, "", "motion0: too many levels for frame size: coarsest would be 4x4"),
-            ("extract", 5, "", "motion0: too many levels for frame size: coarsest would be 4x4"),
-            ("extract", 3, "[patches]\nheight = 65\n", "motion0: patch 65x16 exceeds field 64x64"),
+            ("flow", 5, "", "", "motion0: too many levels for frame size: coarsest would be 4x4"),
+            ("extract", 5, "", "", "motion0: too many levels for frame size: coarsest would be 4x4"),
+            ("extract", 3, "", "[patches]\nheight = 65\n", "motion0: patch 65x16 exceeds field 64x64"),
+            # Filters wider than the frames: the window would hang, the blur exhaust memory.
+            ("flow", 3, "lk_window = 65", "",
+             "motion0: [flow] lk_window 65 is wider than the smaller side of 64x64 px frames"),
+            ("flow", 3, "lk_window = 100000001", "", "motion0: [flow] lk_window 100000001 is wider"),
+            ("transmit", 2, "smoothing_sigma = 16.2", "",
+             "motion0: [flow] smoothing_sigma 16.2 blurs further than the smaller side of "
+             "64x64 px frames (radius int(4 sigma + 0.5) > 64)"),
+            ("flow", 2, "smoothing_sigma = 1e9", "",
+             "motion0: [flow] smoothing_sigma 1000000000.0 blurs further"),
+            ("pipeline", 2, "smoothing_sigma = 1e300", "",
+             "motion0: [flow] smoothing_sigma 1e+300 blurs further"),
         ],
     )
     def test_frames_checked_against_the_config_before_flow(
-        self, tmp_path, clips, capsys, monkeypatch, command, levels, patches, message
+        self, tmp_path, clips, capsys, monkeypatch, command, levels, flow, patches, message
     ):
         def no_flow(*args):
             raise AssertionError("flow ran for a clip that the config does not fit")
 
         monkeypatch.setattr(pipeline, "estimate_flow", no_flow)
-        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], levels=levels, extra=patches)
+        cfg = write_config(
+            tmp_path / "c.ini", [clips / "motion0"], levels=levels, extra=patches, flow=flow
+        )
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -738,6 +786,7 @@ class TestAllocateCli:
             ("ue.2", "rho", "5.0", "mask_ratios must lie in [0, 1), got 5.0"),
             ("ue.3", "rho", "1.0", "mask_ratios must lie in [0, 1), got 1.0"),
             ("ue.3", "rho", "-0.5", "mask_ratios must lie in [0, 1), got -0.5"),
+            ("scenario", "seed", "-1", "[scenario] seed seeds the DDPG training and must be >= 0, got -1"),
         ],
     )
     def test_scenario_value_out_of_range_rejected(self, tmp_path, capsys, section, key, value, message):
@@ -765,6 +814,28 @@ class TestAllocateCli:
         assert [float(r["fraction"]) for r in oracle_rows] == pytest.approx([0.5, 0.25, 0.25])
         curve = read_rows(out / "learning_curve.csv")
         assert len(curve) == 30
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.ini"
+        cfg.write_text(SCENARIO_INI)
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out), "--seed", "-5"]) == 2
+        assert "error: --seed seeds the DDPG training and must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_file_seed_only_draws_fading(self, tmp_path):
+        # The scenario seed reaches only derive_seed, which hashes any integer.
+        cfg = tmp_path / "sc.ini"
+        cfg.write_text(
+            CHANNEL_SCENARIO_INI.replace("seed = 3", "seed = -3")
+            + "\n[ddpg]\nepisodes = 2\nepisode_len = 5\nbatch_size = 4\n"
+        )
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+        positive = tmp_path / "positive.ini"
+        positive.write_text(CHANNEL_SCENARIO_INI)
+        assert parse_scenario_config(cfg)[0].snrs != parse_scenario_config(positive)[0].snrs
 
     def test_allocate_deterministic(self, tmp_path):
         cfg = tmp_path / "sc.ini"
