@@ -127,10 +127,10 @@ class AllocationEnv:
 
     T_NORM_CAP = 10.0
 
-    def __init__(self, sc: AllocationScenario, alpha_r: float | None = None):
+    def __init__(self, sc: AllocationScenario):
         self.sc = sc
         _, self.t_ref = equal_split_baseline(sc)
-        self.alpha_r = alpha_r if alpha_r is not None else math.log(10.0) / self.t_ref
+        self.alpha_r = math.log(10.0) / self.t_ref
 
     @property
     def state_dim(self) -> int:

@@ -1,7 +1,7 @@
 """Command line entry points: stage runs, end-to-end pipeline, sweeps, allocation.
 
 Exit codes: 0 success, 1 internal error (with a traceback), 2 a bad config or
-input file, found before flow runs.
+input file, found before an experiment command runs or writes anything.
 """
 from __future__ import annotations
 
@@ -21,12 +21,11 @@ from . import __version__
 from . import allocator as al
 from .config import (
     ConfigError,
-    ExperimentConfig,
     config_digest,
     parse_experiment_config,
     parse_scenario_config,
 )
-from .pipeline import run_videos, transmit_stats
+from .pipeline import check_videos, run_videos, transmit_stats
 from .video import FormatError, write_flo
 
 EXIT_OK = 0
@@ -137,7 +136,7 @@ def transmit_rows(out_dir: str, run) -> tuple[list]:
 def reconstruct_rows(out_dir: str, run) -> tuple[list]:
     """Local reconstruction from lossless selections (no channel in the loop)."""
     rows = []
-    for rho, sel in run.selections(scored=True):
+    for rho, sel in run.selections():
         rows += _frame_rows([run.video_id, rho, ""], run.quality(sel))
     return (rows,)
 
@@ -155,18 +154,18 @@ def pipeline_rows(out_dir: str, run) -> tuple[list, list]:
 
 
 LOAD_HEADER = ["l_first", "l_sr", "l_b", "l_com"]
-# command -> (per-video task, [(CSV name, header)] in the order of the task's row lists)
+# command -> (per-video task, its last stage in pipeline.STAGES, [(CSV name, header)] per row list)
 EXPERIMENTS = {
-    "flow": (flow_rows, [("flow.csv", ["video_id", "n_fields", "mean_magnitude"])]),
-    "extract": (extract_rows, [("extract.csv", ["video_id", "rho", "n_selected", "xi_bits"])]),
-    "load": (load_rows, [("load.csv", ["video_id", "rho", "rho_zip", *LOAD_HEADER])]),
+    "flow": (flow_rows, "flow", [("flow.csv", ["video_id", "n_fields", "mean_magnitude"])]),
+    "extract": (extract_rows, "extract", [("extract.csv", ["video_id", "rho", "n_selected", "xi_bits"])]),
+    "load": (load_rows, "load", [("load.csv", ["video_id", "rho", "rho_zip", *LOAD_HEADER])]),
     "transmit": (
-        transmit_rows,
+        transmit_rows, "extract",
         [("transmit.csv", ["video_id", "rho", "snr_db", "n_symbols", "rms_flow_error"])],
     ),
-    "reconstruct": (reconstruct_rows, [("reconstruct.csv", FRAME_HEADER)]),
+    "reconstruct": (reconstruct_rows, "score", [("reconstruct.csv", FRAME_HEADER)]),
     "pipeline": (
-        pipeline_rows,
+        pipeline_rows, "score",
         [("summary.csv", ["video_id", "rho", "snr_db", "mean_ssim", "mean_psnr", "mean_mse", "map",
                           "n_selected", *LOAD_HEADER, "tx_seconds"]),
          ("frames.csv", FRAME_HEADER)],
@@ -175,9 +174,12 @@ EXPERIMENTS = {
 EXPERIMENTS["sweep"] = EXPERIMENTS["pipeline"]  # pipeline under the name of its grid
 
 
-def run_experiment(command: str, cfg: ExperimentConfig, seed: int, out_dir: str, workers: int):
-    """Run the command's task on every video, then write each of its CSVs once."""
-    task, tables = EXPERIMENTS[command]
+def run_experiment(command: str, config_path: str, seed: int, out_dir: str, workers: int):
+    """Check every video, then run the command's task on each and write each of its CSVs once."""
+    cfg = parse_experiment_config(config_path)
+    task, stage, tables = EXPERIMENTS[command]
+    check_videos(cfg, stage)
+    write_manifest(out_dir, command, config_path, seed)
     per_video = run_videos(cfg, seed, workers, partial(task, out_dir))
     for k, (name, header) in enumerate(tables):
         rows = [row for lists in per_video for row in lists[k]]
@@ -240,10 +242,8 @@ def main(argv=None) -> int:
         if args.command == "allocate":
             cmd_allocate(args.config, args.seed, args.out)
         else:
-            cfg = parse_experiment_config(args.config)
             seed = 0 if args.seed is None else args.seed
-            write_manifest(args.out, args.command, args.config, seed)
-            run_experiment(args.command, cfg, seed, args.out, args.workers)
+            run_experiment(args.command, args.config, seed, args.out, args.workers)
     except (ConfigError, FormatError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -2,12 +2,11 @@
 
 `VideoRun` is the per-video stage graph behind `pipeline`, `sweep` and every
 per-stage CLI command, so each command draws the same seeds for the same cell;
-`run_videos` runs a task on every configured video's graph, for every command.
+`run_videos` runs a task on every video's graph once `check_videos` has checked them all.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -39,8 +38,7 @@ class VideoRun:
     """One video's stage graph: load, patch grid, flow, then one ranking for every rho.
 
     The video is loaded once, on first use, so a run crosses to a worker
-    process as its config alone. Its frames are checked against the config before
-    flow runs: a failed check is a ConfigError naming the video. Flow is
+    process as its config alone; `check_videos` checks its frames first. Flow is
     estimated only where selections are made, and its fields are let go once
     the widest selection holds the payloads every rho needs. Seeds
     are keyed by grid position: extraction by the video index, the channel by
@@ -62,14 +60,6 @@ class VideoRun:
     def video(self):
         return load_ppm_sequence(self.directory)
 
-    @contextmanager
-    def _input_check(self):
-        """Raise a check's ValueError again as a ConfigError naming the video."""
-        try:
-            yield
-        except ValueError as exc:
-            raise ConfigError(f"{self.video_id}: {exc}") from exc
-
     @cached_property
     def ssim_reference(self) -> list:
         """Each source frame's half of SSIM, computed once for all of the video's cells.
@@ -81,11 +71,8 @@ class VideoRun:
         return [frames[0], *(ssim_stats(f) for f in frames[1:])]
 
     def estimate_flows(self) -> np.ndarray:
-        """The video's flow fields, estimated afresh on each call, once the pyramid fits the frames."""
-        v, params = self.video, self.cfg.flow_params
-        with self._input_check():
-            check_frame_size(v.height, v.width, params)
-        return estimate_flow(v, params, self.processes)
+        """The video's flow fields, estimated afresh on each call."""
+        return estimate_flow(self.video, self.cfg.flow_params, self.processes)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
         v, cfg = self.video, self.cfg
@@ -100,28 +87,10 @@ class VideoRun:
         )
         return ld.total_load(params)
 
-    def selections(self, scored: bool = False):
-        """Yield (rho, selection) for each rho: a rho=0 selection holds every patch.
-
-        `scored` selections are reconstructed and scored by SSIM, so their
-        frames must cover the SSIM window. Every check runs before any flow.
-        """
+    def selections(self):
+        """Yield (rho, selection) for each rho: a rho=0 selection holds every patch."""
         cfg, v = self.cfg, self.video
-        with self._input_check():
-            if scored and min(v.height, v.width) < SSIM_WINDOW:
-                raise ValueError(
-                    f"{v.height}x{v.width} px frames are smaller than the "
-                    f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window that scores reconstructions"
-                )
-            grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
-            # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
-            # of i and 1, so every 6-patch draw of the quadratic background is singular.
-            if min(grid.rows, grid.cols) < 3:
-                raise ValueError(
-                    f"{grid.rows}x{grid.cols} patch grid ({v.height}x{v.width} px, "
-                    f"{cfg.patch_h}x{cfg.patch_w} px patches) is too small for the quadratic "
-                    "background model, which needs at least 3 patch rows and 3 patch columns"
-                )
+        grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
         seed = derive_seed(self.run_seed, "extract", self.index)
         # One ranking serves every rho: the selection count never grows with rho,
         # and the RANSAC seeds do not depend on it, so each rho keeps a prefix.
@@ -131,14 +100,14 @@ class VideoRun:
         for rho in cfg.rho_list:
             yield rho, widest.prefix(rho)
 
-    def cells(self, scored: bool = False):
+    def cells(self):
         """Yield (rho, snr_db, encoded selection, channel seed) in grid order.
 
         Each rho's selection is encoded once, for all of its SNR cells.
         """
         snrs = self.cfg.snr_db_list
         point = self.index * len(self.cfg.rho_list) * len(snrs)
-        for rho, sel in self.selections(scored):
+        for rho, sel in self.selections():
             encoded = encode_selection(sel, self.cfg.codec)
             for snr_db in snrs:
                 yield rho, snr_db, encoded, derive_seed(self.run_seed, "channel", point)
@@ -154,7 +123,7 @@ class VideoRun:
 
     def points(self) -> list[PointResult]:
         """Every (rho, snr_db) cell of the video through the channel, scored, in grid order."""
-        return [run_point(self, *cell) for cell in self.cells(scored=True)]
+        return [run_point(self, *cell) for cell in self.cells()]
 
 
 @dataclass(frozen=True)
@@ -232,6 +201,37 @@ def run_point(
     capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, ch.db_to_linear(snr_db))
     tx_seconds = float(breakdown.l_com) / capacity  # the config admits only positive capacities
     return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, sel.n_selected)
+
+
+STAGES = ("load", "flow", "extract", "score")  # in run order; each needs the ones before it
+
+
+def check_videos(cfg: ExperimentConfig, stage: str) -> None:
+    """Check every video for each stage up to `stage`, before any video runs.
+
+    Loading raises its own container errors; frames a stage cannot take are a
+    ConfigError naming the video."""
+    runs = STAGES[: STAGES.index(stage) + 1]
+    for directory in cfg.video_dirs:
+        h, w = load_ppm_sequence(directory).frames.shape[1:3]
+        try:
+            if "score" in runs and min(h, w) < SSIM_WINDOW:
+                raise ValueError(f"{h}x{w} px frames are smaller than the {SSIM_WINDOW}x"
+                                 f"{SSIM_WINDOW} SSIM window that scores reconstructions")
+            if "extract" in runs:
+                grid = PatchGrid.for_shape(h, w, cfg.patch_h, cfg.patch_w)
+                # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
+                # of i and 1, so every 6-patch draw of the quadratic background is singular.
+                if min(grid.rows, grid.cols) < 3:
+                    raise ValueError(
+                        f"{grid.rows}x{grid.cols} patch grid ({h}x{w} px, {cfg.patch_h}x"
+                        f"{cfg.patch_w} px patches) is too small for the quadratic background "
+                        "model, which needs at least 3 patch rows and 3 patch columns"
+                    )
+            if "flow" in runs:
+                check_frame_size(h, w, cfg.flow_params)
+        except ValueError as exc:
+            raise ConfigError(f"{video_id(directory)}: {exc}") from exc
 
 
 def run_videos(cfg: ExperimentConfig, run_seed: int, workers: int, task) -> list:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 FLO_MAGIC = b"PIEH"  # little-endian float32 202021.25
+_PPM_SEPARATOR = re.compile(rb"(\s+|#[^\n]*\n)")  # between PPM header tokens
+_PPM_NUMBER = re.compile(rb"\d+")
 
 
 class FormatError(ValueError):
@@ -87,25 +89,25 @@ def load_ppm(path: str | os.PathLike) -> np.ndarray:
     # header = magic, width, height, maxval; '#' comments allowed between tokens
     pos, tokens = 2, []
     while len(tokens) < 3:
-        m = re.match(rb"(\s+|#[^\n]*\n)", data[pos:])
+        m = _PPM_SEPARATOR.match(data, pos)
         if m:
-            pos += m.end()
+            pos = m.end()
             continue
-        m = re.match(rb"\d+", data[pos:])
+        m = _PPM_NUMBER.match(data, pos)
         if not m:
             raise FormatError(f"{path}: malformed PPM header")
         tokens.append(int(m.group()))
-        pos += m.end()
+        pos = m.end()
     width, height, maxval = tokens
     if width < 1 or height < 1:
         raise FormatError(f"{path}: empty {width}x{height} raster")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte terminating the header
-    raster = data[pos : pos + width * height * 3]
-    if len(raster) != width * height * 3:
+    size = width * height * 3
+    if len(data) - pos < size:
         raise FormatError(f"{path}: truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    return np.frombuffer(data, np.uint8, size, pos).reshape(height, width, 3)
 
 
 def save_ppm(frame: np.ndarray, path: str | os.PathLike) -> None:

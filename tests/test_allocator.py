@@ -79,15 +79,16 @@ class TestEnv:
     def test_reward_exponential(self):
         env = al.AllocationEnv(HETERO_3UE)
         # alpha_r * t_max = ln 2  =>  reward = 0.5
-        env_custom = al.AllocationEnv(HETERO_3UE, alpha_r=math.log(2.0))
+        env.alpha_r = math.log(2.0)
         fractions, _ = al.oracle_allocate(HETERO_3UE)
-        reward, _, t_max = env_custom.step(fractions / HETERO_3UE.bandwidth_hz)
+        reward, _, t_max = env.step(fractions / HETERO_3UE.bandwidth_hz)
         assert t_max == pytest.approx(1.0)
         assert reward == pytest.approx(0.5)
 
     def test_reward_approaches_one_for_tiny_times(self):
         sc = scenario((1.0, 1.0), (1.0, 1.0), bandwidth=1e9)
-        env = al.AllocationEnv(sc, alpha_r=1e-12)
+        env = al.AllocationEnv(sc)
+        env.alpha_r = 1e-12
         reward, _, _ = env.step(np.array([0.5, 0.5]))
         assert reward == pytest.approx(1.0)
 

@@ -35,6 +35,10 @@ def clips(tmp_path_factory):
     # 10 px rows: a 4x14 grid of 3 px patches, but smaller than the 11x11 SSIM window
     small, _ = synth.block_motion_video(10, 40, 4, [(3, 8, 4, 4)], dx=2, dy=0, seed=5)
     save_ppm_sequence(small, root / "small")
+    # motion1 with its last frame cut short: a container error found only by reading it all
+    last = save_ppm_sequence(load_ppm_sequence(root / "motion1"), root / "truncated")[-1]
+    with open(last, "r+b") as fh:
+        fh.truncate(os.path.getsize(last) - 1)
     return root
 
 
@@ -689,6 +693,47 @@ class TestCli:
         )
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command, bad, extra, message",
+        [
+            *(pytest.param(command, "truncated", "", "frame_0003.ppm: truncated raster",
+                           id=f"{command}-truncated")
+              for command in ("flow", "extract", "load", "transmit", "reconstruct", "pipeline", "sweep")),
+            *(pytest.param(command, "thin", "",
+                           "thin: 2x8 patch grid (32x128 px, 16x16 px patches) is too small",
+                           id=f"{command}-thin")
+              for command in ("extract", "transmit", "reconstruct", "pipeline", "sweep")),
+            *(pytest.param(command, "small", "[patches]\nheight = 3\nwidth = 3\n",
+                           "small: 10x40 px frames are smaller than the 11x11 SSIM window",
+                           id=f"{command}-small")
+              for command in ("reconstruct", "pipeline", "sweep")),
+        ],
+    )
+    def test_a_bad_later_video_stops_the_command_before_anything_runs(
+        self, tmp_path, clips, capsys, monkeypatch, command, bad, extra, message, workers
+    ):
+        def no_flow(*args):
+            raise AssertionError("flow ran before every video was checked")
+
+        monkeypatch.setattr(pipeline, "estimate_flow", no_flow)
+        started = TestPipeline.counted_pools(monkeypatch)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0", clips / bad], levels=1, extra=extra)
+        out = tmp_path / "o"
+        argv = ["--config", str(cfg), "--out", str(out), "--workers", workers]
+        assert self.run(command, *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert started == []
+
+    def test_a_missing_first_video_writes_nothing_under_workers(self, tmp_path, clips, capsys):
+        videos = [tmp_path / "missing", clips / "motion0", clips / "motion1"]
+        cfg = write_config(tmp_path / "c.ini", videos)
+        out = tmp_path / "o"
+        assert self.run("flow", "--config", str(cfg), "--out", str(out), "--workers", "2") == 2
+        assert f"no such directory: {tmp_path / 'missing'}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 SCENARIO_INI = """
