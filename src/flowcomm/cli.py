@@ -26,6 +26,7 @@ from .config import (
     parse_scenario_config,
 )
 from .pipeline import check_videos, run_videos, transmit_stats
+from .reconstruct import reconstruct_video
 from .video import FormatError, write_flo
 
 EXIT_OK = 0
@@ -127,9 +128,9 @@ def load_rows(out_dir: str, run) -> tuple[list]:
 
 def transmit_rows(out_dir: str, run) -> tuple[list]:
     rows = []
-    for rho, snr_db, encoded, channel_seed in run.cells():
-        degraded = run.transmit(snr_db, encoded, channel_seed)
-        rows.append([run.video_id, rho, snr_db, *transmit_stats(encoded, degraded)])
+    for rho, snr_db, sel, encoded, channel_seed in run.cells():
+        decoded = run.transmit(snr_db, encoded, channel_seed)
+        rows.append([run.video_id, rho, snr_db, *transmit_stats(sel.payloads, decoded)])
     return (rows,)
 
 
@@ -137,7 +138,8 @@ def reconstruct_rows(out_dir: str, run) -> tuple[list]:
     """Local reconstruction from lossless selections (no channel in the loop)."""
     rows = []
     for rho, sel in run.selections():
-        rows += _frame_rows([run.video_id, rho, ""], run.quality(sel))
+        reconstructed = reconstruct_video(run.video.frames[0], sel)
+        rows += _frame_rows([run.video_id, rho, ""], run.quality(reconstructed.frames))
     return (rows,)
 
 

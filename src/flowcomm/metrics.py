@@ -101,24 +101,26 @@ def psnr(mse_value: float) -> float:
     return 10.0 * math.log10(DYNAMIC_RANGE**2 / mse_value)
 
 
-def frame_losses(reconstructed: Video, original: Video, reference) -> QualityReport:
+def frame_losses(reconstructed, original: Video, reference) -> QualityReport:
     """Per-frame MSE/PSNR/SSIM plus video means (mean SSIM is the objective).
 
-    `reference` holds one SSIM operand per original frame: the frames
-    themselves, or their `ssim_stats` computed once per video.
-    The video-level PSNR is the PSNR of the mean MSE; averaging per-frame
-    PSNR would be pinned at infinity by any losslessly carried frame.
+    `reconstructed` yields one frame per original frame, in order: a stack of
+    frames, or a generator that makes each frame as it is scored, so no more
+    than one frame need exist at a time. `reference` holds one SSIM operand per
+    original frame: the frames themselves, or their `ssim_stats` computed once
+    per video. The video-level PSNR is the PSNR of the mean MSE; averaging
+    per-frame PSNR would be pinned at infinity by any losslessly carried frame.
     """
-    if reconstructed.frames.shape != original.frames.shape:
-        raise ValueError("video shapes differ")
     f_ssim, f_psnr, f_mse = [], [], []
-    for t in range(original.n_frames):
-        m = mse(reconstructed.frames[t], original.frames[t])
+    for frame, source, ref in zip(reconstructed, original.frames, reference, strict=True):
+        if frame.shape != source.shape:
+            raise ValueError(f"frame shapes differ: {frame.shape} vs {source.shape}")
+        m = mse(frame, source)
         f_mse.append(m)
         f_psnr.append(psnr(m))
         # An exact copy (frame 0 always is) has zero squared error and scores
         # exactly 1; skip the kernel for it.
-        f_ssim.append(1.0 if m == 0.0 else ssim(reconstructed.frames[t], reference[t]))
+        f_ssim.append(1.0 if m == 0.0 else ssim(frame, ref))
     mean_mse = float(np.mean(f_mse))
     return QualityReport(
         frame_ssim=f_ssim,

@@ -6,9 +6,10 @@ per-stage CLI command, so each command draws the same seeds for the same cell;
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -16,10 +17,10 @@ from . import channel as ch
 from . import extractor as ex
 from . import load as ld
 from .config import ConfigError, ExperimentConfig, derive_seed, video_id
-from .flow import check_frame_size, estimate_flow
+from .flow import check_frame_size, estimate_flow, usable_cpus
 from .load import LoadBreakdown
 from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage, ssim_stats
-from .reconstruct import reconstruct_video
+from .reconstruct import dense_flows, reconstructed_frames
 from .video import PatchGrid, load_ppm_sequence
 
 
@@ -43,7 +44,7 @@ class VideoRun:
     the widest selection holds the payloads every rho needs. Seeds
     are keyed by grid position: extraction by the video index, the channel by
     the cell's index in the whole (video, rho, snr_db) grid. `processes` is the number of video
-    processes running at once, which share the CPUs that flow runs on.
+    processes running at once, which share the CPUs that flow and the cells run on.
     """
 
     def __init__(
@@ -101,7 +102,7 @@ class VideoRun:
             yield rho, widest.prefix(rho)
 
     def cells(self):
-        """Yield (rho, snr_db, encoded selection, channel seed) in grid order.
+        """Yield (rho, snr_db, selection, encoded selection, channel seed) in grid order.
 
         Each rho's selection is encoded once, for all of its SNR cells.
         """
@@ -110,46 +111,61 @@ class VideoRun:
         for rho, sel in self.selections():
             encoded = encode_selection(sel, self.cfg.codec)
             for snr_db in snrs:
-                yield rho, snr_db, encoded, derive_seed(self.run_seed, "channel", point)
+                yield rho, snr_db, sel, encoded, derive_seed(self.run_seed, "channel", point)
                 point += 1
 
-    def transmit(self, snr_db, encoded, seed) -> ex.SelectionResult:
-        return transmit_selection(encoded, self.cfg, ch.db_to_linear(snr_db), seed)
+    def transmit(self, snr_db, encoded, seed) -> np.ndarray:
+        return transmit_selection(encoded, self.cfg.codec, ch.db_to_linear(snr_db), seed)
 
-    def quality(self, sel) -> QualityReport:
-        """Reconstruct from the selection's payloads and score against the source."""
-        reconstructed = reconstruct_video(self.video.frames[0], sel)
-        return frame_losses(reconstructed, self.video, self.ssim_reference)
+    def quality(self, frames) -> QualityReport:
+        """Score the reconstructed frames against the source, one frame at a time."""
+        return frame_losses(frames, self.video, self.ssim_reference)
 
     def points(self) -> list[PointResult]:
-        """Every (rho, snr_db) cell of the video through the channel, scored, in grid order."""
-        return [run_point(self, *cell) for cell in self.cells()]
+        """Every (rho, snr_db) cell of the video through the channel, scored, in grid order.
+
+        Every rho is encoded, and the selection payloads let go, before the
+        first cell. The cells run on as many threads as `estimate_flow` runs
+        frame pairs on (at most one per cell), one cell per thread at a time;
+        with 1 the calling thread runs them itself.
+        """
+        cells = [(rho, snr_db, encoded, seed) for rho, snr_db, _, encoded, seed in self.cells()]
+        self.ssim_reference  # before any cell thread reads it: cached_property takes no lock
+        threads = min(max(1, usable_cpus() // self.processes), len(cells))
+        if threads == 1:
+            return [run_point(self, *cell) for cell in cells]
+        with ThreadPoolExecutor(threads) as pool:
+            return list(pool.map(lambda cell: run_point(self, *cell), cells))
 
 
 @dataclass(frozen=True)
 class EncodedSelection:
-    """A selection and its channel symbols, shared by every SNR cell of its rho.
+    """What a sweep cell needs of its rho's selection: channel symbols, not float64 payloads.
 
-    Row t of `codes` holds flow frame t's quantizer codes (`ch.flow_codes`);
-    `norm` is the Euclidean norm of the whole expanded symbol vector.
+    Row t of `codes` holds the quantizer codes (`ch.flow_codes`) of flow frame
+    t's patches `picks[t]`; `norm` is the Euclidean norm of the whole expanded
+    symbol vector, and `important` the classification MAP is taken from.
     """
 
-    selection: ex.SelectionResult
+    grid: PatchGrid
+    picks: np.ndarray
     codes: np.ndarray
     norm: float
+    important: np.ndarray
 
 
 def encode_selection(sel: ex.SelectionResult, codec: ch.CodecParams) -> EncodedSelection:
     """Encode a selection frame by frame, and take the norm of all its symbols at once."""
     codes = np.stack([ch.flow_codes(payloads, codec) for payloads in sel.payloads])
     symbols = ch.expand_codes(codes, codec)
-    return EncodedSelection(sel, codes, float(np.sqrt(np.vdot(symbols, symbols))))
+    norm = float(np.sqrt(np.vdot(symbols, symbols)))
+    return EncodedSelection(sel.grid, sel.picks, codes, norm, sel.important)
 
 
-def transmit_selection(
-    encoded: EncodedSelection, cfg: ExperimentConfig, snr_linear: float, seed: int
-) -> ex.SelectionResult:
-    """Push the selected payloads through an AWGN link at the cell's SNR, frame by frame.
+def received_payloads(
+    encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int, buffers
+):
+    """Yield each flow frame's payloads as decoded after an AWGN link at the cell's SNR.
 
     `snr_linear` is the post-equalization SNR; path loss and fading enter only
     the allocation scenarios. Symbols are normalized to average power gamma
@@ -159,48 +175,62 @@ def transmit_selection(
     capacity, hence `tx_seconds`. The transmitter-side scale factor travels
     as error-free metadata alongside the bit payloads. One noise stream runs
     through the frames in order, so the result equals sending all at once.
+    Frame t is decoded into the t-th of `buffers`, (k, 2, ph, pw) arrays:
+    one buffer reused for every frame, or the rows of a stack.
     """
-    sel = encoded.selection
-    if not sel.n_selected:  # extreme mask ratios can round the selection to zero
-        return sel
-    ph, pw = sel.grid.patch_h, sel.grid.patch_w
-    scale = ch.power_scale(encoded.norm, cfg.codec.gamma, encoded.codes.size)
+    ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
+    # Extreme mask ratios can round the selection to zero: no symbols, and no norm to scale.
+    n_symbols = encoded.codes.size
+    scale = ch.power_scale(encoded.norm, codec.gamma, n_symbols) if n_symbols else 1.0
     rng = np.random.default_rng(seed)
-    decoded = np.empty(sel.payloads.shape)
-    # Each frame's arrays are dropped once the next step's exist, so a cell holds
-    # the decoded payloads and about two frames' symbols at any time.
-    for t, codes in enumerate(encoded.codes):
-        symbols = ch.expand_codes(codes, cfg.codec)
+    for codes, decoded in zip(encoded.codes, buffers):
+        symbols = ch.expand_codes(codes, codec)
         symbols *= scale
         received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng)
         del symbols
         received *= 1.0 / scale
-        ch.flow_decode(received, cfg.codec, ph, pw, out=decoded[t])
+        ch.flow_decode(received, codec, ph, pw, out=decoded)
         del received
-    return replace(sel, payloads=decoded)
+        yield decoded
 
 
-def transmit_stats(encoded: EncodedSelection, degraded: ex.SelectionResult) -> tuple[int, float]:
-    """A cell's symbol count and the RMS error of its decoded flow payloads."""
-    if not encoded.selection.n_selected:
+def transmit_selection(
+    encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int
+) -> np.ndarray:
+    """Every flow frame's `received_payloads`, decoded into one (T', k, 2, ph, pw) stack."""
+    decoded = np.empty((*encoded.picks.shape, 2, encoded.grid.patch_h, encoded.grid.patch_w))
+    for _ in received_payloads(encoded, codec, snr_linear, seed, decoded):
+        pass
+    return decoded
+
+
+def transmit_stats(sent: np.ndarray, decoded: np.ndarray) -> tuple[int, float]:
+    """A cell's symbol count, one per payload value, and the RMS error of its decoded payloads."""
+    if not sent.size:
         return 0, 0.0
-    error = degraded.payloads - encoded.selection.payloads
+    error = decoded - sent
     error **= 2
-    return encoded.codes.size, float(np.sqrt(np.mean(error)))
+    return sent.size, float(np.sqrt(np.mean(error)))
 
 
 def run_point(
     run: VideoRun, rho: float, snr_db: float, encoded: EncodedSelection, channel_seed: int
 ) -> PointResult:
-    """One (video, rho, snr) cell of the sweep grid, from the video's encoded selection for rho."""
-    sel = encoded.selection
+    """One (video, rho, snr) cell of the sweep grid: one loop over the flow frames.
+
+    Each step sends and decodes a frame's payloads, warps the next frame from
+    the one before and scores it, so a cell holds one frame of each at a time.
+    """
+    v, snr, grid = run.video, ch.db_to_linear(snr_db), encoded.grid
     breakdown = run.breakdown(rho)
-    degraded = run.transmit(snr_db, encoded, channel_seed)
-    report = run.quality(degraded)
-    report.map = motion_area_percentage(sel.important)
-    capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, ch.db_to_linear(snr_db))
+    buffer = np.empty((encoded.picks.shape[1], 2, grid.patch_h, grid.patch_w))
+    payloads = received_payloads(encoded, run.cfg.codec, snr, channel_seed, repeat(buffer))
+    flows = dense_flows(grid, encoded.picks, payloads, v.height, v.width)
+    report = run.quality(reconstructed_frames(v.frames[0], flows))
+    report.map = motion_area_percentage(encoded.important)
+    capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, snr)
     tx_seconds = float(breakdown.l_com) / capacity  # the config admits only positive capacities
-    return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, sel.n_selected)
+    return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, encoded.picks.size)
 
 
 STAGES = ("load", "flow", "extract", "score")  # in run order; each needs the ones before it

@@ -1,23 +1,28 @@
 """Motion-compensated video reconstruction from the first frame and flow patches.
 
 Masked grid positions carry zero flow, so unselected regions copy straight
-from the previous reconstructed frame.
+from the previous reconstructed frame. Reconstruction runs one flow frame at a
+time: a sweep cell scores each frame as it is made, and `reconstruct_video`
+stacks them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .extractor import SelectionResult
-from .video import Video
+from .video import PatchGrid, Video
 
 
-def dense_flows(sel: SelectionResult):
-    """Yield each flow frame's (2, H, W) flow: selected payloads in place, zero elsewhere."""
-    grid = sel.grid
-    for picks, payloads in zip(sel.picks, sel.payloads):
-        canvas, patches = grid.canvas()
-        patches[np.divmod(picks, grid.cols)] = payloads
-        yield canvas[:, : sel.field_h, : sel.field_w]
+def dense_flows(grid: PatchGrid, picks, payloads, height: int, width: int):
+    """Yield each flow frame's (2, H, W) flow: payloads[t] at the patches picks[t], zero elsewhere.
+
+    One canvas serves every frame, so a flow holds until the next is drawn.
+    """
+    canvas, patches = grid.canvas()
+    for frame_picks, frame_payloads in zip(picks, payloads):
+        canvas.fill(0.0)
+        patches[np.divmod(frame_picks, grid.cols)] = frame_payloads
+        yield canvas[:, :height, :width]
 
 
 def _bilinear_taps(coord: np.ndarray, n: int):
@@ -33,49 +38,61 @@ def _bilinear_taps(coord: np.ndarray, n: int):
     return np.clip(i_lo, 0, n - 1), np.clip(i_lo + 1, 0, n - 1), w_lo, 1.0 - w_lo
 
 
-def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult) -> Video:
-    """Chain inverse warps: frame t samples frame t-1 at (x, y) - flow(x, y).
+def reconstructed_frames(first_frame: np.ndarray, flows):
+    """Yield the first frame, then chain inverse warps: frame t samples t-1 at (x, y) - flow(x, y).
 
-    first_frame: (H, W, 3) uint8. Output has 1 + T' frames, clipped to [0, 255].
-    Only pixels with nonzero flow are resampled: a bilinear sample at a zero
-    offset returns the sample itself, so every other pixel copies frame t-1.
-    The resampling equals scipy's map_coordinates(order=1, mode="nearest")
-    per channel, bit for bit.
+    first_frame: (H, W, 3) uint8; flows yields one (2, H, W) flow per later
+    frame. Every frame is yielded in one (H, W, 3) uint8 buffer that the next
+    step overwrites, clipped to [0, 255]. Only pixels with nonzero flow are
+    resampled: a bilinear sample at a zero offset returns the sample itself, so
+    every other pixel keeps frame t-1's value. The resampling equals scipy's
+    map_coordinates(order=1, mode="nearest") per channel, bit for bit.
     """
+    h, w = first_frame.shape[:2]
+    frame = np.array(first_frame, dtype=np.uint8).reshape(h * w, 3)
+    # Unrounded, carried from frame to frame; one row per channel, because
+    # per-channel 1-D gathers and scatters are numpy's fast paths.
+    current = frame.T.astype(np.float64, order="C")
+    yield frame.reshape(h, w, 3)
+    for flow in flows:
+        u, v = flow.reshape(2, h * w)
+        moved = np.flatnonzero((u != 0.0) | (v != 0.0))
+        rows, cols = np.divmod(moved, w)
+        i0, i1, wr0, wr1 = _bilinear_taps(rows - v[moved], h)
+        j0, j1, wc0, wc1 = _bilinear_taps(cols - u[moved], w)
+        del rows, cols
+        i0 *= w
+        i1 *= w
+        # scipy's sum: from 0, the four taps in this order, each (sample * row weight) * column weight.
+        warped = np.zeros((3, moved.size))
+        term = np.empty(moved.size)
+        for i, w_row in ((i0, wr0), (i1, wr1)):
+            for j, w_col in ((j0, wc0), (j1, wc1)):
+                index = i + j
+                for c in range(3):
+                    np.take(current[c], index, out=term)
+                    term *= w_row
+                    term *= w_col
+                    warped[c] += term
+        np.clip(warped, 0.0, 255.0, out=warped)
+        for c in range(3):
+            current[c][moved] = warped[c]
+        np.rint(warped, out=warped)
+        for c in range(3):
+            frame[:, c][moved] = warped[c]  # whole numbers in [0, 255]: the cast is exact
+        yield frame.reshape(h, w, 3)
+
+
+def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult) -> Video:
+    """The 1 + T' frames `reconstructed_frames` makes from a selection's payloads, stacked."""
     first_frame = np.asarray(first_frame)
     if first_frame.shape[:2] != (sel.field_h, sel.field_w):
         raise ValueError(
             f"frame {first_frame.shape[:2]} does not match selection geometry "
             f"{(sel.field_h, sel.field_w)}"
         )
-    h, w = sel.field_h, sel.field_w
-    frames = np.empty((sel.n_flow_frames + 1, h * w, 3), dtype=np.uint8)
-    frames[0] = first_frame.reshape(h * w, 3)
-    # Unrounded, carried from frame to frame; one row per channel, because
-    # per-channel 1-D gathers and scatters are numpy's fast paths.
-    current = first_frame.reshape(h * w, 3).T.astype(np.float64, order="C")
-    for t, flow in enumerate(dense_flows(sel), start=1):
-        frames[t] = frames[t - 1]
-        u, v = flow.reshape(2, h * w)
-        moved = np.flatnonzero((u != 0.0) | (v != 0.0))
-        rows, cols = np.divmod(moved, w)
-        i0, i1, wr0, wr1 = _bilinear_taps(rows - v[moved], h)
-        j0, j1, wc0, wc1 = _bilinear_taps(cols - u[moved], w)
-        i0 *= w
-        i1 *= w
-        # scipy's sum: from 0, the four taps in this order, each (sample * row weight) * column weight.
-        warped = np.zeros((3, moved.size))
-        term = np.empty_like(warped)
-        taps = ((i0 + j0, wr0, wc0), (i0 + j1, wr0, wc1), (i1 + j0, wr1, wc0), (i1 + j1, wr1, wc1))
-        for index, w_row, w_col in taps:
-            for c in range(3):
-                np.take(current[c], index, out=term[c])
-            term *= w_row
-            term *= w_col
-            warped += term
-        np.clip(warped, 0.0, 255.0, out=warped)
-        rounded = np.rint(warped).astype(np.uint8)
-        for c in range(3):
-            current[c][moved] = warped[c]
-            frames[t, :, c][moved] = rounded[c]
-    return Video(frames.reshape(-1, h, w, 3))
+    frames = np.empty((sel.n_flow_frames + 1, *first_frame.shape), dtype=np.uint8)
+    flows = dense_flows(sel.grid, sel.picks, sel.payloads, sel.field_h, sel.field_w)
+    for t, frame in enumerate(reconstructed_frames(first_frame, flows)):
+        frames[t] = frame
+    return Video(frames)

@@ -57,7 +57,7 @@ class TestFrameLosses:
     def test_identical_videos(self):
         frames = np.stack([random_frame(7, 48, 48)] * 3)
         video = Video(frames)
-        report = metrics.frame_losses(video, video, video.frames)
+        report = metrics.frame_losses(video.frames, video, video.frames)
         assert report.mean_mse == 0.0
         assert report.mean_ssim == 1.0
         assert all(1.0 - s == 0.0 for s in report.frame_ssim)  # ssim loss 0
@@ -76,7 +76,7 @@ class TestFrameLosses:
             return kernel(a, b)
 
         monkeypatch.setattr(metrics, "ssim", counting)
-        report = metrics.frame_losses(reconstructed, original, original.frames)
+        report = metrics.frame_losses(reconstructed.frames, original, original.frames)
         assert report.frame_ssim[0] == 1.0
         for t in (1, 2):
             assert report.frame_ssim[t] == kernel(frames[t], original.frames[t])
@@ -86,14 +86,14 @@ class TestFrameLosses:
         base = np.full((2, 16, 16, 3), 100, dtype=np.uint8)
         video_a = Video(base)
         video_b = Video(base + 1)
-        report = metrics.frame_losses(video_b, video_a, video_a.frames)
+        report = metrics.frame_losses(video_b.frames, video_a, video_a.frames)
         assert report.mean_mse == pytest.approx(1.0)
 
     def test_independent_recomputation(self):
         rng = np.random.default_rng(8)
         a = Video(rng.integers(0, 256, (3, 24, 24, 3)).astype(np.uint8))
         b = Video(rng.integers(0, 256, (3, 24, 24, 3)).astype(np.uint8))
-        report = metrics.frame_losses(a, b, b.frames)
+        report = metrics.frame_losses(a.frames, b, b.frames)
         # scalar double-loop MSE over every sample
         total = 0.0
         for t in range(3):
@@ -106,7 +106,7 @@ class TestFrameLosses:
         a = Video(np.zeros((2, 16, 16, 3), dtype=np.uint8))
         b = Video(np.zeros((3, 16, 16, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            metrics.frame_losses(a, b, b.frames)
+            metrics.frame_losses(a.frames, b, b.frames)
 
 
 class TestPsnr:

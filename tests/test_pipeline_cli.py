@@ -3,9 +3,12 @@ import csv
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -15,7 +18,13 @@ from flowcomm import cli, pipeline, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
 from flowcomm.flow import estimate_flow
-from flowcomm.pipeline import encode_selection, run_videos, transmit_selection, transmit_stats
+from flowcomm.pipeline import (
+    encode_selection,
+    received_payloads,
+    run_videos,
+    transmit_selection,
+    transmit_stats,
+)
 from flowcomm.video import PatchGrid, load_ppm_sequence, read_flo, save_ppm_sequence
 
 
@@ -185,11 +194,12 @@ class TestPipeline:
         flows = estimate_flow(video, cfg.flow_params)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, seed=4)
-        degraded = transmit_selection(encode_selection(sel, cfg.codec), cfg, math.inf, seed=5)
+        encoded = encode_selection(sel, cfg.codec)
+        decoded = transmit_selection(encoded, cfg.codec, math.inf, seed=5)
         payloads = sel.payloads.reshape(-1, 2, 16, 16)
         expected = ch.flow_decode(ch.flow_encode(payloads, cfg.codec), cfg.codec, 16, 16)
-        assert np.array_equal(degraded.payloads.reshape(-1, 2, 16, 16), expected)
-        assert np.array_equal(degraded.picks, sel.picks)
+        assert np.array_equal(decoded.reshape(-1, 2, 16, 16), expected)
+        assert np.array_equal(encoded.picks, sel.picks)
 
 
     def test_each_rho_keeps_a_prefix_of_one_extraction(self, tmp_path, clips):
@@ -242,28 +252,62 @@ class TestPipeline:
         decoded = ch.flow_decode((normalized + noise) * (1.0 / scale), cfg.codec, 16, 16)
 
         encoded = encode_selection(sel, cfg.codec)
-        degraded = transmit_selection(encoded, cfg, 10.0, seed=5)
-        assert np.array_equal(degraded.payloads.reshape(-1, 2, 16, 16), decoded)
+        degraded = transmit_selection(encoded, cfg.codec, 10.0, seed=5)
+        assert np.array_equal(degraded.reshape(-1, 2, 16, 16), decoded)
         assert np.array_equal(sel.payloads.reshape(-1, 2, 16, 16), payloads)
-        n_symbols, rms = transmit_stats(encoded, degraded)
+        n_symbols, rms = transmit_stats(sel.payloads, degraded)
         assert rms == float(np.sqrt(np.mean((decoded - payloads) ** 2)))
         assert n_symbols == symbols.size
 
     def test_transmit_selection_peak_memory(self, tmp_path, clips):
-        # A cell holds its decoded payloads plus one frame's symbol arrays (the
-        # whole-vector leg peaked at 4.85 payloads); each rho is encoded once, before its cells.
+        # A cell decodes one flow frame at a time into one buffer and holds one frame's symbol
+        # arrays besides, whatever the clip's length; the transmit command's stacked decode holds
+        # the stack besides. Each rho is encoded once, before its cells.
         cfg, sel = self.full_selection(tmp_path, clips)
         encoded = encode_selection(sel, cfg.codec)
-        payload_bytes = sel.payloads.nbytes
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            transmit_selection(encoded, cfg, 10.0, seed=5)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.0 * payload_bytes, peak / payload_bytes
+        payload_bytes, frame_bytes = sel.payloads.nbytes, sel.payloads[0].nbytes
+
+        def frame_by_frame():
+            buffer = np.empty(sel.payloads.shape[1:])
+            for _ in received_payloads(encoded, cfg.codec, 10.0, 5, repeat(buffer)):
+                pass
+
+        peaks = []
+        for decode in (frame_by_frame, lambda: transmit_selection(encoded, cfg.codec, 10.0, seed=5)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                decode()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 5.0 * frame_bytes, peaks[0] / frame_bytes
+        assert peaks[1] < 2.0 * payload_bytes, peaks[1] / payload_bytes
         assert encoded.codes.nbytes * 8 == payload_bytes  # uint8 codes, one per float64 payload value
+
+    def test_a_cells_peak_memory_does_not_grow_with_the_clip(self, tmp_path):
+        peaks = {}
+        for n_frames in (4, 8):
+            clip = tmp_path / f"clip{n_frames}"
+            video, _ = synth.block_motion_video(64, 64, n_frames, [(16, 16, 16, 16)], dx=2, dy=0, seed=10)
+            save_ppm_sequence(video, clip)
+            cfg = parse_experiment_config(
+                write_config(tmp_path / f"c{n_frames}.ini", [clip], rho="0.0", snr_db="10")
+            )
+            run = pipeline.VideoRun(cfg, 1, 0, str(clip), 1)
+            (rho, snr_db, _, encoded, seed), = run.cells()
+            run.ssim_reference  # the per-video SSIM half is not the cell's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                pipeline.run_point(run, rho, snr_db, encoded, seed)
+                peaks[n_frames] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        # Four more frames of whole-video decoded payloads and reconstructed frames would add
+        # about five frames' payloads.
+        frame_bytes = 16 * 2 * 16 * 16 * 8  # one flow frame's decoded payloads at rho 0
+        assert peaks[8] - peaks[4] < frame_bytes, peaks
 
     @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
     def test_each_rho_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
@@ -304,6 +348,78 @@ class TestPipeline:
         assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
         assert len(refs) == 1
         assert alive_at_cells == [0, 0, 0, 0]
+
+    def test_selection_payloads_are_freed_before_the_first_cell(self, tmp_path, clips, monkeypatch):
+        refs = []
+        extract, run_point = ex.extract, pipeline.run_point
+
+        def tracked(*args):
+            sel = extract(*args)
+            assert sel.payloads.dtype == np.float64  # every rho's payloads are views of this one
+            refs.append(weakref.ref(sel.payloads))
+            return sel
+
+        alive_at_cells = []
+
+        def cell(*args):
+            alive_at_cells.append(sum(ref() is not None for ref in refs))
+            return run_point(*args)
+
+        monkeypatch.setattr(ex, "extract", tracked)
+        monkeypatch.setattr(pipeline, "run_point", cell)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
+        assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
+        assert len(refs) == 1
+        assert alive_at_cells == [0, 0, 0, 0]
+
+    def test_cells_on_more_threads_than_cores_match_one_thread(self, tmp_path, clips, monkeypatch):
+        # Frequent thread switches: any buffer two cells shared would mix their frames.
+        cfg = parse_experiment_config(
+            write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.3", snr_db="0 5 10 15 20 30")
+        )
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 12):
+                monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+                run = pipeline.VideoRun(cfg, 2, 0, str(clips / "motion0"), 1)
+                reports[cpus] = [p.report for p in run.points()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports[1]) == 12
+        assert reports[12] == reports[1]
+
+    @pytest.mark.parametrize("cpus, processes, threads", [(1, 1, 1), (2, 1, 2), (4, 2, 2), (3, 2, 1), (8, 1, 6)])
+    def test_no_more_cells_in_flight_than_threads(self, tmp_path, clips, monkeypatch, cpus, processes, threads):
+        lock, in_flight, most, callers = threading.Lock(), [0], [0], set()
+        # Each group of `threads` cells meets here, so every thread has a cell in flight at once;
+        # fewer threads would break the barrier, more would put more cells in flight.
+        barrier = threading.Barrier(threads, timeout=10)
+        run_point = pipeline.run_point
+
+        def cell(*args):
+            with lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+                callers.add(threading.get_ident())
+            try:
+                barrier.wait()
+                return run_point(*args)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "run_point", cell)
+        cfg = parse_experiment_config(
+            write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.3 0.5", snr_db="10 30")
+        )
+        run = pipeline.VideoRun(cfg, 1, 0, str(clips / "motion0"), processes)
+        assert len(run.points()) == 6
+        assert most[0] == threads
+        if threads == 1:  # the calling thread runs the cells itself
+            assert callers == {threading.get_ident()}
 
 
 class TestCli:
@@ -382,6 +498,22 @@ class TestCli:
         assert self.run("pipeline", "--config", str(cfg), "--seed", "9", "--out", str(out_b)) == 0
         for name in ("summary.csv", "frames.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_cells_on_threads_write_the_same_bytes(self, tmp_path, clips, monkeypatch):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"],
+                           rho="0.0 0.3 0.99", snr_db="10 30")
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+            for command in ("transmit", "reconstruct", "pipeline"):
+                out = tmp_path / f"{command}{cpus}"
+                assert self.run(command, "--config", str(cfg), "--seed", "6", "--out", str(out)) == 0
+                for name in ("transmit.csv", "reconstruct.csv", "summary.csv", "frames.csv"):
+                    if (out / name).exists():
+                        written[cpus, name] = (out / name).read_bytes()
+        assert len(written) == 8
+        for name in ("transmit.csv", "reconstruct.csv", "summary.csv", "frames.csv"):
+            assert written[1, name] == written[2, name], name
 
     def test_sweep_matches_pipeline_bytes(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"])
@@ -463,8 +595,8 @@ class TestCli:
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", 1))
         encoded = encode_selection(sel, cfg.codec)
-        degraded = transmit_selection(encoded, cfg, 10.0, derive_seed(1, "channel", 1))
-        assert float(row["rms_flow_error"]) == transmit_stats(encoded, degraded)[1]
+        decoded = transmit_selection(encoded, cfg.codec, 10.0, derive_seed(1, "channel", 1))
+        assert float(row["rms_flow_error"]) == transmit_stats(sel.payloads, decoded)[1]
 
     def test_link_is_awgn_at_the_swept_snr(self, tmp_path, clips, monkeypatch):
         def no_fading(*args):

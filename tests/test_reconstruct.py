@@ -7,10 +7,11 @@ from scipy.ndimage import map_coordinates
 
 from flowcomm import channel as ch
 from flowcomm import extractor as ex
-from flowcomm import metrics, synth
+from flowcomm import metrics, pipeline, synth
+from flowcomm.config import parse_experiment_config
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
 from flowcomm.reconstruct import dense_flows, reconstruct_video
-from flowcomm.video import PatchGrid, partition_patches
+from flowcomm.video import PatchGrid, Video, partition_patches, save_ppm_sequence
 
 
 def full_selection_from_flows(flows, grid):
@@ -28,7 +29,7 @@ class TestReconstruct:
         sel = full_selection_from_flows(zero, grid)
         rec = reconstruct_video(video.frames[0], sel)
         assert np.array_equal(rec.frames, video.frames)
-        assert metrics.frame_losses(rec, video, video.frames).mean_ssim == 1.0
+        assert metrics.frame_losses(rec.frames, video, video.frames).mean_ssim == 1.0
 
     def test_integer_translation_with_true_flow(self):
         dx, n_frames = 1, 4
@@ -42,7 +43,7 @@ class TestReconstruct:
             assert np.array_equal(
                 rec.frames[t][:, interior], video.frames[t][:, interior]
             ), f"frame {t}"
-        assert metrics.frame_losses(rec, video, video.frames).mean_ssim > 0.95
+        assert metrics.frame_losses(rec.frames, video, video.frames).mean_ssim > 0.95
 
     def test_heavy_masking_strictly_worse(self):
         video = synth.global_translation_video(64, 64, 5, dx=3, dy=0, seed=2)
@@ -51,10 +52,10 @@ class TestReconstruct:
         sel_full = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.0), seed=3)
         sel_masked = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.99), seed=3)
         ssim_full = metrics.frame_losses(
-            reconstruct_video(video.frames[0], sel_full), video, video.frames
+            reconstruct_video(video.frames[0], sel_full).frames, video, video.frames
         ).mean_ssim
         ssim_masked = metrics.frame_losses(
-            reconstruct_video(video.frames[0], sel_masked), video, video.frames
+            reconstruct_video(video.frames[0], sel_masked).frames, video, video.frames
         ).mean_ssim
         assert ssim_masked < ssim_full
 
@@ -69,7 +70,7 @@ class TestReconstruct:
         flows = [np.stack([np.full((32, 32), 2.0), np.zeros((32, 32))])]
         sel = full_selection_from_flows(flows, grid).prefix(0.75)  # patch (0, 0) alone
         assert sel.picks.tolist() == [[0]]
-        dense = next(dense_flows(sel))
+        dense = next(dense_flows(grid, sel.picks, sel.payloads, 32, 32))
         assert dense.shape == (2, 32, 32)
         assert np.all(dense[0, :16, :16] == 2.0)
         assert not dense[0, 16:, :].any() and not dense[0, :, 16:].any()
@@ -176,6 +177,51 @@ class TestMatchesMapCoordinates:
         sel = full_selection_from_flows(flows, PatchGrid.for_shape(h, w, 16, 16))
         expected = map_coordinates_reconstruction(first, sel)
         assert np.array_equal(reconstruct_video(first, sel).frames, expected)
+
+
+def whole_video_losses(reconstructed: np.ndarray, original: Video, reference) -> metrics.QualityReport:
+    """Reference: score a stacked reconstruction after it is whole, as the cells did before."""
+    assert reconstructed.shape == original.frames.shape
+    f_ssim, f_psnr, f_mse = [], [], []
+    for t in range(original.n_frames):
+        m = metrics.mse(reconstructed[t], original.frames[t])
+        f_mse.append(m)
+        f_psnr.append(metrics.psnr(m))
+        f_ssim.append(1.0 if m == 0.0 else metrics.ssim(reconstructed[t], reference[t]))
+    mean_mse = float(np.mean(f_mse))
+    return metrics.QualityReport(
+        f_ssim, f_psnr, f_mse, float(np.mean(f_ssim)), metrics.psnr(mean_mse), mean_mse
+    )
+
+
+class TestPerFrameCell:
+    def test_matches_the_whole_video_composition(self, tmp_path, monkeypatch):
+        """Each cell's frame-by-frame loop scores what decoding, reconstructing and scoring
+        the whole video in turn scores, on noisy channels and with the cells on two threads."""
+        video, _ = synth.block_motion_video(
+            64, 80, 6, [(16, 16, 16, 32)], dx=3, dy=-1, seed=12, bg_dx=1, bg_dy=0
+        )
+        save_ppm_sequence(video, tmp_path / "clip")
+        config = tmp_path / "c.ini"
+        config.write_text(
+            f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n"
+            "[sweep]\nrho = 0.0 0.4 0.99\nsnr_db = -5 5 20\n"
+        )
+        cfg = parse_experiment_config(config)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        run = pipeline.VideoRun(cfg, 7, 0, str(tmp_path / "clip"), 1)
+        points = run.points()
+        cells = list(run.cells())
+        assert len(points) == len(cells) == 9
+        for point, (rho, snr_db, sel, encoded, seed) in zip(points, cells):
+            decoded = pipeline.transmit_selection(encoded, cfg.codec, ch.db_to_linear(snr_db), seed)
+            noisy = replace(sel, payloads=decoded)
+            frames = map_coordinates_reconstruction(video.frames[0], noisy)
+            expected = whole_video_losses(frames, video, run.ssim_reference)
+            expected.map = metrics.motion_area_percentage(sel.important)
+            assert (point.rho, point.snr_db) == (rho, snr_db)
+            assert point.report == expected, (rho, snr_db)
+        assert points[0].report.mean_ssim < 1.0  # the noise reached the reconstruction
 
 
 class TestTransmissionTransparency:

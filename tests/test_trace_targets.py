@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 import os
 
-from flowcomm import cli, flow, synth
+from flowcomm import cli, flow, pipeline, synth
 from flowcomm.extractor import selection_count
 from flowcomm.video import save_ppm_sequence
 
@@ -113,4 +113,58 @@ def test_traced_counters_under_the_frame_by_frame_leg(tmp_path):
     )
     assert metrics["channel.symbols"] == expected
     assert metrics["channel.transmit_analog.calls"] == len(cells) * (n_frames - 1)
-    assert metrics["reconstruct.frames"] == len(cells) * n_frames
+    # A cell reconstructs and scores frame by frame; only `reconstruct` stacks whole videos.
+    assert metrics["reconstruct.reconstruct_video.calls"] == 0
+    assert metrics["reconstruct.frames"] == 0
+
+
+def traced(argv):
+    tracer = load_spans().Tracer("tier-1")
+    tracer.install()
+    try:
+        rc = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    return rc, tracer.metrics()
+
+
+def test_traced_reconstruct_counts_frames(tmp_path):
+    """The hook reads .n_frames of reconstruct_video's result."""
+    n_frames = 4
+    video, _ = synth.block_motion_video(64, 64, n_frames, [(16, 16, 16, 16)], dx=2, dy=0, seed=3)
+    save_ppm_sequence(video, tmp_path / "clip")
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n[sweep]\nrho = 0.0 0.5\n"
+    )
+    rc, metrics = traced(["reconstruct", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert metrics["reconstruct.reconstruct_video.calls"] == 2
+    assert metrics["reconstruct.frames"] == 2 * n_frames
+
+
+def test_traced_pipeline_on_cell_threads(tmp_path, monkeypatch):
+    """Cells on two threads make the same traced calls and counts as on one.
+
+    The tracer keeps one span stack per process, so self times mix across the
+    threads; calls and counters do not depend on it. Times and flow.mpix_per_s,
+    a rate, end in "_s"."""
+    video, _ = synth.block_motion_video(64, 64, 5, [(16, 16, 16, 16)], dx=2, dy=0, seed=4)
+    save_ppm_sequence(video, tmp_path / "clip")
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n"
+        "[sweep]\nrho = 0.0 0.5\nsnr_db = 10 30\n"
+    )
+    counted = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        argv = ["pipeline", "--config", str(config), "--out", str(tmp_path / f"out{cpus}")]
+        rc, metrics = traced(argv)
+        assert rc == 0
+        counted[cpus] = {
+            name: value for name, value in metrics.items()
+            if not name.endswith("_s")
+        }
+    assert counted[1]["pipeline.run_point.calls"] == 4
+    assert counted[2] == counted[1]
