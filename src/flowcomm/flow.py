@@ -5,10 +5,12 @@ frame t-1 to frame t, sampled on the t-1 pixel grid. Reconstruction
 (flowcomm.reconstruct) inverse-warps with the same convention.
 
 Frame pairs are independent, and numpy's and scipy.ndimage's loops release the
-interpreter lock, so `estimate_flow` runs pairs on a thread pool. Every plane a
-pair touches lives in a `_Workspace` that the calling thread allocates once per
-video and each stage writes through `out=`/`output=`: worker threads allocate
-no frame-sized array, whose freed memory their malloc arenas would keep.
+interpreter lock, so `estimate_flow` runs contiguous blocks of pairs on a thread
+pool. Every plane a pair touches lives in a `_Workspace` that the calling thread
+allocates once per video and each stage writes through `out=`/`output=`: worker
+threads allocate no frame-sized array, whose freed memory their malloc arenas
+would keep. Within a block, each pair reuses the previous pair's target pyramid
+as its reference, so a frame's pyramid is built once per thread.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
+import scipy
 
 from .video import Video
 
@@ -122,7 +124,7 @@ class _Level:
 
 
 class _Workspace:
-    """Every plane of every pyramid level that one frame pair needs; one per pair in flight."""
+    """Every plane of every pyramid level that one frame pair needs; one per thread."""
 
     def __init__(self, height: int, width: int, params: FlowEstimatorParams):
         shapes = pyramid_shapes(height, width, params.levels)
@@ -134,18 +136,29 @@ class _Workspace:
             for shape, coarser in zip(shapes, [None, *shapes[:-1]])
         ]
         self.coarse_flows = [np.empty((2, *shape)) for shape in shapes[:-1]]
+        self.target = None  # the frame whose pyramid the target slot holds
 
     def estimate(self, ref_frame: np.ndarray, target_frame: np.ndarray, out: np.ndarray) -> None:
-        """Coarse-to-fine flow ref -> target, written into out (u, v)."""
+        """Coarse-to-fine flow ref -> target, written into out (u, v).
+
+        When ref_frame is the previous call's target_frame object, its pyramid
+        is copied from the target slot instead of being built again.
+        """
         levels, params = self.levels, self.params
-        for k, frame in enumerate((ref_frame, target_frame)):
+        builds = [(0, ref_frame), (1, target_frame)]
+        if ref_frame is self.target:
+            for level in levels:
+                np.copyto(level.images[0], level.images[1])
+            del builds[0]
+        for k, frame in builds:
             _grayscale(frame, levels[-1].images[k])
             # Gaussian blur + 2x decimate, finest to coarsest.
             for fine, coarse in zip(levels[:0:-1], levels[-2::-1]):
-                gaussian_filter(
+                scipy.ndimage.gaussian_filter(
                     fine.images[k], params.smoothing_sigma, output=fine.prod, mode="nearest"
                 )
                 np.copyto(coarse.images[k], fine.prod[::2, ::2])
+        self.target = target_frame
         flows = [*self.coarse_flows, out]
         flows[0].fill(0.0)
         _refine(levels[0], flows[0], params)
@@ -168,7 +181,7 @@ def _upsample(coarse: np.ndarray, flow: np.ndarray, level: _Level) -> None:
     np.copyto(coords[0], level.up_rows[:, None])
     np.copyto(coords[1], level.up_cols)
     for src, dst, scale in zip(coarse, flow, level.up_scale):
-        map_coordinates(src, coords, output=dst, order=1, mode="nearest")
+        scipy.ndimage.map_coordinates(src, coords, output=dst, order=1, mode="nearest")
         dst *= scale
 
 
@@ -198,7 +211,7 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
     for _ in range(params.iterations_per_level):
         np.add(level.rows[:, None], v, out=coords[0])
         np.add(level.cols, u, out=coords[1])
-        map_coordinates(target, coords, output=level.warped, order=1, mode="nearest")
+        scipy.ndimage.map_coordinates(target, coords, output=level.warped, order=1, mode="nearest")
         _gradient(level.warped, gy, gx)
         gx += level.gx_ref
         gx *= 0.5
@@ -211,7 +224,7 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
             (gx, it, level.bx), (gy, it, level.by),
         ):
             np.multiply(a, b, out=level.prod)
-            uniform_filter(level.prod, params.lk_window, output=mean, mode="nearest")
+            scipy.ndimage.uniform_filter(level.prod, params.lk_window, output=mean, mode="nearest")
         axx, axy, ayy, bx, by = level.axx, level.axy, level.ayy, level.bx, level.by
         # The gradient planes now hold the steps du, dv; it serves as a temporary.
         du, dv, tmp = gx, gy, it
@@ -243,19 +256,21 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
 def estimate_flow(video: Video, params: FlowEstimatorParams, processes: int = 1) -> np.ndarray:
     """Flow fields for all T-1 adjacent frame pairs of a video, as one (T-1, 2, H, W) array.
 
-    The pairs run on one thread per CPU of this process's share of the usable
-    CPUs, split evenly among `processes` concurrent video processes: at least
-    1, at most one per pair, and with 1 the calling thread runs them itself.
-    Raises ValueError if any estimated value is not finite.
+    The pairs run in contiguous blocks of near-equal size, one per CPU of this
+    process's share of the usable CPUs, split evenly among `processes`
+    concurrent video processes: at least 1, at most one per pair, and with 1
+    the calling thread runs them itself. Raises ValueError if any estimated
+    value is not finite.
     """
-    frames = video.frames
+    frames = list(video.frames)  # one object per frame, so a block's pairs share its pyramid
     n_pairs = video.n_frames - 1
     threads = min(max(1, usable_cpus() // processes), n_pairs)
     workspaces = [_Workspace(video.height, video.width, params) for _ in range(threads)]
+    bounds = [n_pairs * k // threads for k in range(threads + 1)]
     out = np.empty((n_pairs, 2, video.height, video.width))
 
     def run(k: int) -> None:
-        for t in range(k, n_pairs, threads):
+        for t in range(bounds[k], bounds[k + 1]):
             workspaces[k].estimate(frames[t], frames[t + 1], out[t])
 
     if threads == 1:

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
+import scipy
 
 from .video import Video
 
@@ -43,8 +43,8 @@ _TAPS /= _TAPS.sum()
 def _windowed_mean(a: np.ndarray) -> np.ndarray:
     """Gaussian-weighted window means at every valid position, one 1-D pass per axis."""
     half = SSIM_WINDOW // 2
-    rows = correlate1d(a, _TAPS, axis=0)
-    return correlate1d(rows, _TAPS, axis=1)[half:-half, half:-half]
+    rows = scipy.ndimage.correlate1d(a, _TAPS, axis=0)
+    return scipy.ndimage.correlate1d(rows, _TAPS, axis=1)[half:-half, half:-half]
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,28 @@ class TestMatchesReference:
         for got, want in zip(fields, flow_reference.estimate_flow(video, params)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (64, 5)])
+    def test_each_frame_pyramid_built_once_per_thread(self, monkeypatch, pools, cpus, threads):
+        """Each thread runs a contiguous block of pairs and copies a pair's target pyramid
+        into the next pair's reference slot: n_pairs + threads builds, not 2 n_pairs."""
+        # 5 pairs: blocks of unequal size for 2 and 3 threads
+        video, _ = synth.block_motion_video(64, 48, 6, [(8, 8, 16, 16)], dx=2, dy=1, seed=23)
+        params = FlowEstimatorParams(levels=3)
+        built = []
+        grayscale = flow._grayscale
+
+        def counting(frame, out):
+            built.append(frame)
+            grayscale(frame, out)
+
+        monkeypatch.setattr(flow, "_grayscale", counting)
+        monkeypatch.setattr(flow, "usable_cpus", lambda: cpus)
+        fields = estimate_flow(video, params)
+        assert len(built) == 5 + threads
+        assert pools == ([threads] if threads > 1 else [])
+        for got, want in zip(fields, flow_reference.estimate_flow(video, params), strict=True):
+            assert np.array_equal(got, want)
+
     def test_too_many_levels(self):
         with pytest.raises(ValueError, match="too many levels"):
             estimate_flow(synth.static_video(32, 32, 2, seed=19), FlowEstimatorParams(levels=4))

@@ -1,0 +1,109 @@
+"""What a fresh interpreter imports. flow and metrics reach scipy.ndimage through
+`scipy.ndimage.<fn>`, which loads the submodule on first use, so commands that
+never blur, warp or score (allocate, load) never load it. Each check runs in a
+subprocess, because this process already has scipy.ndimage loaded."""
+import json
+import os
+import subprocess
+import sys
+
+from flowcomm import cli, synth
+from flowcomm.video import save_ppm_sequence
+from test_trace_targets import trace_targets
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+SCENARIO_INI = """
+[scenario]
+bandwidth_hz = 4e6
+seed = 5
+
+[ue.1]
+load_bits = 4e6
+snr = 3.0
+rho = 0.9
+
+[ue.2]
+load_bits = 2e6
+snr = 3.0
+rho = 0.5
+
+[ddpg]
+episodes = 3
+episode_len = 5
+batch_size = 4
+"""
+
+
+def fresh(script: str, *args: str):
+    """Run script in a new interpreter with flowcomm on its path; return its JSON stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def experiment(tmp_path, frames: int, sweep: str) -> str:
+    video, _ = synth.block_motion_video(64, 64, frames, [(16, 16, 16, 16)], dx=2, dy=1, seed=7)
+    save_ppm_sequence(video, tmp_path / "clip")
+    config = tmp_path / "experiment.ini"
+    config.write_text(f"[input]\nvideos = {tmp_path / 'clip'}\n[flow]\nlevels = 2\n{sweep}")
+    return str(config)
+
+
+def test_cli_import_loads_every_traced_layer_and_no_ndimage():
+    """perfbench's tracer patches names only in the flowcomm modules loaded before it
+    imports its targets, so `import flowcomm.cli` must keep loading every traced layer."""
+    loaded = fresh(
+        "import json, sys\nimport flowcomm.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'flowcomm' or m.startswith('flowcomm.')"
+        " or m == 'scipy.ndimage')))"
+    )
+    assert "scipy.ndimage" not in loaded
+    assert {f"flowcomm.{layer}" for layer, _ in trace_targets()} <= set(loaded)
+    assert loaded == ["flowcomm"] + [f"flowcomm.{m}" for m in (
+        "allocator", "channel", "cli", "config", "extractor", "flow", "load", "metrics",
+        "mlp", "pipeline", "reconstruct", "video",
+    )]
+
+
+def test_allocate_and_load_never_load_ndimage(tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIO_INI)
+    config = experiment(tmp_path, 3, "[sweep]\nrho = 0.5\n")
+    result = fresh(
+        "import json, sys\nfrom flowcomm import cli\nresult = {}\n"
+        "for command, config, out in zip(('allocate', 'load'), sys.argv[1::2], sys.argv[2::2]):\n"
+        "    rc = cli.main([command, '--config', config, '--out', out])\n"
+        "    result[command] = [rc, 'scipy.ndimage' in sys.modules]\n"
+        "print(json.dumps(result))",
+        scenario, tmp_path / "alloc", config, tmp_path / "load",
+    )
+    assert result == {"allocate": [0, False], "load": [0, False]}
+    assert (tmp_path / "alloc" / "allocation.csv").is_file()
+    assert (tmp_path / "load" / "load.csv").is_file()
+
+
+def test_first_ndimage_use_on_two_flow_threads(tmp_path):
+    """With scipy.ndimage not yet loaded when flow starts, its two pool threads make the
+    first scipy.ndimage accesses at once; the outputs match a run in this process."""
+    config = experiment(tmp_path, 6, "[sweep]\nrho = 0.0 0.5\nsnr_db = 10 30\n")
+    result = fresh(
+        "import json, sys\nfrom flowcomm import cli, flow, pipeline\n"
+        "flow.usable_cpus = pipeline.usable_cpus = lambda: 2\n"
+        "estimate, loaded = pipeline.estimate_flow, []\n"
+        "def traced(*args):\n"
+        "    loaded.append('scipy.ndimage' in sys.modules)\n"
+        "    return estimate(*args)\n"
+        "pipeline.estimate_flow = traced\n"
+        "rc = cli.main(['pipeline', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([rc, loaded, 'scipy.ndimage' in sys.modules]))",
+        config, tmp_path / "fresh",
+    )
+    assert result == [0, [False], True]
+    assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "here")]) == 0
+    for name in ("summary.csv", "frames.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
