@@ -37,6 +37,14 @@ class AllocationScenario:
         for rho in self.mask_ratios:
             if not 0.0 <= rho < 1.0:
                 raise ValueError(f"mask_ratios must lie in [0, 1), got {rho!r}")
+        with np.errstate(divide="ignore", over="ignore"):
+            times = transmission_times(self, np.full(n, self.bandwidth_hz / n))
+        for load, snr, t in zip(self.loads, self.snrs, times):
+            if 1.0 + snr == 1.0:  # log2(1 + snr) = 0: no rate
+                raise ValueError(f"snrs must make log2(1 + snr) positive, got {snr!r}: 1 + snr rounds to 1")
+            if not 0.0 < t < math.inf:
+                raise ValueError(f"bandwidth_hz {self.bandwidth_hz!r} split equally sends a UE's {load!r} "
+                                 f"bits at snr {snr!r} in {float(t)!r} s; it must be finite and positive")
 
     @property
     def n_ue(self) -> int:

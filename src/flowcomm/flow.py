@@ -5,17 +5,16 @@ frame t-1 to frame t, sampled on the t-1 pixel grid. Reconstruction
 (flowcomm.reconstruct) inverse-warps with the same convention.
 
 Frame pairs are independent, and numpy's and scipy.ndimage's loops release the
-interpreter lock, so `estimate_flow` runs contiguous blocks of pairs on a thread
-pool. Every plane a pair touches lives in a `_Workspace` that the calling thread
-allocates once per video and each stage writes through `out=`/`output=`: worker
-threads allocate no frame-sized array, whose freed memory their malloc arenas
-would keep. Within a block, each pair reuses the previous pair's target pyramid
-as its reference, so a frame's pyramid is built once per thread.
+interpreter lock, so `estimate_flow` runs contiguous blocks of pairs on the
+threads it is given. Every plane a pair touches lives in a `_Workspace` that
+the calling thread allocates once per block and each stage writes through
+`out=`/`output=`: worker threads allocate no frame-sized array, whose freed
+memory their malloc arenas would keep. Within a block, a frame's pyramid is
+built once, as one pair's target and then the next pair's reference.
 """
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,11 +93,14 @@ def check_frame_size(height: int, width: int, params: FlowEstimatorParams) -> No
         )
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def fan_out(task, items, workers: int, executor=None) -> list:
+    """[task(item) for item in items], run on `workers` workers of an `executor` pool
+    (ThreadPoolExecutor when None, looked up as the pool starts); one worker is the
+    calling thread itself, which takes each item only as its task starts."""
+    if workers == 1:
+        return [task(item) for item in items]
+    with (executor or ThreadPoolExecutor)(workers) as pool:
+        return list(pool.map(task, items))
 
 
 class _Level:
@@ -124,7 +126,7 @@ class _Level:
 
 
 class _Workspace:
-    """Every plane of every pyramid level that one frame pair needs; one per thread."""
+    """Every plane of every pyramid level that one frame pair needs; one per block of pairs."""
 
     def __init__(self, height: int, width: int, params: FlowEstimatorParams):
         shapes = pyramid_shapes(height, width, params.levels)
@@ -136,35 +138,31 @@ class _Workspace:
             for shape, coarser in zip(shapes, [None, *shapes[:-1]])
         ]
         self.coarse_flows = [np.empty((2, *shape)) for shape in shapes[:-1]]
-        self.target = None  # the frame whose pyramid the target slot holds
 
-    def estimate(self, ref_frame: np.ndarray, target_frame: np.ndarray, out: np.ndarray) -> None:
-        """Coarse-to-fine flow ref -> target, written into out (u, v).
+    def estimate(self, frames: np.ndarray, out: np.ndarray) -> None:
+        """Coarse-to-fine flow frames[t] -> frames[t + 1], written into out[t] (u, v).
 
-        When ref_frame is the previous call's target_frame object, its pyramid
-        is copied from the target slot instead of being built again.
+        Each frame's pyramid is built once, into the target slot, and copied
+        into the reference slot for the pair that follows.
         """
         levels, params = self.levels, self.params
-        builds = [(0, ref_frame), (1, target_frame)]
-        if ref_frame is self.target:
-            for level in levels:
-                np.copyto(level.images[0], level.images[1])
-            del builds[0]
-        for k, frame in builds:
-            _grayscale(frame, levels[-1].images[k])
+        for t, frame in enumerate(frames):
+            _grayscale(frame, levels[-1].images[1])
             # Gaussian blur + 2x decimate, finest to coarsest.
             for fine, coarse in zip(levels[:0:-1], levels[-2::-1]):
                 scipy.ndimage.gaussian_filter(
-                    fine.images[k], params.smoothing_sigma, output=fine.prod, mode="nearest"
+                    fine.images[1], params.smoothing_sigma, output=fine.prod, mode="nearest"
                 )
-                np.copyto(coarse.images[k], fine.prod[::2, ::2])
-        self.target = target_frame
-        flows = [*self.coarse_flows, out]
-        flows[0].fill(0.0)
-        _refine(levels[0], flows[0], params)
-        for level, coarse, flow in zip(levels[1:], flows, flows[1:]):
-            _upsample(coarse, flow, level)
-            _refine(level, flow, params)
+                np.copyto(coarse.images[1], fine.prod[::2, ::2])
+            if t:
+                flows = [*self.coarse_flows, out[t - 1]]
+                flows[0].fill(0.0)
+                _refine(levels[0], flows[0], params)
+                for level, coarse, flow in zip(levels[1:], flows, flows[1:]):
+                    _upsample(coarse, flow, level)
+                    _refine(level, flow, params)
+            for level in levels:
+                np.copyto(level.images[0], level.images[1])
 
 
 def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
@@ -253,31 +251,22 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
             field += step
 
 
-def estimate_flow(video: Video, params: FlowEstimatorParams, processes: int = 1) -> np.ndarray:
+def estimate_flow(video: Video, params: FlowEstimatorParams, threads: int = 1) -> np.ndarray:
     """Flow fields for all T-1 adjacent frame pairs of a video, as one (T-1, 2, H, W) array.
 
-    The pairs run in contiguous blocks of near-equal size, one per CPU of this
-    process's share of the usable CPUs, split evenly among `processes`
-    concurrent video processes: at least 1, at most one per pair, and with 1
-    the calling thread runs them itself. Raises ValueError if any estimated
-    value is not finite.
+    The pairs run in contiguous blocks of near-equal size, one per thread, on
+    `threads` threads or one per pair if there are fewer pairs. Raises
+    ValueError if any estimated value is not finite.
     """
-    frames = list(video.frames)  # one object per frame, so a block's pairs share its pyramid
     n_pairs = video.n_frames - 1
-    threads = min(max(1, usable_cpus() // processes), n_pairs)
-    workspaces = [_Workspace(video.height, video.width, params) for _ in range(threads)]
+    threads = min(threads, n_pairs)
     bounds = [n_pairs * k // threads for k in range(threads + 1)]
     out = np.empty((n_pairs, 2, video.height, video.width))
-
-    def run(k: int) -> None:
-        for t in range(bounds[k], bounds[k + 1]):
-            workspaces[k].estimate(frames[t], frames[t + 1], out[t])
-
-    if threads == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run, range(threads)))
+    blocks = [
+        (_Workspace(video.height, video.width, params), video.frames[a : b + 1], out[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    fan_out(lambda block: block[0].estimate(*block[1:]), blocks, threads)
     # min and max propagate NaN and reach any infinity, without a mask the size of out
     if not (math.isfinite(out.min()) and math.isfinite(out.max())):
         raise ValueError("flow values must be finite")

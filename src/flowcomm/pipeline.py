@@ -2,11 +2,13 @@
 
 `VideoRun` is the per-video stage graph behind `pipeline`, `sweep` and every
 per-stage CLI command, so each command draws the same seeds for the same cell;
-`run_videos` runs a task on every video's graph once `check_videos` has checked them all.
+`run_videos` runs a task on every video's graph once `check_videos` has checked them all,
+and is the one place that splits the CPUs among videos.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
@@ -17,7 +19,7 @@ from . import channel as ch
 from . import extractor as ex
 from . import load as ld
 from .config import ConfigError, ExperimentConfig, derive_seed, video_id
-from .flow import check_frame_size, estimate_flow, usable_cpus
+from .flow import check_frame_size, estimate_flow, fan_out
 from .load import LoadBreakdown
 from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage, ssim_stats
 from .reconstruct import dense_flows, reconstructed_frames
@@ -43,17 +45,15 @@ class VideoRun:
     estimated only where selections are made, and its fields are let go once
     the widest selection holds the payloads every rho needs. Seeds
     are keyed by grid position: extraction by the video index, the channel by
-    the cell's index in the whole (video, rho, snr_db) grid. `processes` is the number of video
-    processes running at once, which share the CPUs that flow and the cells run on.
+    the cell's index in the whole (video, rho, snr_db) grid. Flow and the cells
+    run on up to `threads` threads.
     """
 
-    def __init__(
-        self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str, processes: int
-    ):
+    def __init__(self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str, threads: int):
         self.cfg = cfg
         self.run_seed = run_seed
         self.index = index
-        self.processes = processes
+        self.threads = threads
         self.directory = directory
         self.video_id = video_id(directory)
 
@@ -73,7 +73,7 @@ class VideoRun:
 
     def estimate_flows(self) -> np.ndarray:
         """The video's flow fields, estimated afresh on each call."""
-        return estimate_flow(self.video, self.cfg.flow_params, self.processes)
+        return estimate_flow(self.video, self.cfg.flow_params, self.threads)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
         v, cfg = self.video, self.cfg
@@ -125,17 +125,12 @@ class VideoRun:
         """Every (rho, snr_db) cell of the video through the channel, scored, in grid order.
 
         Every rho is encoded, and the selection payloads let go, before the
-        first cell. The cells run on as many threads as `estimate_flow` runs
-        frame pairs on (at most one per cell), one cell per thread at a time;
-        with 1 the calling thread runs them itself.
+        first cell. The cells run on the video's threads, at most one per cell,
+        one cell per thread at a time.
         """
         cells = [(rho, snr_db, encoded, seed) for rho, snr_db, _, encoded, seed in self.cells()]
         self.ssim_reference  # before any cell thread reads it: cached_property takes no lock
-        threads = min(max(1, usable_cpus() // self.processes), len(cells))
-        if threads == 1:
-            return [run_point(self, *cell) for cell in cells]
-        with ThreadPoolExecutor(threads) as pool:
-            return list(pool.map(lambda cell: run_point(self, *cell), cells))
+        return fan_out(lambda cell: run_point(self, *cell), cells, min(self.threads, len(cells)))
 
 
 @dataclass(frozen=True)
@@ -264,17 +259,23 @@ def check_videos(cfg: ExperimentConfig, stage: str) -> None:
             raise ConfigError(f"{video_id(directory)}: {exc}") from exc
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_videos(cfg: ExperimentConfig, run_seed: int, workers: int, task) -> list:
     """task(run) for each configured video's VideoRun, in config order.
 
     The videos fan out over min(workers, videos) processes, which split the
-    CPUs that flow's threads run on; with one process the videos run in this
-    one, each let go once its task returns. `task` must pickle, as a
-    module-level function or a partial of one.
+    usable CPUs evenly, at least one each: each video's flow and cells run on
+    its share, as threads. With one process the videos run in this one, each
+    let go once its task returns. `task` must pickle, as a module-level
+    function or a partial of one.
     """
     processes = min(workers, len(cfg.video_dirs))
-    runs = (VideoRun(cfg, run_seed, k, d, processes) for k, d in enumerate(cfg.video_dirs))
-    if processes == 1:
-        return [task(run) for run in runs]
-    with ProcessPoolExecutor(processes) as pool:
-        return list(pool.map(task, runs))
+    threads = max(1, usable_cpus() // processes)
+    runs = (VideoRun(cfg, run_seed, k, d, threads) for k, d in enumerate(cfg.video_dirs))
+    return fan_out(task, runs, processes, ProcessPoolExecutor)

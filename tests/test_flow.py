@@ -173,9 +173,8 @@ EXACT_CASES = {
 }
 
 
-@pytest.fixture(params=[1, 2], ids=["1_cpu", "2_cpus"])
-def cpus(request, monkeypatch):
-    monkeypatch.setattr(flow, "usable_cpus", lambda: request.param)
+@pytest.fixture(params=[1, 2], ids=["1_thread", "2_threads"])
+def threads(request):
     return request.param
 
 
@@ -197,40 +196,33 @@ class TestMatchesReference:
     """The workspace path against the allocate-per-operation oracle in flow_reference."""
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
-    def test_bit_exact_pair_by_pair(self, cpus, pools, case):
+    def test_bit_exact_pair_by_pair(self, threads, pools, case):
         video, levels = EXACT_CASES[case]()
         params = FlowEstimatorParams(levels=levels)
-        fields = estimate_flow(video, params)
+        fields = estimate_flow(video, params, threads)
         expected = flow_reference.estimate_flow(video, params)
         assert len(fields) == len(expected) == video.n_frames - 1
         assert fields.dtype == np.float64 and fields.flags.c_contiguous
         for got, want in zip(fields, expected):
             assert np.array_equal(got, want)
-        assert pools == ([2] if cpus > 1 and len(fields) > 1 else [])
+        assert pools == ([2] if threads > 1 and len(fields) > 1 else [])
 
-    @pytest.mark.parametrize("processes, threads", [(1, 4), (2, 2), (3, 1), (8, 1)])
-    def test_cpus_split_among_video_processes(self, monkeypatch, pools, processes, threads):
-        monkeypatch.setattr(flow, "usable_cpus", lambda: 4)
-        video = synth.static_video(32, 32, 6, seed=21)
-        assert len(estimate_flow(video, FlowEstimatorParams(levels=2), processes)) == 5
-        assert pools == ([threads] if threads > 1 else [])
-
-    def test_one_thread_per_pair_switching_often(self, monkeypatch):
+    def test_one_thread_per_pair_switching_often(self, pools):
         """Each thread writes only its own workspace and its own pairs' output slots."""
         video, levels = EXACT_CASES["100x72_4_levels"]()
         params = FlowEstimatorParams(levels=levels)
-        monkeypatch.setattr(flow, "usable_cpus", lambda: 64)  # capped at the 4 pairs
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            fields = estimate_flow(video, params)
+            fields = estimate_flow(video, params, 64)  # capped at the 4 pairs
         finally:
             sys.setswitchinterval(interval)
+        assert pools == [4]
         for got, want in zip(fields, flow_reference.estimate_flow(video, params)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (64, 5)])
-    def test_each_frame_pyramid_built_once_per_thread(self, monkeypatch, pools, cpus, threads):
+    @pytest.mark.parametrize("given, threads", [(1, 1), (2, 2), (3, 3), (64, 5)])
+    def test_each_frame_pyramid_built_once_per_thread(self, monkeypatch, pools, given, threads):
         """Each thread runs a contiguous block of pairs and copies a pair's target pyramid
         into the next pair's reference slot: n_pairs + threads builds, not 2 n_pairs."""
         # 5 pairs: blocks of unequal size for 2 and 3 threads
@@ -244,8 +236,7 @@ class TestMatchesReference:
             grayscale(frame, out)
 
         monkeypatch.setattr(flow, "_grayscale", counting)
-        monkeypatch.setattr(flow, "usable_cpus", lambda: cpus)
-        fields = estimate_flow(video, params)
+        fields = estimate_flow(video, params, given)
         assert len(built) == 5 + threads
         assert pools == ([threads] if threads > 1 else [])
         for got, want in zip(fields, flow_reference.estimate_flow(video, params), strict=True):
@@ -259,9 +250,9 @@ class TestMatchesReference:
     def test_non_finite_field_rejected(self, monkeypatch, bad):
         estimate = flow._Workspace.estimate
 
-        def poisoned(self, ref_frame, target_frame, out):
-            estimate(self, ref_frame, target_frame, out)
-            out[1, -1, -1] = bad
+        def poisoned(self, frames, out):
+            estimate(self, frames, out)
+            out[-1, 1, -1, -1] = bad
 
         monkeypatch.setattr(flow._Workspace, "estimate", poisoned)
         with pytest.raises(ValueError, match="flow values must be finite"):

@@ -92,8 +92,8 @@ def test_first_ndimage_use_on_two_flow_threads(tmp_path):
     first scipy.ndimage accesses at once; the outputs match a run in this process."""
     config = experiment(tmp_path, 6, "[sweep]\nrho = 0.0 0.5\nsnr_db = 10 30\n")
     result = fresh(
-        "import json, sys\nfrom flowcomm import cli, flow, pipeline\n"
-        "flow.usable_cpus = pipeline.usable_cpus = lambda: 2\n"
+        "import json, sys\nfrom flowcomm import cli, pipeline\n"
+        "pipeline.usable_cpus = lambda: 2\n"
         "estimate, loaded = pipeline.estimate_flow, []\n"
         "def traced(*args):\n"
         "    loaded.append('scipy.ndimage' in sys.modules)\n"

@@ -7,8 +7,10 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -155,10 +157,11 @@ class TestPipeline:
             assert a.report.frame_mse == b.report.frame_mse
 
     @staticmethod
-    def counted_pools(monkeypatch) -> list:
+    def counted_pools(monkeypatch, base=pipeline.ProcessPoolExecutor) -> list:
+        """The worker count of each video pool run_videos starts, each pool a `base`."""
         started = []
 
-        class CountingPool(pipeline.ProcessPoolExecutor):
+        class CountingPool(base):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers)
@@ -178,6 +181,31 @@ class TestPipeline:
         cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5"))
         assert len(run_points(cfg, run_seed=3, workers=3)) == 1
         assert started == []
+
+    def test_in_process_videos_let_go_one_at_a_time(self, tmp_path, clips, monkeypatch):
+        started = self.counted_pools(monkeypatch)
+        videos = [clips / "static", clips / "motion0", clips / "motion1"]
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", videos, rho="0.5"))
+        loaded, alive = [], []
+
+        def task(run):
+            alive.append([ref() is not None for ref in loaded])
+            loaded.append(weakref.ref(run.video))
+            return len(run.points())
+
+        assert run_videos(cfg, 3, 1, task) == [1, 1, 1]
+        assert alive == [[], [False], [False, False]]
+        assert started == []
+
+    @pytest.mark.parametrize("processes, threads", [(1, 4), (2, 2), (3, 1), (8, 1)])
+    def test_cpus_split_among_video_processes(self, tmp_path, monkeypatch, processes, threads):
+        """run_videos gives each video its share of the CPUs; the videos are never loaded."""
+        started = self.counted_pools(monkeypatch, ThreadPoolExecutor)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 4)
+        videos = [tmp_path / f"v{k}" for k in range(processes)]
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", videos))
+        assert run_videos(cfg, 0, processes, attrgetter("threads")) == [threads] * processes
+        assert started == ([processes] if processes > 1 else [])
 
     def test_empty_selection_survives_transmit(self, tmp_path, clips):
         # rho = 0.99 on a 16-patch grid rounds the selection count to zero
@@ -372,7 +400,7 @@ class TestPipeline:
         assert len(refs) == 1
         assert alive_at_cells == [0, 0, 0, 0]
 
-    def test_cells_on_more_threads_than_cores_match_one_thread(self, tmp_path, clips, monkeypatch):
+    def test_cells_on_more_threads_than_cores_match_one_thread(self, tmp_path, clips):
         # Frequent thread switches: any buffer two cells shared would mix their frames.
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.3", snr_db="0 5 10 15 20 30")
@@ -381,17 +409,16 @@ class TestPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for cpus in (1, 12):
-                monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
-                run = pipeline.VideoRun(cfg, 2, 0, str(clips / "motion0"), 1)
-                reports[cpus] = [p.report for p in run.points()]
+            for threads in (1, 12):
+                run = pipeline.VideoRun(cfg, 2, 0, str(clips / "motion0"), threads)
+                reports[threads] = [p.report for p in run.points()]
         finally:
             sys.setswitchinterval(interval)
         assert len(reports[1]) == 12
         assert reports[12] == reports[1]
 
-    @pytest.mark.parametrize("cpus, processes, threads", [(1, 1, 1), (2, 1, 2), (4, 2, 2), (3, 2, 1), (8, 1, 6)])
-    def test_no_more_cells_in_flight_than_threads(self, tmp_path, clips, monkeypatch, cpus, processes, threads):
+    @pytest.mark.parametrize("given, threads", [(1, 1), (2, 2), (3, 3), (8, 6)])
+    def test_no_more_cells_in_flight_than_threads(self, tmp_path, clips, monkeypatch, given, threads):
         lock, in_flight, most, callers = threading.Lock(), [0], [0], set()
         # Each group of `threads` cells meets here, so every thread has a cell in flight at once;
         # fewer threads would break the barrier, more would put more cells in flight.
@@ -410,12 +437,11 @@ class TestPipeline:
                 with lock:
                     in_flight[0] -= 1
 
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "run_point", cell)
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.3 0.5", snr_db="10 30")
         )
-        run = pipeline.VideoRun(cfg, 1, 0, str(clips / "motion0"), processes)
+        run = pipeline.VideoRun(cfg, 1, 0, str(clips / "motion0"), given)
         assert len(run.points()) == 6
         assert most[0] == threads
         if threads == 1:  # the calling thread runs the cells itself
@@ -964,6 +990,11 @@ class TestAllocateCli:
             ("ue.3", "rho", "1.0", "mask_ratios must lie in [0, 1), got 1.0"),
             ("ue.3", "rho", "-0.5", "mask_ratios must lie in [0, 1), got -0.5"),
             ("scenario", "seed", "-1", "[scenario] seed seeds the DDPG training and must be >= 0, got -1"),
+            ("ue.1", "snr", "1e-20", "snrs must make log2(1 + snr) positive, got 1e-20: 1 + snr rounds to 1"),
+            ("scenario", "bandwidth_hz", "1e-320",
+             "bandwidth_hz 1e-320 split equally sends a UE's 4000000.0 bits at snr 3.0 in inf s"),
+            ("ue.1", "load_bits", "1e-320",
+             "bandwidth_hz 4000000.0 split equally sends a UE's 1e-320 bits at snr 3.0 in 0.0 s"),
         ],
     )
     def test_scenario_value_out_of_range_rejected(self, tmp_path, capsys, section, key, value, message):
@@ -1049,6 +1080,15 @@ class TestAllocateCli:
         out = tmp_path / "alloc"
         assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {field} must be finite and positive, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_faded_snr_with_no_rate_rejected(self, tmp_path, capsys):
+        """A UE whose fading draw leaves 1 + snr rounding to 1 has no rate to allocate for."""
+        cfg = tmp_path / "sc.ini"
+        cfg.write_text(CHANNEL_SCENARIO_INI.replace("P = 1.0", "P = 1e-30"))
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: snrs must make log2(1 + snr) positive, got 1.4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scenario_missing_snr_rejected(self, tmp_path):

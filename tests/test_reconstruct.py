@@ -195,7 +195,7 @@ def whole_video_losses(reconstructed: np.ndarray, original: Video, reference) ->
 
 
 class TestPerFrameCell:
-    def test_matches_the_whole_video_composition(self, tmp_path, monkeypatch):
+    def test_matches_the_whole_video_composition(self, tmp_path):
         """Each cell's frame-by-frame loop scores what decoding, reconstructing and scoring
         the whole video in turn scores, on noisy channels and with the cells on two threads."""
         video, _ = synth.block_motion_video(
@@ -208,8 +208,7 @@ class TestPerFrameCell:
             "[sweep]\nrho = 0.0 0.4 0.99\nsnr_db = -5 5 20\n"
         )
         cfg = parse_experiment_config(config)
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
-        run = pipeline.VideoRun(cfg, 7, 0, str(tmp_path / "clip"), 1)
+        run = pipeline.VideoRun(cfg, 7, 0, str(tmp_path / "clip"), 2)
         points = run.points()
         cells = list(run.cells())
         assert len(points) == len(cells) == 9

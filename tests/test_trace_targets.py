@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 import os
 
-from flowcomm import cli, flow, pipeline, synth
+from flowcomm import cli, pipeline, synth
 from flowcomm.extractor import selection_count
 from flowcomm.video import save_ppm_sequence
 
@@ -66,7 +66,7 @@ def test_traced_pipeline_extracts_once_per_video(tmp_path):
 
 def test_traced_pipeline_with_flow_threads(tmp_path, monkeypatch):
     """Flow's worker threads call no traced function, so the span stack stays whole."""
-    monkeypatch.setattr(flow, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
     video, _ = synth.block_motion_video(64, 64, 5, [(16, 16, 16, 16)], dx=2, dy=0, seed=2)
     save_ppm_sequence(video, tmp_path / "clip")
     config = tmp_path / "c.ini"
