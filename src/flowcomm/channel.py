@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+_BLOCK = 1 << 16  # symbols per scratch block in transmit_analog and flow_decode
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,10 @@ def flow_codes(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
     return codes
 
 
-def expand_codes(codes: np.ndarray, cp: CodecParams) -> np.ndarray:
-    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1."""
-    out = np.empty(codes.shape)
+def expand_codes(codes: np.ndarray, cp: CodecParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1, into `out` if given."""
+    if out is None:
+        out = np.empty(codes.shape)
     np.copyto(out, codes)  # an unbuffered cast: a dividing ufunc would cast through a buffer
     out /= (1 << cp.bits_per_symbol) - 1
     out *= 2.0
@@ -124,7 +126,9 @@ def flow_decode(
     """Inverse of flow_encode: symbols back to (n, 2, H', W') flow payloads, into `out` if given.
 
     Re-snaps to the quantizer grid, so a noiseless transmit round trip
-    decodes identically to encode alone.
+    decodes identically to encode alone. Runs one block of patches at a time,
+    so its scratch arrays span a block, whatever the symbol count. `out` may
+    hold the symbols themselves: each block is read before it is written.
     """
     symbols = np.asarray(symbols)
     per_patch = 2 * patch_h * patch_w
@@ -133,23 +137,27 @@ def flow_decode(
             f"malformed symbol vector: length {symbols.size} is not a multiple of {per_patch}"
         )
     n = symbols.size // per_patch
-    mag, ang = symbols[0::2] + 1.0, symbols[1::2] + 1.0
-    levels = (1 << cp.bits_per_symbol) - 1
-    for unit in (mag, ang):
-        unit /= 2.0
-        _quantize_codes(unit, cp.bits_per_symbol)
-        unit /= levels
-    mag *= cp.mag_cap
-    ang -= 0.5
-    ang *= 2.0
-    ang *= math.pi
     if out is None:
         out = np.empty((n, 2, patch_h, patch_w))
-    term = np.empty_like(mag)  # a product straight into the strided out[:, k] would be buffered
-    for k, wave in enumerate((np.cos, np.sin)):
-        wave(ang, out=term)
-        term *= mag
-        out[:, k] = term.reshape(n, patch_h, patch_w)
+    levels = (1 << cp.bits_per_symbol) - 1
+    step = max(1, _BLOCK // per_patch)
+    for lo in range(0, n, step):
+        block = symbols[lo * per_patch : (lo + step) * per_patch]
+        k = block.size // per_patch
+        mag, ang = block[0::2] + 1.0, block[1::2] + 1.0
+        for unit in (mag, ang):
+            unit /= 2.0
+            _quantize_codes(unit, cp.bits_per_symbol)
+            unit /= levels
+        mag *= cp.mag_cap
+        ang -= 0.5
+        ang *= 2.0
+        ang *= math.pi
+        term = np.empty_like(mag)  # a product straight into the strided out[:, k] would be buffered
+        for c, wave in enumerate((np.cos, np.sin)):
+            wave(ang, out=term)
+            term *= mag
+            out[lo : lo + k, c] = term.reshape(k, patch_h, patch_w)
     return out
 
 
@@ -167,16 +175,25 @@ def power_normalize(symbols: np.ndarray, cp: CodecParams, p_ue: float) -> np.nda
     return symbols * power_scale(norm, cp.gamma, p_ue)
 
 
-def transmit_analog(symbols: np.ndarray, sigma2: float, seed) -> np.ndarray:
-    """y = x + n with real n ~ N(0, sigma2 / 2), the in-phase half of CN(0, sigma2).
+def transmit_analog(symbols: np.ndarray, sigma2: float, seed, out: np.ndarray | None = None) -> np.ndarray:
+    """y = x + n with real n ~ N(0, sigma2 / 2), the in-phase half of CN(0, sigma2), into `out` if given.
 
     `seed` is an int or a Generator. Chunks of one vector sent in order
-    through one Generator get the noise of the whole vector sent at once.
+    through one Generator get the noise of the whole vector sent at once, so
+    the noise is drawn a block at a time, and `out` may be `symbols` itself.
     """
     if sigma2 < 0:
         raise ValueError("noise power cannot be negative")
-    # Built in the draw's buffer: the input stays untouched without a second full-length array.
-    y = np.random.default_rng(seed).standard_normal(np.shape(symbols))
-    y *= math.sqrt(sigma2 / 2.0)
-    y += symbols
+    symbols = np.asarray(symbols)
+    y = np.empty(symbols.shape) if out is None else out
+    if y.shape != symbols.shape or not y.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {symbols.shape} array")
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(sigma2 / 2.0)
+    flat_x, flat_y = symbols.reshape(-1), y.reshape(-1)
+    for lo in range(0, flat_x.size, _BLOCK):
+        noise = rng.standard_normal(min(_BLOCK, flat_x.size - lo))
+        noise *= sigma
+        noise += flat_x[lo : lo + _BLOCK]
+        flat_y[lo : lo + _BLOCK] = noise
     return y

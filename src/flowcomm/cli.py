@@ -25,7 +25,7 @@ from .config import (
     parse_experiment_config,
     parse_scenario_config,
 )
-from .pipeline import check_videos, run_videos, transmit_stats
+from .pipeline import STAGES, check_videos, run_videos, transmit_stats
 from .reconstruct import reconstruct_video
 from .video import FormatError, write_flo
 
@@ -156,18 +156,21 @@ def pipeline_rows(out_dir: str, run) -> tuple[list, list]:
 
 
 LOAD_HEADER = ["l_first", "l_sr", "l_b", "l_com"]
-# command -> (per-video task, its last stage in pipeline.STAGES, [(CSV name, header)] per row list)
+# command -> (per-video task, the pipeline.STAGES it runs, [(CSV name, header)] per row list)
 EXPERIMENTS = {
-    "flow": (flow_rows, "flow", [("flow.csv", ["video_id", "n_fields", "mean_magnitude"])]),
-    "extract": (extract_rows, "extract", [("extract.csv", ["video_id", "rho", "n_selected", "xi_bits"])]),
-    "load": (load_rows, "load", [("load.csv", ["video_id", "rho", "rho_zip", *LOAD_HEADER])]),
+    "flow": (flow_rows, ("flow",), [("flow.csv", ["video_id", "n_fields", "mean_magnitude"])]),
+    "extract": (
+        extract_rows, ("flow", "extract"),
+        [("extract.csv", ["video_id", "rho", "n_selected", "xi_bits"])],
+    ),
+    "load": (load_rows, (), [("load.csv", ["video_id", "rho", "rho_zip", *LOAD_HEADER])]),
     "transmit": (
-        transmit_rows, "extract",
+        transmit_rows, ("flow", "extract", "transmit"),
         [("transmit.csv", ["video_id", "rho", "snr_db", "n_symbols", "rms_flow_error"])],
     ),
-    "reconstruct": (reconstruct_rows, "score", [("reconstruct.csv", FRAME_HEADER)]),
+    "reconstruct": (reconstruct_rows, ("flow", "extract", "score"), [("reconstruct.csv", FRAME_HEADER)]),
     "pipeline": (
-        pipeline_rows, "score",
+        pipeline_rows, STAGES,
         [("summary.csv", ["video_id", "rho", "snr_db", "mean_ssim", "mean_psnr", "mean_mse", "map",
                           "n_selected", *LOAD_HEADER, "tx_seconds"]),
          ("frames.csv", FRAME_HEADER)],
@@ -179,8 +182,8 @@ EXPERIMENTS["sweep"] = EXPERIMENTS["pipeline"]  # pipeline under the name of its
 def run_experiment(command: str, config_path: str, seed: int, out_dir: str, workers: int):
     """Check every video, then run the command's task on each and write each of its CSVs once."""
     cfg = parse_experiment_config(config_path)
-    task, stage, tables = EXPERIMENTS[command]
-    check_videos(cfg, stage)
+    task, stages, tables = EXPERIMENTS[command]
+    check_videos(cfg, stages)
     write_manifest(out_dir, command, config_path, seed)
     per_video = run_videos(cfg, seed, workers, partial(task, out_dir))
     for k, (name, header) in enumerate(tables):

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .video import Video
 
@@ -29,58 +28,158 @@ class QualityReport:
     map: float | None = None  # motion area percentage, when ground truth is known
 
 
-def luma(frame: np.ndarray) -> np.ndarray:
-    """(R + 2G + B) / 4 in float64."""
-    f = frame.astype(np.float64)
-    return (f[:, :, 0] + 2.0 * f[:, :, 1] + f[:, :, 2]) / 4.0
+def luma(frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(R + 2G + B) / 4 in float64, into `out` if given; a (H, W) plane is its own luma."""
+    if frame.ndim == 2:
+        return np.asarray(frame, dtype=np.float64)
+    out = np.multiply(frame[:, :, 1], 2.0, out=out, dtype=np.float64)
+    out += frame[:, :, 0]
+    out += frame[:, :, 2]
+    out /= 4.0
+    return out
 
 
 # Unit-sum 1-D Gaussian taps; the SSIM weighting window is their outer product.
 _TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2) / (2.0 * SSIM_SIGMA**2))
 _TAPS /= _TAPS.sum()
+_HALF = SSIM_WINDOW // 2
 
 
-def _windowed_mean(a: np.ndarray) -> np.ndarray:
-    """Gaussian-weighted window means at every valid position, one 1-D pass per axis."""
-    half = SSIM_WINDOW // 2
-    rows = scipy.ndimage.correlate1d(a, _TAPS, axis=0)
-    return scipy.ndimage.correlate1d(rows, _TAPS, axis=1)[half:-half, half:-half]
+class SsimPlanes:
+    """Scratch planes for SSIM on (h, w) frames, made once and reused by every call given them.
+
+    One set serves one thread: calls that share a set must not overlap.
+    """
+
+    def __init__(self, h: int, w: int):
+        if min(h, w) < SSIM_WINDOW:
+            raise ValueError(f"frame smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+        self.shape = (h, w)
+        self.valid = (w - 2 * _HALF, h - 2 * _HALF)  # transposed, as `SsimStats` keeps them
+        self.y = np.empty((h, w))  # the luma of the operand whose statistics are made here
+        self.product = np.empty((h, w))  # a product of two luma planes
+        # Two flat vectors: a window mean's running sum and tap pair term in each pass,
+        # and between means, products at the valid positions.
+        self.scratch = np.empty((2, self.valid[1] * w))
+        # At every valid position: that operand's mean and variance, and the covariance.
+        self.mu, self.var, self.cov = np.empty((3, *self.valid))
+
+    def at_valid(self, k: int, shape: tuple[int, int] | None = None) -> np.ndarray:
+        """Scratch vector k as a contiguous array of the valid positions, transposed unless `shape` says."""
+        shape = shape or self.valid
+        return self.scratch[k, : shape[0] * shape[1]].reshape(shape)
+
+
+def _correlate_rows(a: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
+    """The taps' correlation with `a` down its rows, into `out`, where the window fits.
+
+    The arithmetic is scipy.ndimage.correlate1d's for a symmetric filter: the
+    centre sample times the centre tap, then for each mirrored pair, outermost
+    first, the pair's sum times its tap, added. Each step is one pass over
+    contiguous rows.
+    """
+    n = out.shape[0]
+    np.multiply(a[_HALF : _HALF + n], _TAPS[_HALF], out=out)
+    for k in range(_HALF):
+        np.add(a[k : k + n], a[SSIM_WINDOW - 1 - k : SSIM_WINDOW - 1 - k + n], out=pair)
+        pair *= _TAPS[k]
+        out += pair
+
+
+def _windowed_mean(a: np.ndarray, out: np.ndarray, planes: SsimPlanes) -> None:
+    """Gaussian-weighted window means of (h, w) `a` at every valid position, into (w', h') `out`.
+
+    Rows first, then columns: the column pass runs down the rows of the
+    first pass's transpose, so `out` is transposed too.
+    """
+    (h, w), (vw, vh) = a.shape, out.shape
+    first, second = planes.scratch
+    rows = first.reshape(vh, w)
+    _correlate_rows(a, rows, second.reshape(vh, w))
+    columns = second.reshape(w, vh)
+    np.copyto(columns, rows.T)
+    _correlate_rows(columns, out, planes.at_valid(0))
+
+
+def _moments(y: np.ndarray, mu: np.ndarray, var: np.ndarray, planes: SsimPlanes) -> None:
+    """Windowed mean and variance of luma plane `y`, into `mu` and `var`."""
+    _windowed_mean(y, mu, planes)
+    np.multiply(y, y, out=planes.product)
+    _windowed_mean(planes.product, var, planes)
+    var -= np.multiply(mu, mu, out=planes.at_valid(0))
 
 
 @dataclass(frozen=True)
 class SsimStats:
-    """A frame's luma plane with its windowed mean and variance at every valid position."""
+    """A frame (the caller's array, not a copy) with its luma's windowed mean and variance.
 
-    y: np.ndarray
+    `mu` and `var` are (W - 10, H - 10): entry [x, y] is the window whose
+    top-left pixel is (y, x), the transpose of the frame's orientation.
+    """
+
+    frame: np.ndarray
     mu: np.ndarray
     var: np.ndarray
 
 
-def ssim_stats(frame: np.ndarray) -> SsimStats:
-    """The per-frame half of SSIM; a reference frame's stats serve every comparison with it."""
-    y = luma(frame) if frame.ndim == 3 else np.asarray(frame, dtype=np.float64)
-    if min(y.shape) < SSIM_WINDOW:
-        raise ValueError(f"frame smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
-    mu = _windowed_mean(y)
-    return SsimStats(y, mu, _windowed_mean(y * y) - mu * mu)
+def ssim_stats(frame: np.ndarray, planes: SsimPlanes | None = None) -> SsimStats:
+    """The per-frame half of SSIM; a reference frame's stats serve every comparison with it.
+
+    `planes` is scratch for frames of this shape, made afresh if not given.
+    """
+    frame = np.asarray(frame)
+    p = SsimPlanes(*frame.shape[:2]) if planes is None else planes
+    mu, var = np.empty(p.valid), np.empty(p.valid)
+    _moments(luma(frame, p.y), mu, var, p)
+    return SsimStats(frame, mu, var)
 
 
-def ssim(a: np.ndarray | SsimStats, b: np.ndarray | SsimStats) -> float:
+def ssim(a: np.ndarray | SsimStats, b: np.ndarray | SsimStats, planes: SsimPlanes | None = None) -> float:
     """Mean SSIM over sliding Gaussian windows on luma.
 
     Inputs are (H, W, 3) frames, (H, W) luma planes or their `ssim_stats`;
-    frames must cover at least one full window.
+    frames must cover at least one full window. `b`'s stats are taken as given
+    or made afresh; `a`'s, and every other plane, are made in `planes`, scratch
+    for frames of this shape (made afresh if not given). Luma planes are made
+    from the frames on each call; stats keep none.
     """
-    sa = a if isinstance(a, SsimStats) else ssim_stats(a)
-    sb = b if isinstance(b, SsimStats) else ssim_stats(b)
-    if sa.y.shape != sb.y.shape:
-        raise ValueError(f"frame shapes differ: {sa.y.shape} vs {sb.y.shape}")
-    mu_a, mu_b = sa.mu, sb.mu
-    cov = _windowed_mean(sa.y * sb.y) - mu_a * mu_b
-    score = ((2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)) / (
-        (mu_a * mu_a + mu_b * mu_b + _C1) * (sa.var + sb.var + _C2)
-    )
-    return float(score.mean())
+    fa, fb = (x.frame if isinstance(x, SsimStats) else np.asarray(x) for x in (a, b))
+    if fa.shape[:2] != fb.shape[:2]:
+        raise ValueError(f"frame shapes differ: {fa.shape[:2]} vs {fb.shape[:2]}")
+    p = SsimPlanes(*fa.shape[:2]) if planes is None else planes
+    if p.shape != fa.shape[:2]:
+        raise ValueError(f"planes for {p.shape} frames cannot score {fa.shape[:2]} frames")
+    sb = b if isinstance(b, SsimStats) else ssim_stats(fb, p)
+    mu, var, cov, score = p.mu, p.var, p.cov, p.at_valid(0)
+    ya = luma(fa, p.y)
+    if isinstance(a, SsimStats):
+        np.copyto(mu, a.mu)
+        np.copyto(var, a.var)
+    else:
+        _moments(ya, mu, var, p)
+    np.multiply(luma(fb, p.product), ya, out=p.product)
+    _windowed_mean(p.product, cov, p)
+    cov -= np.multiply(mu, sb.mu, out=score)
+    # ((2 mu_a mu_b + C1) (2 cov + C2)) / ((mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2)),
+    # each operation on the same two operands as written, so in place gives the same bits.
+    np.multiply(mu, 2.0, out=score)
+    score *= sb.mu
+    score += _C1
+    cov *= 2.0
+    cov += _C2
+    score *= cov
+    np.multiply(mu, mu, out=cov)
+    np.multiply(sb.mu, sb.mu, out=mu)
+    cov += mu
+    cov += _C1
+    var += sb.var
+    var += _C2
+    cov *= var
+    score /= cov
+    # The mean sums in the frame's row order: its rounding depends on the order.
+    in_frame_order = p.at_valid(1, score.shape[::-1])
+    np.copyto(in_frame_order, score.T)
+    return float(in_frame_order.mean())
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,6 +211,7 @@ def frame_losses(reconstructed, original: Video, reference) -> QualityReport:
     per-frame PSNR would be pinned at infinity by any losslessly carried frame.
     """
     f_ssim, f_psnr, f_mse = [], [], []
+    planes = None  # made at the first frame that reaches the SSIM kernel, then reused
     for frame, source, ref in zip(reconstructed, original.frames, reference, strict=True):
         if frame.shape != source.shape:
             raise ValueError(f"frame shapes differ: {frame.shape} vs {source.shape}")
@@ -120,7 +220,12 @@ def frame_losses(reconstructed, original: Video, reference) -> QualityReport:
         f_psnr.append(psnr(m))
         # An exact copy (frame 0 always is) has zero squared error and scores
         # exactly 1; skip the kernel for it.
-        f_ssim.append(1.0 if m == 0.0 else ssim(frame, ref))
+        if m == 0.0:
+            f_ssim.append(1.0)
+            continue
+        if planes is None:
+            planes = SsimPlanes(*frame.shape[:2])
+        f_ssim.append(ssim(frame, ref, planes))
     mean_mse = float(np.mean(f_mse))
     return QualityReport(
         frame_ssim=f_ssim,

@@ -7,6 +7,7 @@ and is the one place that splits the CPUs among videos.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -21,7 +22,14 @@ from . import load as ld
 from .config import ConfigError, ExperimentConfig, derive_seed, video_id
 from .flow import check_frame_size, estimate_flow, fan_out
 from .load import LoadBreakdown
-from .metrics import SSIM_WINDOW, QualityReport, frame_losses, motion_area_percentage, ssim_stats
+from .metrics import (
+    SSIM_WINDOW,
+    QualityReport,
+    SsimPlanes,
+    frame_losses,
+    motion_area_percentage,
+    ssim_stats,
+)
 from .reconstruct import dense_flows, reconstructed_frames
 from .video import PatchGrid, load_ppm_sequence
 
@@ -65,11 +73,14 @@ class VideoRun:
     def ssim_reference(self) -> list:
         """Each source frame's half of SSIM, computed once for all of the video's cells.
 
-        Frame 0 stays a raw frame: reconstruction copies it, so it always scores
-        exactly 1 without reaching the SSIM kernel.
+        Each entry keeps a view of its source frame, not a luma plane: a score
+        makes the luma again in its cell's planes. Frame 0 stays a raw frame:
+        reconstruction copies it, so it always scores exactly 1 without
+        reaching the SSIM kernel.
         """
         frames = self.video.frames
-        return [frames[0], *(ssim_stats(f) for f in frames[1:])]
+        planes = SsimPlanes(self.video.height, self.video.width)
+        return [frames[0], *(ssim_stats(f, planes) for f in frames[1:])]
 
     def estimate_flows(self) -> np.ndarray:
         """The video's flow fields, estimated afresh on each call."""
@@ -171,7 +182,8 @@ def received_payloads(
     as error-free metadata alongside the bit payloads. One noise stream runs
     through the frames in order, so the result equals sending all at once.
     Frame t is decoded into the t-th of `buffers`, (k, 2, ph, pw) arrays:
-    one buffer reused for every frame, or the rows of a stack.
+    one buffer reused for every frame, or the rows of a stack. The frame's
+    symbols are made, sent and decoded in that buffer, in place.
     """
     ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
     # Extreme mask ratios can round the selection to zero: no symbols, and no norm to scale.
@@ -179,13 +191,11 @@ def received_payloads(
     scale = ch.power_scale(encoded.norm, codec.gamma, n_symbols) if n_symbols else 1.0
     rng = np.random.default_rng(seed)
     for codes, decoded in zip(encoded.codes, buffers):
-        symbols = ch.expand_codes(codes, codec)
+        symbols = ch.expand_codes(codes, codec, out=decoded.reshape(-1))
         symbols *= scale
-        received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng)
-        del symbols
+        received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng, out=symbols)
         received *= 1.0 / scale
         ch.flow_decode(received, codec, ph, pw, out=decoded)
-        del received
         yield decoded
 
 
@@ -228,22 +238,21 @@ def run_point(
     return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, encoded.picks.size)
 
 
-STAGES = ("load", "flow", "extract", "score")  # in run order; each needs the ones before it
+STAGES = ("flow", "extract", "transmit", "score")  # checked here; every command loads its videos
 
 
-def check_videos(cfg: ExperimentConfig, stage: str) -> None:
-    """Check every video for each stage up to `stage`, before any video runs.
+def check_videos(cfg: ExperimentConfig, stages) -> None:
+    """Check every video for each of `stages`, the STAGES a command runs, before any video runs.
 
     Loading raises its own container errors; frames a stage cannot take are a
     ConfigError naming the video."""
-    runs = STAGES[: STAGES.index(stage) + 1]
     for directory in cfg.video_dirs:
-        h, w = load_ppm_sequence(directory).frames.shape[1:3]
+        n_frames, h, w = load_ppm_sequence(directory).frames.shape[:3]
         try:
-            if "score" in runs and min(h, w) < SSIM_WINDOW:
+            if "score" in stages and min(h, w) < SSIM_WINDOW:
                 raise ValueError(f"{h}x{w} px frames are smaller than the {SSIM_WINDOW}x"
                                  f"{SSIM_WINDOW} SSIM window that scores reconstructions")
-            if "extract" in runs:
+            if "extract" in stages:
                 grid = PatchGrid.for_shape(h, w, cfg.patch_h, cfg.patch_w)
                 # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
                 # of i and 1, so every 6-patch draw of the quadratic background is singular.
@@ -253,7 +262,18 @@ def check_videos(cfg: ExperimentConfig, stage: str) -> None:
                         f"{cfg.patch_w} px patches) is too small for the quadratic background "
                         "model, which needs at least 3 patch rows and 3 patch columns"
                     )
-            if "flow" in runs:
+            if "transmit" in stages:  # after "extract", which it sends
+                # The power normalization scales by sqrt(gamma * symbols) of a rho's whole
+                # selection, and the smallest rho sends the most symbols.
+                k = ex.selection_count(min(cfg.rho_list), grid.n_patches)
+                n_symbols = (n_frames - 1) * k * 2 * grid.patch_h * grid.patch_w
+                if not math.isfinite(cfg.codec.gamma * n_symbols):
+                    raise ValueError(
+                        f"[codec] gamma = {cfg.codec.gamma!r} times the {n_symbols} symbols of "
+                        "the widest selection is not finite, so the symbols cannot be "
+                        "normalized to average power gamma"
+                    )
+            if "flow" in stages:
                 check_frame_size(h, w, cfg.flow_params)
         except ValueError as exc:
             raise ConfigError(f"{video_id(directory)}: {exc}") from exc

@@ -12,6 +12,8 @@ import numpy as np
 from .extractor import SelectionResult
 from .video import PatchGrid, Video
 
+_BLOCK = 1 << 14  # moved pixels per warp block, give or take a row
+
 
 def dense_flows(grid: PatchGrid, picks, payloads, height: int, width: int):
     """Yield each flow frame's (2, H, W) flow: payloads[t] at the patches picks[t], zero elsewhere.
@@ -38,6 +40,30 @@ def _bilinear_taps(coord: np.ndarray, n: int):
     return np.clip(i_lo, 0, n - 1), np.clip(i_lo + 1, 0, n - 1), w_lo, 1.0 - w_lo
 
 
+def _resample(
+    current: np.ndarray, u: np.ndarray, v: np.ndarray, moved: np.ndarray, shape: tuple[int, int], out: np.ndarray
+) -> None:
+    """Bilinear samples of (3, H*W) `current` at each pixel of `moved` minus its flow (u, v), into (3, n) `out`.
+
+    scipy's sum: from 0, the four taps in this order, each (sample * row weight) * column weight.
+    """
+    h, w = shape
+    rows, cols = np.divmod(moved, w)
+    i0, i1, wr0, wr1 = _bilinear_taps(rows - v[moved], h)
+    j0, j1, wc0, wc1 = _bilinear_taps(cols - u[moved], w)
+    del rows, cols
+    i0 *= w
+    i1 *= w
+    out.fill(0.0)
+    term = np.empty(out.shape)
+    for i, w_row in ((i0, wr0), (i1, wr1)):
+        for j, w_col in ((j0, wc0), (j1, wc1)):
+            np.take(current, i + j, axis=1, out=term, mode="clip")  # in range: no clipping
+            term *= w_row
+            term *= w_col
+            out += term
+
+
 def reconstructed_frames(first_frame: np.ndarray, flows):
     """Yield the first frame, then chain inverse warps: frame t samples t-1 at (x, y) - flow(x, y).
 
@@ -46,40 +72,48 @@ def reconstructed_frames(first_frame: np.ndarray, flows):
     step overwrites, clipped to [0, 255]. Only pixels with nonzero flow are
     resampled: a bilinear sample at a zero offset returns the sample itself, so
     every other pixel keeps frame t-1's value. The resampling equals scipy's
-    map_coordinates(order=1, mode="nearest") per channel, bit for bit.
+    map_coordinates(order=1, mode="nearest") per channel, bit for bit. The
+    planes are made once; the moved pixels go in row ranges of fewer than
+    `_BLOCK` + W each, so no tap, index or weight array outgrows a block.
     """
     h, w = first_frame.shape[:2]
     frame = np.array(first_frame, dtype=np.uint8).reshape(h * w, 3)
-    # Unrounded, carried from frame to frame; one row per channel, because
-    # per-channel 1-D gathers and scatters are numpy's fast paths.
+    # Unrounded, carried from frame to frame; one plane per channel, because
+    # per-channel 1-D scatters are numpy's fast path.
     current = frame.T.astype(np.float64, order="C")
+    # The moved pixels' new values, packed in pixel order: they replace frame t-1's
+    # only once every block has read frame t-1.
+    warped = np.empty_like(current)
+    moving = np.empty(h * w, dtype=bool)
+
+    def moved_in(lo, hi):
+        moved = np.flatnonzero(moving[lo:hi])
+        moved += lo
+        return moved
+
     yield frame.reshape(h, w, 3)
     for flow in flows:
         u, v = flow.reshape(2, h * w)
-        moved = np.flatnonzero((u != 0.0) | (v != 0.0))
-        rows, cols = np.divmod(moved, w)
-        i0, i1, wr0, wr1 = _bilinear_taps(rows - v[moved], h)
-        j0, j1, wc0, wc1 = _bilinear_taps(cols - u[moved], w)
-        del rows, cols
-        i0 *= w
-        i1 *= w
-        # scipy's sum: from 0, the four taps in this order, each (sample * row weight) * column weight.
-        warped = np.zeros((3, moved.size))
-        term = np.empty(moved.size)
-        for i, w_row in ((i0, wr0), (i1, wr1)):
-            for j, w_col in ((j0, wc0), (j1, wc1)):
-                index = i + j
-                for c in range(3):
-                    np.take(current[c], index, out=term)
-                    term *= w_row
-                    term *= w_col
-                    warped[c] += term
-        np.clip(warped, 0.0, 255.0, out=warped)
-        for c in range(3):
-            current[c][moved] = warped[c]
-        np.rint(warped, out=warped)
-        for c in range(3):
-            frame[:, c][moved] = warped[c]  # whole numbers in [0, 255]: the cast is exact
+        np.not_equal(u, 0.0, out=moving)
+        moving |= v != 0.0
+        # Cut after each row where the running count of moved pixels reaches a multiple of _BLOCK.
+        counts = np.cumsum(np.count_nonzero(moving.reshape(h, w), axis=1))
+        cuts = np.unique(np.searchsorted(counts, np.arange(_BLOCK, counts[-1], _BLOCK)) + 1) * w
+        blocks = list(zip([0, *cuts], [*cuts, h * w]))
+        n = 0
+        for lo, hi in blocks:
+            moved = moved_in(lo, hi)
+            _resample(current, u, v, moved, (h, w), warped[:, n : n + moved.size])
+            n += moved.size
+        n = 0
+        for lo, hi in blocks:
+            moved = moved_in(lo, hi)
+            for c, values in enumerate(warped[:, n : n + moved.size]):
+                np.clip(values, 0.0, 255.0, out=values)
+                current[c][moved] = values
+                np.rint(values, out=values)
+                frame[:, c][moved] = values  # whole numbers in [0, 255]: the cast is exact
+            n += moved.size
         yield frame.reshape(h, w, 3)
 
 

@@ -4,8 +4,46 @@ Everything here is deliberately written the slow, obvious way so it cannot
 share a code path with the implementations it checks.
 """
 import numpy as np
+from scipy.ndimage import correlate1d
 
 from flowcomm.metrics import DYNAMIC_RANGE, SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW
+
+
+def _gaussian_taps() -> np.ndarray:
+    g = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2) / (2.0 * SSIM_SIGMA**2))
+    return g / g.sum()
+
+
+def reference_windowed_mean(a: np.ndarray) -> np.ndarray:
+    """Gaussian window means at every valid position: scipy's correlate1d down the rows, then
+    along them, over the whole plane, cropped."""
+    half = SSIM_WINDOW // 2
+    taps = _gaussian_taps()
+    rows = correlate1d(a, taps, axis=0)
+    return correlate1d(rows, taps, axis=1)[half:-half, half:-half]
+
+
+def reference_luma(frame: np.ndarray) -> np.ndarray:
+    """(R + 2G + B) / 4 of a float64 copy; a (H, W) plane as float64."""
+    if frame.ndim == 2:
+        return np.asarray(frame, dtype=np.float64)
+    f = frame.astype(np.float64)
+    return (f[:, :, 0] + 2.0 * f[:, :, 1] + f[:, :, 2]) / 4.0
+
+
+def reference_ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean SSIM from `reference_windowed_mean`, each expression out of place."""
+    c1 = (SSIM_K1 * DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * DYNAMIC_RANGE) ** 2
+    ya, yb = reference_luma(a), reference_luma(b)
+    mu_a, mu_b = reference_windowed_mean(ya), reference_windowed_mean(yb)
+    var_a = reference_windowed_mean(ya * ya) - mu_a * mu_a
+    var_b = reference_windowed_mean(yb * yb) - mu_b * mu_b
+    cov = reference_windowed_mean(ya * yb) - mu_a * mu_b
+    score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(score.mean())
 
 
 def brute_force_ssim(ya: np.ndarray, yb: np.ndarray) -> float:

@@ -1,7 +1,8 @@
-"""What a fresh interpreter imports. flow and metrics reach scipy.ndimage through
-`scipy.ndimage.<fn>`, which loads the submodule on first use, so commands that
-never blur, warp or score (allocate, load) never load it. Each check runs in a
-subprocess, because this process already has scipy.ndimage loaded."""
+"""What a fresh interpreter imports. flow reaches scipy.ndimage through
+`scipy.ndimage.<fn>`, which loads the submodule on first use, and metrics does
+without it, so commands that never estimate flow (allocate, load) never load it,
+and neither does scoring. Each check runs in a subprocess, because this process
+already has scipy.ndimage loaded."""
 import json
 import os
 import subprocess
@@ -85,6 +86,20 @@ def test_allocate_and_load_never_load_ndimage(tmp_path):
     assert result == {"allocate": [0, False], "load": [0, False]}
     assert (tmp_path / "alloc" / "allocation.csv").is_file()
     assert (tmp_path / "load" / "load.csv").is_file()
+
+
+def test_scoring_loads_no_ndimage():
+    result = fresh(
+        "import json, sys\nimport numpy as np\nfrom flowcomm import metrics\n"
+        "from flowcomm.video import Video\n"
+        "rng = np.random.default_rng(0)\n"
+        "source = Video(rng.integers(0, 256, (3, 32, 40, 3)).astype(np.uint8))\n"
+        "frames = rng.integers(0, 256, (3, 32, 40, 3)).astype(np.uint8)\n"
+        "reference = [metrics.ssim_stats(f) for f in source.frames]\n"
+        "report = metrics.frame_losses(frames, source, reference)\n"
+        "print(json.dumps([0.0 < report.mean_ssim < 1.0, 'scipy.ndimage' in sys.modules]))"
+    )
+    assert result == [True, False]
 
 
 def test_first_ndimage_use_on_two_flow_threads(tmp_path):

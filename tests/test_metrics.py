@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_ssim
+from helpers import brute_force_ssim, reference_luma, reference_ssim, reference_windowed_mean
 from flowcomm import metrics
 from flowcomm.video import Video
 
@@ -36,6 +36,36 @@ class TestSsim:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             metrics.ssim(random_frame(5, 32, 32), random_frame(6, 16, 16))
+
+
+class TestSsimAgainstCorrelate1d:
+    """The numpy window means keep the bits of scipy's correlate1d over the whole plane."""
+
+    @pytest.mark.parametrize("h, w", [(11, 11), (11, 37), (64, 48), (256, 256)])
+    def test_every_operand_kind_bit_for_bit(self, h, w):
+        a = random_frame(h * w, h, w)
+        noise = np.random.default_rng(h + w).integers(-12, 13, a.shape)
+        b = np.clip(a + noise, 0, 255).astype(np.uint8)  # near a, so scores spread below 1
+        for frame in (a, b):
+            y = reference_luma(frame)
+            mu = reference_windowed_mean(y)
+            stats = metrics.ssim_stats(frame)
+            assert stats.frame is frame
+            assert np.array_equal(stats.mu.T, mu)
+            assert np.array_equal(stats.var.T, reference_windowed_mean(y * y) - mu * mu)
+        expected = reference_ssim(a, b)
+        stats_a, stats_b = metrics.ssim_stats(a), metrics.ssim_stats(b)
+        luma_a, luma_b = metrics.luma(a), metrics.luma(b)
+        assert np.array_equal(luma_a, reference_luma(a))
+        planes = metrics.SsimPlanes(h, w)
+        for x, y in [(a, b), (luma_a, luma_b), (a, stats_b), (stats_a, b), (stats_a, stats_b),
+                     (luma_a, metrics.ssim_stats(luma_b))]:
+            assert metrics.ssim(x, y) == expected
+            assert metrics.ssim(x, y, planes) == expected  # planes reused from call to call
+
+    def test_planes_for_another_shape_rejected(self):
+        with pytest.raises(ValueError):
+            metrics.ssim(random_frame(1, 32, 32), random_frame(2, 32, 32), metrics.SsimPlanes(32, 33))
 
 
 class TestMse:
@@ -71,9 +101,9 @@ class TestFrameLosses:
         scored = []
         kernel = metrics.ssim
 
-        def counting(a, b):
+        def counting(a, b, planes):
             scored.append(a)
-            return kernel(a, b)
+            return kernel(a, b, planes)
 
         monkeypatch.setattr(metrics, "ssim", counting)
         report = metrics.frame_losses(reconstructed.frames, original, original.frames)

@@ -250,9 +250,9 @@ class TestPipeline:
         calls = []
         original = pipeline.ssim_stats
 
-        def counting(frame):
+        def counting(frame, planes):
             calls.append(frame)
-            return original(frame)
+            return original(frame, planes)
 
         monkeypatch.setattr(pipeline, "ssim_stats", counting)
         cfg = parse_experiment_config(
@@ -313,29 +313,41 @@ class TestPipeline:
         assert peaks[1] < 2.0 * payload_bytes, peaks[1] / payload_bytes
         assert encoded.codes.nbytes * 8 == payload_bytes  # uint8 codes, one per float64 payload value
 
+    def rho0_cell_peak(self, tmp_path, video, name):
+        """The tracemalloc peak of the clip's one cell, at rho 0 and 10 dB, above its start."""
+        clip = tmp_path / name
+        save_ppm_sequence(video, clip)
+        cfg = parse_experiment_config(write_config(tmp_path / f"{name}.ini", [clip], rho="0.0", snr_db="10"))
+        run = pipeline.VideoRun(cfg, 1, 0, str(clip), 1)
+        (rho, snr_db, _, encoded, seed), = run.cells()
+        run.ssim_reference  # the per-video SSIM half is not the cell's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pipeline.run_point(run, rho, snr_db, encoded, seed)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
     def test_a_cells_peak_memory_does_not_grow_with_the_clip(self, tmp_path):
         peaks = {}
         for n_frames in (4, 8):
-            clip = tmp_path / f"clip{n_frames}"
             video, _ = synth.block_motion_video(64, 64, n_frames, [(16, 16, 16, 16)], dx=2, dy=0, seed=10)
-            save_ppm_sequence(video, clip)
-            cfg = parse_experiment_config(
-                write_config(tmp_path / f"c{n_frames}.ini", [clip], rho="0.0", snr_db="10")
-            )
-            run = pipeline.VideoRun(cfg, 1, 0, str(clip), 1)
-            (rho, snr_db, _, encoded, seed), = run.cells()
-            run.ssim_reference  # the per-video SSIM half is not the cell's
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                pipeline.run_point(run, rho, snr_db, encoded, seed)
-                peaks[n_frames] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            peaks[n_frames] = self.rho0_cell_peak(tmp_path, video, f"clip{n_frames}")
         # Four more frames of whole-video decoded payloads and reconstructed frames would add
         # about five frames' payloads.
         frame_bytes = 16 * 2 * 16 * 16 * 8  # one flow frame's decoded payloads at rho 0
         assert peaks[8] - peaks[4] < frame_bytes, peaks
+
+    def test_a_cells_peak_memory_in_frame_planes(self, tmp_path):
+        """A cell makes its decode, warp and SSIM planes once, and bounds every other array
+        by a block: at rho 0, with every pixel moving, a cell on 256x256 frames peaks near
+        20.7 H x W float64 planes. Making them afresh each frame peaked near 24."""
+        video, _ = synth.block_motion_video(
+            256, 256, 3, [(64, 96, 64, 64)], dx=2, dy=1, seed=12, bg_dx=1, bg_dy=0
+        )
+        peak = self.rho0_cell_peak(tmp_path, video, "pan")
+        assert peak < 22 * 256 * 256 * 8, peak / (256 * 256 * 8)
 
     @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
     def test_each_rho_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
@@ -671,6 +683,26 @@ class TestCli:
         key = codec.split()[0]
         assert f"{key} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transmit", "pipeline", "sweep", "extract", "reconstruct"])
+    def test_gamma_that_overflows_the_power_normalization_rejected(self, tmp_path, clips, capsys, command):
+        # At rho 0 the clip sends 3 flow frames x 16 patches x 2 x 16 x 16 symbols, and
+        # sqrt(1e308 * 24576) overflows: the channel decoded NaN payloads and scored them.
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], codec="gamma = 1e308")
+        out = tmp_path / "o"
+        if command in ("extract", "reconstruct"):  # no channel, so gamma goes unused
+            assert self.run(command, "--config", str(cfg), "--out", str(out)) == 0
+            return
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert "motion0: [codec] gamma = 1e+308 times the 24576 symbols" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gamma_below_the_overflow_scores_every_cell(self, tmp_path, clips):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], codec="gamma = 1e300")
+        out = tmp_path / "o"
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(out)) == 0
+        scores = [float(row["mean_ssim"]) for row in read_rows(out / "summary.csv")]
+        assert len(scores) == 2 and all(0.0 < s <= 1.0 for s in scores)
 
     @pytest.mark.parametrize(
         "rho, snr_db, message",
