@@ -45,6 +45,16 @@ class AllocationScenario:
             if not 0.0 < t < math.inf:
                 raise ValueError(f"bandwidth_hz {self.bandwidth_hz!r} split equally sends a UE's {load!r} "
                                  f"bits at snr {snr!r} in {float(t)!r} s; it must be finite and positive")
+        # The oracle splits the band as bandwidth_hz * w / sum(w): each factor must be finite.
+        with np.errstate(over="ignore"):
+            w = self.oracle_weights
+            factors = (("weight w = load_bits / log2(1 + snr)", w), ("sum of w", [w.sum()]),
+                       (f"bandwidth_hz {self.bandwidth_hz!r} times w", self.bandwidth_hz * w))
+        for name, values in factors:
+            for value in values:
+                if not math.isfinite(value):
+                    raise ValueError(f"the oracle {name} is {float(value)!r} for load_bits {self.loads!r} "
+                                     f"and snrs {self.snrs!r}; it must be finite")
 
     @property
     def n_ue(self) -> int:
@@ -54,6 +64,11 @@ class AllocationScenario:
     def spectral_efficiency(self) -> np.ndarray:
         """bits/s/Hz per UE: log2(1 + snr)."""
         return np.log2(1.0 + np.asarray(self.snrs, dtype=np.float64))
+
+    @property
+    def oracle_weights(self) -> np.ndarray:
+        """load / log2(1 + snr) per UE: the oracle's bandwidth is proportional to it."""
+        return np.asarray(self.loads, dtype=np.float64) / self.spectral_efficiency
 
 
 @dataclass
@@ -102,7 +117,7 @@ def oracle_allocate(sc: AllocationScenario) -> tuple[np.ndarray, float]:
     All transmission times coincide at t_max = sum(w) / B, the minimum of the
     max-time objective (any other feasible split leaves some UE slower).
     """
-    w = np.asarray(sc.loads, dtype=np.float64) / sc.spectral_efficiency
+    w = sc.oracle_weights
     b = sc.bandwidth_hz * w / w.sum()
     return b, float(w.sum() / sc.bandwidth_hz)
 

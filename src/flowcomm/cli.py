@@ -149,7 +149,7 @@ def pipeline_rows(out_dir: str, run) -> tuple[list, list]:
         report = r.report
         summary_rows.append(
             [r.video_id, r.rho, r.snr_db, report.mean_ssim, report.mean_psnr, report.mean_mse,
-             report.map, r.n_selected, *_loads(r.breakdown), r.tx_seconds]
+             r.map, r.n_selected, *_loads(r.breakdown), r.tx_seconds]
         )
         frame_rows += _frame_rows([r.video_id, r.rho, r.snr_db], report)
     return summary_rows, frame_rows

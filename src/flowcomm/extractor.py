@@ -144,26 +144,6 @@ class SelectionResult:
         order = np.insert(self.picks, 0, self.picks.shape[1], axis=1).astype("<u4")
         return head + bits + order.tobytes() + self.payloads.astype("<f4").tobytes()
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SelectionResult":
-        if len(blob) < 40 or blob[:4] != SELECTION_MAGIC:
-            raise ValueError("not a selection blob")
-        t_prime, rows, cols, ph, pw, fh, fw, rho = struct.unpack("<IIIIIIId", blob[4:40])
-        grid = PatchGrid(ph, pw, rows, cols)
-        n_bits = t_prime * rows * cols
-        bits_end = 40 + -(-n_bits // 8)
-        # Frame 0's count fixes the table width; every frame must carry the same count.
-        k = int(np.frombuffer(blob, dtype="<u4", count=1, offset=bits_end)[0]) if t_prime else 0
-        order = np.frombuffer(blob, dtype="<u4", count=t_prime * (1 + k), offset=bits_end)
-        order = order.reshape(t_prime, 1 + k)
-        if np.any(order[:, 0] != k):
-            raise ValueError(f"selection counts differ across frames: {order[:, 0].tolist()}")
-        payloads = np.frombuffer(
-            blob, dtype="<f4", count=t_prime * k * 2 * ph * pw, offset=bits_end + order.nbytes
-        )
-        payloads = payloads.astype(np.float64).reshape(t_prime, k, 2, ph, pw)
-        return cls(grid, rho, order[:, 1:].astype(np.intp), payloads, fh, fw)
-
 
 def patch_mean_flow(flow: np.ndarray, grid: PatchGrid) -> PatchFlowGrid:
     """Mean (u, v) per patch of a (2, H, W) field, over the patch's in-field pixels (padding excluded)."""
@@ -193,6 +173,18 @@ def fit_background_lstsq(positions: np.ndarray, flows: np.ndarray) -> Background
     return BackgroundModel(phi)
 
 
+def check_background_grid(grid: PatchGrid, frame_shape: tuple[int, int] | None = None) -> None:
+    """Raise unless the grid has the 3 patch rows and 3 columns the quadratic background needs.
+
+    With fewer, i^2 (or j^2) is a linear combination of i and 1, so every 6-patch draw is singular.
+    """
+    if min(grid.rows, grid.cols) < 3:
+        frame = "" if frame_shape is None else "{}x{} px, ".format(*frame_shape)
+        raise ValueError(f"{grid.rows}x{grid.cols} patch grid ({frame}{grid.patch_h}x{grid.patch_w} px patches) "
+                         "is too small for the quadratic background model, which needs at least 3 patch "
+                         "rows and 3 patch columns")
+
+
 def ransac_background(
     patch_flows: PatchFlowGrid, params: ExtractorParams, seed: int
 ) -> BackgroundModel:
@@ -203,9 +195,8 @@ def ransac_background(
     for a given seed.
     """
     grid = patch_flows.grid
+    check_background_grid(grid)
     n = grid.n_patches
-    if n < 6:
-        raise ValueError("need at least 6 patches for background estimation")
     ii, jj = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
     positions = np.stack([ii.reshape(-1), jj.reshape(-1)], axis=1).astype(np.float64)
     flows = patch_flows.mean_flow.reshape(-1, 2)

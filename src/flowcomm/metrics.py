@@ -25,7 +25,6 @@ class QualityReport:
     mean_ssim: float
     mean_psnr: float
     mean_mse: float
-    map: float | None = None  # motion area percentage, when ground truth is known
 
 
 def luma(frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -45,6 +44,13 @@ _TAPS /= _TAPS.sum()
 _HALF = SSIM_WINDOW // 2
 
 
+def check_ssim_window(h: int, w: int) -> None:
+    """SSIM scores (h, w) frames only if they cover at least one full window."""
+    if min(h, w) < SSIM_WINDOW:
+        raise ValueError(f"{h}x{w} px frames are smaller than the {SSIM_WINDOW}x"
+                         f"{SSIM_WINDOW} SSIM window that scores reconstructions")
+
+
 class SsimPlanes:
     """Scratch planes for SSIM on (h, w) frames, made once and reused by every call given them.
 
@@ -52,8 +58,7 @@ class SsimPlanes:
     """
 
     def __init__(self, h: int, w: int):
-        if min(h, w) < SSIM_WINDOW:
-            raise ValueError(f"frame smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+        check_ssim_window(h, w)
         self.shape = (h, w)
         self.valid = (w - 2 * _HALF, h - 2 * _HALF)  # transposed, as `SsimStats` keeps them
         self.y = np.empty((h, w))  # the luma of the operand whose statistics are made here
@@ -134,16 +139,16 @@ def ssim_stats(frame: np.ndarray, planes: SsimPlanes | None = None) -> SsimStats
     return SsimStats(frame, mu, var)
 
 
-def ssim(a: np.ndarray | SsimStats, b: np.ndarray | SsimStats, planes: SsimPlanes | None = None) -> float:
+def ssim(a: np.ndarray, b: np.ndarray | SsimStats, planes: SsimPlanes | None = None) -> float:
     """Mean SSIM over sliding Gaussian windows on luma.
 
-    Inputs are (H, W, 3) frames, (H, W) luma planes or their `ssim_stats`;
-    frames must cover at least one full window. `b`'s stats are taken as given
-    or made afresh; `a`'s, and every other plane, are made in `planes`, scratch
-    for frames of this shape (made afresh if not given). Luma planes are made
-    from the frames on each call; stats keep none.
+    `a` is an (H, W, 3) frame or an (H, W) luma plane; `b` is one too, or its
+    `ssim_stats`. Frames must cover at least one full window. `b`'s stats are
+    taken as given or made afresh; `a`'s, and every other plane, are made in
+    `planes`, scratch for frames of this shape (made afresh if not given).
+    Luma planes are made from the frames on each call; stats keep none.
     """
-    fa, fb = (x.frame if isinstance(x, SsimStats) else np.asarray(x) for x in (a, b))
+    fa, fb = np.asarray(a), (b.frame if isinstance(b, SsimStats) else np.asarray(b))
     if fa.shape[:2] != fb.shape[:2]:
         raise ValueError(f"frame shapes differ: {fa.shape[:2]} vs {fb.shape[:2]}")
     p = SsimPlanes(*fa.shape[:2]) if planes is None else planes
@@ -152,11 +157,7 @@ def ssim(a: np.ndarray | SsimStats, b: np.ndarray | SsimStats, planes: SsimPlane
     sb = b if isinstance(b, SsimStats) else ssim_stats(fb, p)
     mu, var, cov, score = p.mu, p.var, p.cov, p.at_valid(0)
     ya = luma(fa, p.y)
-    if isinstance(a, SsimStats):
-        np.copyto(mu, a.mu)
-        np.copyto(var, a.var)
-    else:
-        _moments(ya, mu, var, p)
+    _moments(ya, mu, var, p)
     np.multiply(luma(fb, p.product), ya, out=p.product)
     _windowed_mean(p.product, cov, p)
     cov -= np.multiply(mu, sb.mu, out=score)

@@ -23,9 +23,9 @@ from .config import ConfigError, ExperimentConfig, derive_seed, video_id
 from .flow import check_frame_size, estimate_flow, fan_out
 from .load import LoadBreakdown
 from .metrics import (
-    SSIM_WINDOW,
     QualityReport,
     SsimPlanes,
+    check_ssim_window,
     frame_losses,
     motion_area_percentage,
     ssim_stats,
@@ -40,6 +40,7 @@ class PointResult:
     rho: float
     snr_db: float
     report: QualityReport
+    map: float  # motion area percentage of the rho's selection
     breakdown: LoadBreakdown
     tx_seconds: float
     n_selected: int
@@ -87,17 +88,7 @@ class VideoRun:
         return estimate_flow(self.video, self.cfg.flow_params, self.threads)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
-        v, cfg = self.video, self.cfg
-        params = ld.LoadParams(
-            n_frames=v.n_frames,
-            height=v.height,
-            width=v.width,
-            patch_h=cfg.patch_h,
-            patch_w=cfg.patch_w,
-            mask_ratio=rho,
-            zip_ratio=cfg.zip_ratio,
-        )
-        return ld.total_load(params)
+        return load_breakdown(self.cfg, self.video.frames.shape[:3], rho)
 
     def selections(self):
         """Yield (rho, selection) for each rho: a rho=0 selection holds every patch."""
@@ -232,13 +223,26 @@ def run_point(
     payloads = received_payloads(encoded, run.cfg.codec, snr, channel_seed, repeat(buffer))
     flows = dense_flows(grid, encoded.picks, payloads, v.height, v.width)
     report = run.quality(reconstructed_frames(v.frames[0], flows))
-    report.map = motion_area_percentage(encoded.important)
-    capacity = ch.capacity_per_s(run.cfg.bandwidth_hz, snr)
-    tx_seconds = float(breakdown.l_com) / capacity  # the config admits only positive capacities
-    return PointResult(run.video_id, rho, snr_db, report, breakdown, tx_seconds, encoded.picks.size)
+    return PointResult(
+        run.video_id, rho, snr_db, report, motion_area_percentage(encoded.important),
+        breakdown, tx_seconds(run.cfg, breakdown, snr_db), encoded.picks.size,
+    )
 
 
-STAGES = ("flow", "extract", "transmit", "score")  # checked here; every command loads its videos
+def load_breakdown(cfg: ExperimentConfig, shape: tuple[int, int, int], rho: float) -> LoadBreakdown:
+    """The load of a cell at mask ratio `rho` on a video of `shape` (T, H, W)."""
+    n_frames, height, width = shape
+    params = ld.LoadParams(n_frames, height, width, cfg.patch_h, cfg.patch_w, rho, cfg.zip_ratio)
+    return ld.total_load(params)
+
+
+def tx_seconds(cfg: ExperimentConfig, breakdown: LoadBreakdown, snr_db: float) -> float:
+    """A cell's load l_com over the link capacity B log2(1 + snr), which the config keeps positive."""
+    return float(breakdown.l_com) / ch.capacity_per_s(cfg.bandwidth_hz, ch.db_to_linear(snr_db))
+
+
+# Checked here; every command loads its videos. "time" is each cell's tx_seconds.
+STAGES = ("flow", "extract", "transmit", "score", "time")
 
 
 def check_videos(cfg: ExperimentConfig, stages) -> None:
@@ -249,19 +253,11 @@ def check_videos(cfg: ExperimentConfig, stages) -> None:
     for directory in cfg.video_dirs:
         n_frames, h, w = load_ppm_sequence(directory).frames.shape[:3]
         try:
-            if "score" in stages and min(h, w) < SSIM_WINDOW:
-                raise ValueError(f"{h}x{w} px frames are smaller than the {SSIM_WINDOW}x"
-                                 f"{SSIM_WINDOW} SSIM window that scores reconstructions")
+            if "score" in stages:
+                check_ssim_window(h, w)
             if "extract" in stages:
                 grid = PatchGrid.for_shape(h, w, cfg.patch_h, cfg.patch_w)
-                # With fewer than 3 distinct rows (or columns) i^2 is a linear combination
-                # of i and 1, so every 6-patch draw of the quadratic background is singular.
-                if min(grid.rows, grid.cols) < 3:
-                    raise ValueError(
-                        f"{grid.rows}x{grid.cols} patch grid ({h}x{w} px, {cfg.patch_h}x"
-                        f"{cfg.patch_w} px patches) is too small for the quadratic background "
-                        "model, which needs at least 3 patch rows and 3 patch columns"
-                    )
+                ex.check_background_grid(grid, (h, w))
             if "transmit" in stages:  # after "extract", which it sends
                 # The power normalization scales by sqrt(gamma * symbols) of a rho's whole
                 # selection, and the smallest rho sends the most symbols.
@@ -272,6 +268,14 @@ def check_videos(cfg: ExperimentConfig, stages) -> None:
                         f"[codec] gamma = {cfg.codec.gamma!r} times the {n_symbols} symbols of "
                         "the widest selection is not finite, so the symbols cannot be "
                         "normalized to average power gamma"
+                    )
+            if "time" in stages:  # l_com is largest at the smallest rho
+                widest = load_breakdown(cfg, (n_frames, h, w), min(cfg.rho_list))
+                seconds = max(tx_seconds(cfg, widest, snr_db) for snr_db in cfg.snr_db_list)
+                if not math.isfinite(seconds):
+                    raise ValueError(
+                        f"[link] B = {cfg.bandwidth_hz!r} gives a cell the transmission time "
+                        f"l_com / (B log2(1 + snr)) = {seconds!r} s; it must be finite"
                     )
             if "flow" in stages:
                 check_frame_size(h, w, cfg.flow_params)

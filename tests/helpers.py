@@ -3,10 +3,38 @@
 Everything here is deliberately written the slow, obvious way so it cannot
 share a code path with the implementations it checks.
 """
+import struct
+
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from flowcomm.extractor import SELECTION_MAGIC, SelectionResult
 from flowcomm.metrics import DYNAMIC_RANGE, SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW
+from flowcomm.video import PatchGrid
+
+
+def read_selection(blob: bytes) -> SelectionResult:
+    """Reference reader of `SelectionResult.to_bytes`: the selection a blob holds.
+
+    Payloads come back as float64 from the blob's float32. Raises ValueError on
+    a blob that is not a selection, is cut short, or whose frames carry
+    different selection counts.
+    """
+    if len(blob) < 40 or blob[:4] != SELECTION_MAGIC:
+        raise ValueError("not a selection blob")
+    t_prime, rows, cols, ph, pw, fh, fw, rho = struct.unpack("<IIIIIIId", blob[4:40])
+    bits_end = 40 + -(-t_prime * rows * cols // 8)
+    # Frame 0's count fixes the table width; every frame must carry the same count.
+    k = int(np.frombuffer(blob, dtype="<u4", count=1, offset=bits_end)[0]) if t_prime else 0
+    order = np.frombuffer(blob, dtype="<u4", count=t_prime * (1 + k), offset=bits_end)
+    order = order.reshape(t_prime, 1 + k)
+    if np.any(order[:, 0] != k):
+        raise ValueError(f"selection counts differ across frames: {order[:, 0].tolist()}")
+    payloads = np.frombuffer(
+        blob, dtype="<f4", count=t_prime * k * 2 * ph * pw, offset=bits_end + order.nbytes
+    )
+    payloads = payloads.astype(np.float64).reshape(t_prime, k, 2, ph, pw)
+    return SelectionResult(PatchGrid(ph, pw, rows, cols), rho, order[:, 1:].astype(np.intp), payloads, fh, fw)
 
 
 def _gaussian_taps() -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +61,23 @@ class TestOracle:
             grid_frac, grid_t = grid_search_allocation(loads, snrs, bandwidth)
             assert np.abs(b / bandwidth - grid_frac).max() <= 1e-3 + 1e-12
             assert t_max <= grid_t + 1e-12
+
+    @pytest.mark.parametrize(
+        "loads, snrs, bandwidth, message",
+        [
+            # Each UE's equal-share time is finite, but the oracle wrote fraction and
+            # b_hz inf and t_seconds 0.0 for every UE.
+            ((1e308,) * 3, (3.0,) * 3, 4e6, "the oracle bandwidth_hz 4000000.0 times w is inf"),
+            ((1e300, 1e300), (1e-10, 1e-10), 1e12, "the oracle weight w = load_bits / log2(1 + snr) is inf"),
+            ((0.7e308,) * 3, (1.0,) * 3, 2.0, "the oracle sum of w is inf"),
+        ],
+        ids=["product", "weight", "sum"],
+    )
+    def test_scenario_whose_oracle_overflows_rejected(self, loads, snrs, bandwidth, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scenario(loads, snrs, bandwidth)
 
 
 class TestEqualSplit:

@@ -14,6 +14,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import read_selection
 from flowcomm import cli, synth
 from flowcomm import extractor as ex
 from flowcomm.video import save_ppm_sequence
@@ -84,7 +85,7 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
         if run("extract", config, extracted) == 0:
             for rho in rhos:
                 with open(os.path.join(extracted, "clip", f"selection_rho{rho:g}.bin"), "rb") as fh:
-                    sel = ex.SelectionResult.from_bytes(fh.read())
+                    sel = read_selection(fh.read())
                 per_frame = sel.xi.reshape(n_frames - 1, -1).sum(axis=1)
                 assert per_frame.tolist() == [ex.selection_count(rho, n_patches)] * (n_frames - 1)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import read_selection
 from flowcomm import extractor as ex
 from flowcomm import synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
@@ -130,6 +131,19 @@ class TestRansac:
         grid = PatchGrid(16, 16, 1, 2)
         with pytest.raises(ValueError):
             ex.ransac_background(ex.PatchFlowGrid(grid, np.zeros((1, 2, 2))), ex.ExtractorParams(), 0)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 5), (5, 2)])
+    def test_grid_below_three_rows_or_columns_rejected_before_any_draw(self, monkeypatch, rows, cols):
+        # 10 patches pass a patch count of 6, but with 2 distinct rows (or columns)
+        # every 6-patch draw is singular: 64 x 16 draws would each be refused.
+        def no_fit(*args):
+            raise AssertionError("the grid reached the background fit")
+
+        monkeypatch.setattr(ex, "fit_background_lstsq", no_fit)
+        pf = ex.PatchFlowGrid(PatchGrid(16, 16, rows, cols), np.zeros((rows, cols, 2)))
+        message = rf"{rows}x{cols} patch grid \(16x16 px patches\) is too small"
+        with pytest.raises(ValueError, match=message):
+            ex.ransac_background(pf, ex.ExtractorParams(), 0)
 
 
 class TestAdaptiveThreshold:
@@ -316,7 +330,7 @@ class TestSerialization:
         ]
         grid = PatchGrid.for_shape(40, 56, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.4), seed=25)
-        back = ex.SelectionResult.from_bytes(sel.to_bytes())
+        back = read_selection(sel.to_bytes())
         assert back.grid == sel.grid
         assert back.mask_ratio == sel.mask_ratio
         assert np.array_equal(back.xi, sel.xi)
@@ -330,7 +344,7 @@ class TestSerialization:
         grid = PatchGrid.for_shape(48, 48, 16, 16)
         sel = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.99), seed=27)  # k = 0 of 9
         assert sel.picks.shape == (2, 0) and sel.payloads.shape == (2, 0, 2, 16, 16)
-        back = ex.SelectionResult.from_bytes(sel.to_bytes())
+        back = read_selection(sel.to_bytes())
         assert back.picks.shape == (2, 0) and back.payloads.shape == (2, 0, 2, 16, 16)
         assert not back.xi.any() and back.xi.shape == (2, 3, 3)
         assert back.to_bytes() == sel.to_bytes()
@@ -350,7 +364,7 @@ class TestSerialization:
         blob = sel.to_bytes()[:40] + np.packbits(xi.reshape(-1)).tobytes() + order.tobytes() + payloads.tobytes()
         assert len(blob) == head + order.nbytes + payloads.nbytes
         with pytest.raises(ValueError, match="selection counts differ"):
-            ex.SelectionResult.from_bytes(blob)
+            read_selection(blob)
 
     def test_truncated_blob_rejected(self):
         rng = np.random.default_rng(30)
@@ -359,8 +373,8 @@ class TestSerialization:
         blob = sel.to_bytes()
         for cut in (3, 20, 41, 50, len(blob) - 1):  # magic, header, bitmap, index table, payloads
             with pytest.raises(ValueError):
-                ex.SelectionResult.from_bytes(blob[:cut])
+                read_selection(blob[:cut])
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
-            ex.SelectionResult.from_bytes(b"nope" + b"\0" * 64)
+            read_selection(b"nope" + b"\0" * 64)

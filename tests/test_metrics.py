@@ -30,7 +30,7 @@ class TestSsim:
             assert abs(metrics.ssim(a, b) - brute_force_ssim(a, b)) < 1e-9
 
     def test_too_small_frame_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="8x8 px frames are smaller than the 11x11 SSIM window"):
             metrics.ssim(random_frame(3, 8, 8), random_frame(4, 8, 8))
 
     def test_shape_mismatch(self):
@@ -54,11 +54,10 @@ class TestSsimAgainstCorrelate1d:
             assert np.array_equal(stats.mu.T, mu)
             assert np.array_equal(stats.var.T, reference_windowed_mean(y * y) - mu * mu)
         expected = reference_ssim(a, b)
-        stats_a, stats_b = metrics.ssim_stats(a), metrics.ssim_stats(b)
         luma_a, luma_b = metrics.luma(a), metrics.luma(b)
         assert np.array_equal(luma_a, reference_luma(a))
         planes = metrics.SsimPlanes(h, w)
-        for x, y in [(a, b), (luma_a, luma_b), (a, stats_b), (stats_a, b), (stats_a, stats_b),
+        for x, y in [(a, b), (luma_a, luma_b), (a, metrics.ssim_stats(b)),
                      (luma_a, metrics.ssim_stats(luma_b))]:
             assert metrics.ssim(x, y) == expected
             assert metrics.ssim(x, y, planes) == expected  # planes reused from call to call

@@ -15,6 +15,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from helpers import read_selection
 from flowcomm import channel as ch
 from flowcomm import cli, pipeline, synth
 from flowcomm import extractor as ex
@@ -594,7 +595,7 @@ class TestCli:
         out = tmp_path / "ext"
         assert self.run("extract", "--config", str(cfg), "--seed", "2", "--out", str(out)) == 0
         blob = (out / "motion0" / "selection_rho0.5.bin").read_bytes()
-        sel = ex.SelectionResult.from_bytes(blob)
+        sel = read_selection(blob)
         assert sel.mask_ratio == 0.5
         assert sel.xi.shape == (3, 4, 4)
 
@@ -696,6 +697,27 @@ class TestCli:
         assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
         assert "motion0: [codec] gamma = 1e+308 times the 24576 symbols" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep", "transmit"])
+    def test_link_whose_transmission_time_overflows_rejected(self, tmp_path, clips, capsys, command):
+        # B = 1e-310 gives a positive capacity B log2(1 + snr), but l_com over it
+        # overflows: pipeline wrote tx_seconds inf.
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], extra="[link]\nB = 1e-310\n")
+        out = tmp_path / "o"
+        if command == "transmit":  # writes no transmission time
+            assert self.run(command, "--config", str(cfg), "--out", str(out)) == 0
+            return
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "motion0: [link] B = 1e-310 gives a cell the transmission time" in err
+        assert not out.exists()
+
+    def test_link_below_the_overflow_writes_finite_times(self, tmp_path, clips):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], extra="[link]\nB = 1e-300\n")
+        out = tmp_path / "o"
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(out)) == 0
+        times = [float(row["tx_seconds"]) for row in read_rows(out / "summary.csv")]
+        assert len(times) == 2 and all(1e304 < t < math.inf for t in times)
 
     def test_gamma_below_the_overflow_scores_every_cell(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], codec="gamma = 1e300")
@@ -1027,6 +1049,8 @@ class TestAllocateCli:
              "bandwidth_hz 1e-320 split equally sends a UE's 4000000.0 bits at snr 3.0 in inf s"),
             ("ue.1", "load_bits", "1e-320",
              "bandwidth_hz 4000000.0 split equally sends a UE's 1e-320 bits at snr 3.0 in 0.0 s"),
+            ("ue.1", "load_bits", "1e308",
+             "the oracle bandwidth_hz 4000000.0 times w is inf for load_bits (1e+308, 2000000.0, 2000000.0)"),
         ],
     )
     def test_scenario_value_out_of_range_rejected(self, tmp_path, capsys, section, key, value, message):

@@ -217,9 +217,9 @@ class TestPerFrameCell:
             noisy = replace(sel, payloads=decoded)
             frames = map_coordinates_reconstruction(video.frames[0], noisy)
             expected = whole_video_losses(frames, video, run.ssim_reference)
-            expected.map = metrics.motion_area_percentage(sel.important)
             assert (point.rho, point.snr_db) == (rho, snr_db)
             assert point.report == expected, (rho, snr_db)
+            assert point.map == metrics.motion_area_percentage(sel.important)
         assert points[0].report.mean_ssim < 1.0  # the noise reached the reconstruction
 
 
