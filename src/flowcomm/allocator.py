@@ -55,6 +55,17 @@ class AllocationScenario:
                 if not math.isfinite(value):
                     raise ValueError(f"the oracle {name} is {float(value)!r} for load_bits {self.loads!r} "
                                      f"and snrs {self.snrs!r}; it must be finite")
+        # A tiny weight's share of the band can underflow to 0, which leaves its UE no time, and
+        # a dominant weight's can round past the whole band.
+        with np.errstate(divide="ignore", under="ignore"):
+            b, _ = oracle_allocate(self)
+            times = transmission_times(self, b)
+        for load, snr, fraction, t in zip(self.loads, self.snrs, b / self.bandwidth_hz, times):
+            if not (0.0 < fraction <= 1.0 and 0.0 < t < math.inf):
+                raise ValueError(f"bandwidth_hz {self.bandwidth_hz!r} gives the oracle share {float(fraction)!r} "
+                                 f"of the band and a time of {float(t)!r} s to a UE with load_bits {load!r} "
+                                 f"and snr {snr!r}; the share must lie in (0, 1] and the time be finite "
+                                 "and positive")
 
     @property
     def n_ue(self) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,21 @@ class CodecParams:
         for name in ("mag_cap", "gamma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+
+    @cached_property
+    def decode_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`flow_decode`'s magnitude, cosine and sine of each of the 2^bits quantizer codes.
+
+        Built on first use with the decoder's own arithmetic, (q / levels) * mag_cap and
+        ((q / levels - 0.5) * 2) * pi, so a gathered product has the bits of the computed one.
+        """
+        unit = np.arange(1 << self.bits_per_symbol, dtype=np.float64)
+        unit /= (1 << self.bits_per_symbol) - 1
+        angle = unit - 0.5
+        angle *= 2.0
+        angle *= math.pi
+        unit *= self.mag_cap
+        return unit, np.cos(angle), np.sin(angle)
 
 
 def path_gain(link: LinkParams) -> float:
@@ -104,10 +120,9 @@ def flow_codes(payloads: np.ndarray, cp: CodecParams) -> np.ndarray:
     return codes
 
 
-def expand_codes(codes: np.ndarray, cp: CodecParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1, into `out` if given."""
-    if out is None:
-        out = np.empty(codes.shape)
+def expand_codes(codes: np.ndarray, cp: CodecParams) -> np.ndarray:
+    """Symbols in [-1, 1] of quantizer codes: (q / levels) * 2 - 1."""
+    out = np.empty(codes.shape)
     np.copyto(out, codes)  # an unbuffered cast: a dividing ufunc would cast through a buffer
     out /= (1 << cp.bits_per_symbol) - 1
     out *= 2.0
@@ -126,7 +141,8 @@ def flow_decode(
     """Inverse of flow_encode: symbols back to (n, 2, H', W') flow payloads, into `out` if given.
 
     Re-snaps to the quantizer grid, so a noiseless transmit round trip
-    decodes identically to encode alone. Runs one block of patches at a time,
+    decodes identically to encode alone, then looks each (magnitude, angle)
+    code pair up in `cp.decode_tables`. Runs one block of patches at a time,
     so its scratch arrays span a block, whatever the symbol count. `out` may
     hold the symbols themselves: each block is read before it is written.
     """
@@ -139,23 +155,23 @@ def flow_decode(
     n = symbols.size // per_patch
     if out is None:
         out = np.empty((n, 2, patch_h, patch_w))
-    levels = (1 << cp.bits_per_symbol) - 1
+    mag_of, cos_of, sin_of = cp.decode_tables
     step = max(1, _BLOCK // per_patch)
+    code = np.empty(min(n, step) * per_patch // 2, dtype=np.intp)
     for lo in range(0, n, step):
         block = symbols[lo * per_patch : (lo + step) * per_patch]
         k = block.size // per_patch
         mag, ang = block[0::2] + 1.0, block[1::2] + 1.0
+        index = code[: mag.size]
         for unit in (mag, ang):
             unit /= 2.0
             _quantize_codes(unit, cp.bits_per_symbol)
-            unit /= levels
-        mag *= cp.mag_cap
-        ang -= 0.5
-        ang *= 2.0
-        ang *= math.pi
-        term = np.empty_like(mag)  # a product straight into the strided out[:, k] would be buffered
-        for c, wave in enumerate((np.cos, np.sin)):
-            wave(ang, out=term)
+        np.copyto(index, mag, casting="unsafe")  # whole numbers: the cast is exact
+        np.take(mag_of, index, out=mag, mode="clip")  # in range: no clipping
+        np.copyto(index, ang, casting="unsafe")
+        term = ang  # its codes are in `index`; a product straight into the strided out[:, c] is buffered
+        for c, wave in enumerate((cos_of, sin_of)):
+            np.take(wave, index, out=term, mode="clip")
             term *= mag
             out[lo : lo + k, c] = term.reshape(k, patch_h, patch_w)
     return out

@@ -201,7 +201,14 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
                 **{field: _get(p, "channel", key, float)
                    for key, field in CHANNEL_KEYS.items() if p.has_option("channel", key)},
             )
-            snrs.append(sample_channel(link, derive_seed(seed, "scenario-fading", k)).snr)
+            try:
+                snr = sample_channel(link, derive_seed(seed, "scenario-fading", k)).snr
+            except (OverflowError, ZeroDivisionError):  # a path gain or |h|^2 past the float range
+                snr = math.inf
+            if not 0.0 < snr < math.inf:
+                raise ConfigError(f"[{sec}] distance = {dist!r} and the [channel] link give the UE "
+                                  f"snr {snr!r}; it must be finite and positive")
+            snrs.append(snr)
     scenario = _build(
         AllocationScenario,
         loads=tuple(loads),

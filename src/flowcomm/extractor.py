@@ -145,14 +145,28 @@ class SelectionResult:
         return head + bits + order.tobytes() + self.payloads.astype("<f4").tobytes()
 
 
-def patch_mean_flow(flow: np.ndarray, grid: PatchGrid) -> PatchFlowGrid:
-    """Mean (u, v) per patch of a (2, H, W) field, over the patch's in-field pixels (padding excluded)."""
-    ph, pw = grid.patch_h, grid.patch_w
-    mean = np.zeros((grid.rows, grid.cols, 2))
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            u, v = flow[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw]
-            mean[i, j] = u.mean(), v.mean()
+def patch_mean_flow(flow: np.ndarray, grid: PatchGrid, patches: np.ndarray) -> PatchFlowGrid:
+    """Mean (u, v) per patch of a (2, H, W) field, over the patch's in-field pixels (padding excluded).
+
+    `patches` is the field's `partition_patches`. A full patch's mean sums its
+    contiguous values in numpy's order for a mean over the strided patch in the
+    field: whole rows, as many as fit numpy's ufunc buffer, each group summed
+    pairwise and the groups added in turn, then divided by ph * pw. A patch cut
+    by the field's right or bottom edge takes the mean of its in-field slice.
+    """
+    n, ph, pw = grid.n_patches, grid.patch_h, grid.patch_w
+    _, height, width = flow.shape
+    rows = max(1, np.getbufsize() // pw)
+    sums = np.add.reduce(patches[:, :, :rows].reshape(n, 2, -1), axis=-1)
+    for lo in range(rows, ph, rows):
+        sums += np.add.reduce(patches[:, :, lo : lo + rows].reshape(n, 2, -1), axis=-1)
+    mean = (sums / (ph * pw)).reshape(grid.rows, grid.cols, 2)
+    cut = np.zeros((grid.rows, grid.cols), dtype=bool)
+    cut[height // ph :] = True
+    cut[:, width // pw :] = True
+    for i, j in zip(*np.nonzero(cut)):
+        u, v = flow[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw]
+        mean[i, j] = u.mean(), v.mean()
     return PatchFlowGrid(grid, mean)
 
 
@@ -288,11 +302,12 @@ def extract(
     payloads = np.empty((len(flows), k, 2, grid.patch_h, grid.patch_w))
     important_all = np.empty((len(flows), grid.rows, grid.cols), dtype=bool)
     for t, flow in enumerate(flows):
-        pf = patch_mean_flow(flow, grid)
+        patches = partition_patches(flow, grid)
+        pf = patch_mean_flow(flow, grid, patches)
         model = ransac_background(pf, params, seed ^ t)
         l_th = adaptive_threshold(pf, params)
         important_all[t], resid = classify_patches(pf, model, l_th, params)
         picks[t] = select_patches(important_all[t], resid, k)
-        payloads[t] = partition_patches(flow, grid)[picks[t]]
+        payloads[t] = patches[picks[t]]
     _, height, width = flows[0].shape
     return SelectionResult(grid, params.mask_ratio, picks, payloads, height, width, important_all)

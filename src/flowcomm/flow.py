@@ -103,6 +103,22 @@ def fan_out(task, items, workers: int, executor=None) -> list:
         return list(pool.map(task, items))
 
 
+def read_ahead(arrays):
+    """Yield a copy of each array `arrays` yields, each made on a thread of its own while
+    the caller holds the copy before: the producer runs one item ahead of the caller."""
+    arrays = iter(arrays)
+
+    def step():
+        array = next(arrays, None)
+        return None if array is None else array.copy()
+
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(step)
+        while (array := ahead.result()) is not None:
+            ahead = pool.submit(step)
+            yield array
+
+
 class _Level:
     """One pyramid level's planes: both frames' images and level-sized views of the scratch."""
 

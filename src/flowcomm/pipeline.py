@@ -20,7 +20,7 @@ from . import channel as ch
 from . import extractor as ex
 from . import load as ld
 from .config import ConfigError, ExperimentConfig, derive_seed, video_id
-from .flow import check_frame_size, estimate_flow, fan_out
+from .flow import check_frame_size, estimate_flow, fan_out, read_ahead
 from .load import LoadBreakdown
 from .metrics import (
     QualityReport,
@@ -90,28 +90,34 @@ class VideoRun:
     def breakdown(self, rho: float) -> LoadBreakdown:
         return load_breakdown(self.cfg, self.video.frames.shape[:3], rho)
 
-    def selections(self):
-        """Yield (rho, selection) for each rho: a rho=0 selection holds every patch."""
+    def widest_selection(self) -> ex.SelectionResult:
+        """The selection at the smallest rho: every rho's selection is a prefix of it.
+
+        The selection count never grows with rho, and the RANSAC seeds do not
+        depend on it, so one ranking serves every rho. The flow fields live only
+        as extract's argument, so they are freed before any cell.
+        """
         cfg, v = self.cfg, self.video
         grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
         seed = derive_seed(self.run_seed, "extract", self.index)
-        # One ranking serves every rho: the selection count never grows with rho,
-        # and the RANSAC seeds do not depend on it, so each rho keeps a prefix.
-        # The fields live only as extract's argument, so they are freed before any cell.
         params = replace(cfg.extractor, mask_ratio=min(cfg.rho_list))
-        widest = ex.extract(self.estimate_flows(), grid, params, seed)
-        for rho in cfg.rho_list:
+        return ex.extract(self.estimate_flows(), grid, params, seed)
+
+    def selections(self):
+        """Yield (rho, selection) for each rho: a rho=0 selection holds every patch."""
+        widest = self.widest_selection()
+        for rho in self.cfg.rho_list:
             yield rho, widest.prefix(rho)
 
     def cells(self):
         """Yield (rho, snr_db, selection, encoded selection, channel seed) in grid order.
 
-        Each rho's selection is encoded once, for all of its SNR cells.
+        The video is encoded once, for every rho and SNR cell.
         """
         snrs = self.cfg.snr_db_list
         point = self.index * len(self.cfg.rho_list) * len(snrs)
-        for rho, sel in self.selections():
-            encoded = encode_selection(sel, self.cfg.codec)
+        widest = self.widest_selection()
+        for rho, sel, encoded in encode_selections(widest, self.cfg.rho_list, self.cfg.codec):
             for snr_db in snrs:
                 yield rho, snr_db, sel, encoded, derive_seed(self.run_seed, "channel", point)
                 point += 1
@@ -128,10 +134,12 @@ class VideoRun:
 
         Every rho is encoded, and the selection payloads let go, before the
         first cell. The cells run on the video's threads, at most one per cell,
-        one cell per thread at a time.
+        one cell per thread at a time; `run_point` gives a cell a second thread
+        when there are two per cell.
         """
         cells = [(rho, snr_db, encoded, seed) for rho, snr_db, _, encoded, seed in self.cells()]
-        self.ssim_reference  # before any cell thread reads it: cached_property takes no lock
+        # Before any cell thread reads them: cached_property takes no lock.
+        self.ssim_reference, self.cfg.codec.decode_tables
         return fan_out(lambda cell: run_point(self, *cell), cells, min(self.threads, len(cells)))
 
 
@@ -140,8 +148,9 @@ class EncodedSelection:
     """What a sweep cell needs of its rho's selection: channel symbols, not float64 payloads.
 
     Row t of `codes` holds the quantizer codes (`ch.flow_codes`) of flow frame
-    t's patches `picks[t]`; `norm` is the Euclidean norm of the whole expanded
-    symbol vector, and `important` the classification MAP is taken from.
+    t's patches `picks[t]`, a view of the first codes of the widest selection's
+    row; `norm` is the Euclidean norm of the whole expanded symbol vector, and
+    `important` the classification MAP is taken from.
     """
 
     grid: PatchGrid
@@ -151,12 +160,23 @@ class EncodedSelection:
     important: np.ndarray
 
 
-def encode_selection(sel: ex.SelectionResult, codec: ch.CodecParams) -> EncodedSelection:
-    """Encode a selection frame by frame, and take the norm of all its symbols at once."""
-    codes = np.stack([ch.flow_codes(payloads, codec) for payloads in sel.payloads])
-    symbols = ch.expand_codes(codes, codec)
-    norm = float(np.sqrt(np.vdot(symbols, symbols)))
-    return EncodedSelection(sel.grid, sel.picks, codes, norm, sel.important)
+def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParams):
+    """Yield (rho, selection, EncodedSelection) for each rho, from one encoding of `widest`.
+
+    The widest selection is encoded frame by frame. A rho's picks are a prefix
+    of each frame's, and the codec works pixel by pixel in patch order, so its
+    codes are views of each frame's first 2 k ph pw codes. Its norm is taken
+    with one `np.vdot` over its own symbols, expanded contiguously.
+    """
+    codes = np.stack([ch.flow_codes(payloads, codec) for payloads in widest.payloads])
+    per_patch = 2 * widest.grid.patch_h * widest.grid.patch_w
+    for rho in rho_list:
+        sel = widest.prefix(rho)
+        prefix = codes[:, : sel.picks.shape[1] * per_patch]
+        symbols = ch.expand_codes(prefix, codec)
+        norm = float(np.sqrt(np.vdot(symbols, symbols)))
+        del symbols  # not kept across the yield, so no two rhos' symbols are alive at once
+        yield rho, sel, EncodedSelection(sel.grid, sel.picks, prefix, norm, sel.important)
 
 
 def received_payloads(
@@ -174,16 +194,18 @@ def received_payloads(
     through the frames in order, so the result equals sending all at once.
     Frame t is decoded into the t-th of `buffers`, (k, 2, ph, pw) arrays:
     one buffer reused for every frame, or the rows of a stack. The frame's
-    symbols are made, sent and decoded in that buffer, in place.
+    symbols are made, sent and decoded in that buffer, in place: each is
+    looked up in the cell's table of every code's expanded, scaled symbol.
     """
     ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
     # Extreme mask ratios can round the selection to zero: no symbols, and no norm to scale.
     n_symbols = encoded.codes.size
     scale = ch.power_scale(encoded.norm, codec.gamma, n_symbols) if n_symbols else 1.0
+    symbol_of = ch.expand_codes(np.arange(1 << codec.bits_per_symbol), codec)
+    symbol_of *= scale
     rng = np.random.default_rng(seed)
     for codes, decoded in zip(encoded.codes, buffers):
-        symbols = ch.expand_codes(codes, codec, out=decoded.reshape(-1))
-        symbols *= scale
+        symbols = np.take(symbol_of, codes, out=decoded.reshape(-1), mode="clip")  # in range
         received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng, out=symbols)
         received *= 1.0 / scale
         ch.flow_decode(received, codec, ph, pw, out=decoded)
@@ -216,13 +238,18 @@ def run_point(
 
     Each step sends and decodes a frame's payloads, warps the next frame from
     the one before and scores it, so a cell holds one frame of each at a time.
+    When the video has two threads for each of its cells, a cell's second
+    thread sends and warps each frame while the one before is scored.
     """
     v, snr, grid = run.video, ch.db_to_linear(snr_db), encoded.grid
     breakdown = run.breakdown(rho)
     buffer = np.empty((encoded.picks.shape[1], 2, grid.patch_h, grid.patch_w))
     payloads = received_payloads(encoded, run.cfg.codec, snr, channel_seed, repeat(buffer))
     flows = dense_flows(grid, encoded.picks, payloads, v.height, v.width)
-    report = run.quality(reconstructed_frames(v.frames[0], flows))
+    frames = reconstructed_frames(v.frames[0], flows)
+    if run.threads >= 2 * len(run.cfg.rho_list) * len(run.cfg.snr_db_list):
+        frames = read_ahead(frames)
+    report = run.quality(frames)
     return PointResult(
         run.video_id, rho, snr_db, report, motion_area_percentage(encoded.important),
         breakdown, tx_seconds(run.cfg, breakdown, snr_db), encoded.picks.size,

@@ -46,6 +46,7 @@ def _resample(
     """Bilinear samples of (3, H*W) `current` at each pixel of `moved` minus its flow (u, v), into (3, n) `out`.
 
     scipy's sum: from 0, the four taps in this order, each (sample * row weight) * column weight.
+    Every tap is a non-negative finite product, so the first is written as is: 0.0 + t == t.
     """
     h, w = shape
     rows, cols = np.divmod(moved, w)
@@ -54,14 +55,16 @@ def _resample(
     del rows, cols
     i0 *= w
     i1 *= w
-    out.fill(0.0)
     term = np.empty(out.shape)
-    for i, w_row in ((i0, wr0), (i1, wr1)):
-        for j, w_col in ((j0, wc0), (j1, wc1)):
-            np.take(current, i + j, axis=1, out=term, mode="clip")  # in range: no clipping
-            term *= w_row
-            term *= w_col
+    taps = ((i0, wr0, j0, wc0), (i0, wr0, j1, wc1), (i1, wr1, j0, wc0), (i1, wr1, j1, wc1))
+    for n, (i, w_row, j, w_col) in enumerate(taps):
+        np.take(current, i + j, axis=1, out=term, mode="clip")  # in range: no clipping
+        term *= w_row
+        term *= w_col
+        if n:
             out += term
+        else:
+            out[...] = term
 
 
 def reconstructed_frames(first_frame: np.ndarray, flows):

@@ -3,13 +3,16 @@
 Everything here is deliberately written the slow, obvious way so it cannot
 share a code path with the implementations it checks.
 """
+import math
 import struct
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from flowcomm import channel as ch
 from flowcomm.extractor import SELECTION_MAGIC, SelectionResult
 from flowcomm.metrics import DYNAMIC_RANGE, SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW
+from flowcomm.pipeline import EncodedSelection
 from flowcomm.video import PatchGrid
 
 
@@ -35,6 +38,70 @@ def read_selection(blob: bytes) -> SelectionResult:
     )
     payloads = payloads.astype(np.float64).reshape(t_prime, k, 2, ph, pw)
     return SelectionResult(PatchGrid(ph, pw, rows, cols), rho, order[:, 1:].astype(np.intp), payloads, fh, fw)
+
+
+def reference_flow_decode(symbols: np.ndarray, cp: ch.CodecParams, patch_h: int, patch_w: int) -> np.ndarray:
+    """`flow_decode` by computing: re-snap each symbol to its code, then cos and sin of every angle.
+
+    The arithmetic, in place and in this order, is the decoder's before it looked codes up
+    in `CodecParams.decode_tables`.
+    """
+    symbols = np.asarray(symbols)
+    n = symbols.size // (2 * patch_h * patch_w)
+    levels = (1 << cp.bits_per_symbol) - 1
+    mag, ang = symbols[0::2] + 1.0, symbols[1::2] + 1.0
+    for unit in (mag, ang):
+        unit /= 2.0
+        np.clip(unit, 0.0, 1.0, out=unit)
+        unit *= levels
+        np.rint(unit, out=unit)
+        unit /= levels
+    mag *= cp.mag_cap
+    ang -= 0.5
+    ang *= 2.0
+    ang *= math.pi
+    out = np.empty((n, 2, patch_h, patch_w))
+    for c, wave in enumerate((np.cos, np.sin)):
+        term = wave(ang)
+        term *= mag
+        out[:, c] = term.reshape(n, patch_h, patch_w)
+    return out
+
+
+def reference_encode_selection(sel: SelectionResult, codec: ch.CodecParams) -> EncodedSelection:
+    """A selection encoded on its own: its frames' `flow_codes`, and the norm of all their symbols."""
+    codes = np.stack([ch.flow_codes(payloads, codec) for payloads in sel.payloads])
+    symbols = ch.expand_codes(codes, codec)
+    norm = float(np.sqrt(np.vdot(symbols, symbols)))
+    return EncodedSelection(sel.grid, sel.picks, codes, norm, sel.important)
+
+
+def reference_received_payloads(
+    encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int
+) -> np.ndarray:
+    """A cell's (T', k, 2, ph, pw) decoded payloads, each step out of place: expand, scale, send,
+    unscale, then `reference_flow_decode`."""
+    ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
+    n_symbols = encoded.codes.size
+    scale = ch.power_scale(encoded.norm, codec.gamma, n_symbols) if n_symbols else 1.0
+    rng = np.random.default_rng(seed)
+    frames = []
+    for codes in encoded.codes:
+        symbols = ch.expand_codes(codes, codec) * scale
+        received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng) * (1.0 / scale)
+        frames.append(reference_flow_decode(received, codec, ph, pw))
+    return np.stack(frames).reshape(*encoded.picks.shape, 2, ph, pw)
+
+
+def reference_patch_mean_flow(flow: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """(rows, cols, 2) mean (u, v) of each patch's in-field pixels, one `.mean()` per patch and channel."""
+    ph, pw = grid.patch_h, grid.patch_w
+    mean = np.zeros((grid.rows, grid.cols, 2))
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            u, v = flow[:, i * ph : (i + 1) * ph, j * pw : (j + 1) * pw]
+            mean[i, j] = u.mean(), v.mean()
+    return mean
 
 
 def _gaussian_taps() -> np.ndarray:

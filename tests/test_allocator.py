@@ -80,6 +80,34 @@ class TestOracle:
                 scenario(loads, snrs, bandwidth)
 
 
+    @pytest.mark.parametrize(
+        "loads, snrs, bandwidth, message",
+        [
+            # Every equal-share time is finite, but UE 0's oracle share underflowed: the CLI
+            # wrote fraction 0.0, b_hz 0.0 and t_seconds inf, with a divide-by-zero warning.
+            ((1e-300, 1e10), (3.0, 3.0), 1e-290, "gives the oracle share 0.0 of the band and a time of inf s"),
+            # UE 0's share is 1e-175 Hz of 1e150 Hz: the fraction it wrote underflowed to 0.0.
+            ((1e-170, 1e155), (1.0, 1.0), 1e150, "gives the oracle share 0.0 of the band and a time of 1"),
+            # UE 1's weight is all of the sum, and B * w / sum(w) rounds past B: fraction 1 + 2^-52.
+            ((1.0, 1.549646721527582e38), (1.0, 8.186698881752946e307), 3.0,
+             "gives the oracle share 1.0000000000000002 of the band"),
+        ],
+        ids=["underflow", "fraction-underflow", "past-the-band"],
+    )
+    def test_scenario_whose_oracle_share_leaves_0_1_rejected(self, loads, snrs, bandwidth, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no divide-by-zero or underflow warning
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scenario(loads, snrs, bandwidth)
+
+    def test_valid_scenario_keeps_its_oracle_bits(self):
+        sc = scenario((1e6, 3e6, 2e-300), (1.5, 7.0, 3.0), bandwidth=1e7)
+        w = np.asarray(sc.loads) / np.log2(1.0 + np.asarray(sc.snrs))
+        b, t_max = al.oracle_allocate(sc)
+        assert b.tobytes() == (sc.bandwidth_hz * w / w.sum()).tobytes()
+        assert t_max == float(w.sum() / sc.bandwidth_hz)
+
+
 class TestEqualSplit:
     def test_symmetric_equals_oracle(self):
         sc = scenario((2e6, 2e6, 2e6), (4.0, 4.0, 4.0))

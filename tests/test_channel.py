@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_flow_decode
 from flowcomm import channel as ch
 
 
@@ -244,6 +245,23 @@ class TestInPlaceLegMatchesExpressions:
         expected = encode_reference(payloads, cp).tobytes()
         assert ch.expand_codes(codes, cp).tobytes() == expected
         assert ch.flow_encode(payloads, cp).tobytes() == expected
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8, 12, 16])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.4, 1.0])
+    def test_table_decode_equals_the_computed_decoder(self, bits, sigma):
+        rng = np.random.default_rng(bits * 10 + int(sigma * 20))
+        cp = ch.CodecParams(bits_per_symbol=bits, mag_cap=float(rng.uniform(0.5, 64.0)))
+        payloads = rng.uniform(-40.0, 40.0, size=(300, 2, 5, 7))  # past one decode block
+        received = ch.flow_encode(payloads, cp) + rng.normal(0.0, sigma, 300 * 2 * 5 * 7)
+        received[:6] = [-1.5, 1.5, -1.0, 1.0, 40.0, -40.0]  # outside [-1, 1], and its ends
+        expected = reference_flow_decode(received, cp, 5, 7).tobytes()
+        assert ch.flow_decode(received, cp, 5, 7).tobytes() == expected
+        assert ch.flow_decode(received, cp, 5, 7, out=received.reshape(300, 2, 5, 7)).tobytes() == expected
+
+    def test_decode_tables_hold_one_entry_per_code(self):
+        for bits in (1, 16):
+            tables = ch.CodecParams(bits_per_symbol=bits).decode_tables
+            assert [t.shape for t in tables] == [(1 << bits,)] * 3
 
     def test_decode_into_a_given_array(self):
         cp = ch.CodecParams()

@@ -1,8 +1,9 @@
-"""Property test of the command line over generated experiments.
+"""Property tests of the command line over generated experiments and allocation scenarios.
 
 Every experiment, valid or not, exits 0 or 2 on every command that reads an
 experiment config (1 would be a flowcomm bug). A run that exits 0 keeps round((1 - rho) N) patches in every flow frame, scores SSIM
-in [-1, 1] and reports finite, non-negative loads.
+in [-1, 1] and reports finite, non-negative loads. Every scenario exits 2 and
+writes nothing, or exits 0 with finite numbers and band fractions in (0, 1].
 """
 import contextlib
 import csv
@@ -11,7 +12,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import read_selection
@@ -102,3 +103,66 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                 for key in ("l_first", "l_sr", "l_b", "l_com"):
                     load = float(row[key])
                     assert math.isfinite(load) and load >= 0.0, (key, load)
+
+
+# Magnitudes from the smallest subnormal to 1e308, uniform in the exponent, plus the edges
+# and the everyday range, where most scenarios are valid.
+MAGNITUDE = st.one_of(
+    st.floats(-323.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(5e-324, 1e308),
+    st.floats(1.0, 1e7),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 3.0, 1e300, 1e308]),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """The text of an `allocate` scenario: 2 or 3 UEs, each with an snr or a distance."""
+    lines = [f"[scenario]\nbandwidth_hz = {draw(MAGNITUDE)!r}\nseed = 3"]
+    for k in range(draw(st.integers(2, 3))):
+        lines.append(f"[ue.{k + 1}]\nload_bits = {draw(MAGNITUDE)!r}\nrho = 0.5")
+        key = draw(st.sampled_from(["snr", "distance"]))
+        lines.append(f"{key} = {draw(MAGNITUDE)!r}")
+    lines.append("[channel]")
+    for key in ("f_c", "alpha", "P", "sigma2"):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(MAGNITUDE)!r}")
+    lines.append("[ddpg]\nepisodes = 2\nepisode_len = 5\nbatch_size = 4")
+    return "\n".join(lines) + "\n"
+
+
+# Each UE's equal share is finite, but UE 0's oracle share of the band underflowed to 0
+# and wrote fraction 0.0, b_hz 0.0 and t_seconds inf.
+UNDERFLOW = (
+    "[scenario]\nbandwidth_hz = 1e-290\nseed = 3\n"
+    "[ue.1]\nload_bits = 1e-300\nrho = 0.5\nsnr = 3.0\n"
+    "[ue.2]\nload_bits = 1e10\nrho = 0.5\nsnr = 3.0\n"
+    "[ddpg]\nepisodes = 2\nepisode_len = 5\nbatch_size = 4\n"
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+@example(UNDERFLOW)
+def test_allocate_exits_0_or_2_and_writes_finite_numbers(scenario):
+    with tempfile.TemporaryDirectory() as root:
+        config, out = os.path.join(root, "s.ini"), os.path.join(root, "out")
+        with open(config, "w") as fh:
+            fh.write(scenario)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["allocate", "--config", config, "--out", out])
+        assert rc in (0, 2), err.getvalue()
+        if rc:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            assert not os.path.exists(out)
+            return
+        allocation = read_rows(os.path.join(out, "allocation.csv"))
+        curve = read_rows(os.path.join(out, "learning_curve.csv"))
+        for row in allocation:
+            assert 0.0 < float(row["fraction"]) <= 1.0, row
+        for row in allocation + curve:
+            for key, value in row.items():
+                if key != "method":
+                    assert math.isfinite(float(value)), row

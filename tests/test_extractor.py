@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import read_selection
+from helpers import read_selection, reference_patch_mean_flow
 from flowcomm import extractor as ex
 from flowcomm import synth
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
-from flowcomm.video import PatchGrid
+from flowcomm.video import PatchGrid, partition_patches
 
 
 def quadratic_field(grid: PatchGrid, phi: np.ndarray) -> ex.PatchFlowGrid:
@@ -18,29 +18,51 @@ def quadratic_field(grid: PatchGrid, phi: np.ndarray) -> ex.PatchFlowGrid:
 GRID_14 = PatchGrid(16, 16, 14, 14)
 
 
+def patch_means(flow: np.ndarray, grid: PatchGrid) -> ex.PatchFlowGrid:
+    return ex.patch_mean_flow(flow, grid, partition_patches(flow, grid))
+
+
 class TestPatchMeanFlow:
     def test_constant_field(self):
         flow = np.stack([np.full((32, 32), 3.0), np.full((32, 32), -1.0)])
-        pf = ex.patch_mean_flow(flow, PatchGrid.for_shape(32, 32, 16, 16))
+        pf = patch_means(flow, PatchGrid.for_shape(32, 32, 16, 16))
         assert np.allclose(pf.mean_flow[..., 0], 3.0)
         assert np.allclose(pf.mean_flow[..., 1], -1.0)
 
     def test_zero_field(self):
         flow = np.zeros((2, 32, 32))
-        pf = ex.patch_mean_flow(flow, PatchGrid.for_shape(32, 32, 16, 16))
+        pf = patch_means(flow, PatchGrid.for_shape(32, 32, 16, 16))
         assert not pf.mean_flow.any()
 
     def test_half_patch(self):
         u = np.zeros((16, 16))
         u[:, :8] = 1.0
-        pf = ex.patch_mean_flow(np.stack([u, np.zeros((16, 16))]), PatchGrid.for_shape(16, 16, 16, 16))
+        pf = patch_means(np.stack([u, np.zeros((16, 16))]), PatchGrid.for_shape(16, 16, 16, 16))
         assert pf.mean_flow[0, 0, 0] == pytest.approx(0.5)
 
     def test_boundary_patch_uses_valid_pixels_only(self):
         # 20x20 field of ones: the padded border patch must still average to 1
         flow = np.stack([np.ones((20, 20)), np.ones((20, 20))])
-        pf = ex.patch_mean_flow(flow, PatchGrid.for_shape(20, 20, 16, 16))
+        pf = patch_means(flow, PatchGrid.for_shape(20, 20, 16, 16))
         assert np.allclose(pf.mean_flow, 1.0)
+
+    @pytest.mark.parametrize(
+        "height, width, patch_h, patch_w",
+        [
+            (256, 256, 16, 16), (96, 160, 8, 8), (128, 96, 32, 32), (64, 64, 1, 1),  # no edge patch
+            (100, 90, 16, 16), (70, 70, 16, 16), (40, 52, 16, 16), (30, 30, 7, 3),   # edge patches
+            # more than numpy's buffer of values in a patch: its rows are summed in groups
+            (300, 300, 96, 96), (400, 400, 130, 70), (3, 27000, 1, 9000),
+        ],
+    )
+    def test_bits_equal_the_per_patch_loop(self, height, width, patch_h, patch_w):
+        rng = np.random.default_rng(height * width + patch_h)
+        grid = PatchGrid.for_shape(height, width, patch_h, patch_w)
+        for scale in (1e-3, 1.0, 1e3):
+            flow = rng.standard_normal((2, height, width)) * scale
+            flow[:, ::5] = -0.0
+            got = patch_means(flow, grid).mean_flow
+            assert got.tobytes() == reference_patch_mean_flow(flow, grid).tobytes()
 
 
 class TestLsre:

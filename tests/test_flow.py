@@ -270,3 +270,33 @@ class TestMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 256 * 256 * 8
+
+
+class TestReadAhead:
+    def test_yields_a_copy_of_each_array_in_order(self):
+        buffer = np.zeros(3)
+
+        def overwritten():  # one buffer for every item, as reconstructed_frames yields
+            for k in range(4):
+                buffer[:] = k
+                yield buffer
+
+        got = list(flow.read_ahead(overwritten()))
+        assert [a.tolist() for a in got] == [[k] * 3 for k in range(4)]
+        assert not any(np.shares_memory(a, buffer) for a in got)
+
+    def test_producer_runs_on_another_thread_and_its_error_reaches_the_caller(self):
+        import threading
+
+        made_on = []
+
+        def failing():
+            made_on.append(threading.get_ident())
+            yield np.ones(2)
+            raise ValueError("producer failed")
+
+        ahead = flow.read_ahead(failing())
+        assert next(ahead).tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="producer failed"):
+            next(ahead)
+        assert made_on and threading.get_ident() not in made_on

@@ -15,20 +15,30 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from helpers import read_selection
+from helpers import (
+    read_selection,
+    reference_encode_selection,
+    reference_received_payloads,
+)
 from flowcomm import channel as ch
 from flowcomm import cli, pipeline, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
 from flowcomm.flow import estimate_flow
 from flowcomm.pipeline import (
-    encode_selection,
+    encode_selections,
     received_payloads,
     run_videos,
     transmit_selection,
     transmit_stats,
 )
 from flowcomm.video import PatchGrid, load_ppm_sequence, read_flo, save_ppm_sequence
+
+
+def encode_selection(sel, codec):
+    """`sel` encoded by `encode_selections` as the one rho of its video."""
+    (_, _, encoded), = encode_selections(sel, [sel.mask_ratio], codec)
+    return encoded
 
 
 @pytest.fixture(scope="module")
@@ -351,21 +361,42 @@ class TestPipeline:
         assert peak < 22 * 256 * 256 * 8, peak / (256 * 256 * 8)
 
     @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
-    def test_each_rho_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
+    def test_each_video_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
         encoded = []
-        original = pipeline.encode_selection
+        original = ch.flow_codes
 
-        def counting(sel, codec):
-            encoded.append(sel.mask_ratio)
-            return original(sel, codec)
+        def counting(payloads, codec):
+            encoded.append(payloads.shape[0])
+            return original(payloads, codec)
 
-        monkeypatch.setattr(pipeline, "encode_selection", counting)
-        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
+        monkeypatch.setattr(ch, "flow_codes", counting)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.5 0.0", snr_db="10 30")
         if entry == "run_videos":
             assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
         else:
             assert cli.main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert encoded == [0.0, 0.5]  # one encode per rho, shared by both SNR cells
+        # one encode of each flow frame's 16 patches at rho 0, shared by both rhos' SNR cells
+        assert encoded == [16] * 3
+
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    def test_each_rhos_encoding_equals_its_own(self, tmp_path, clips, bits):
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [clips / "motion1"], bits=bits))
+        flows = estimate_flow(load_ppm_sequence(clips / "motion1"), cfg.flow_params)
+        widest = ex.extract(flows, PatchGrid.for_shape(64, 64, 16, 16), cfg.extractor, seed=2)
+        rhos = [0.6, 0.0, 0.99, 0.3]  # 0.99 keeps round(0.16) = 0 of 16 patches
+        got = list(encode_selections(widest, rhos, cfg.codec))
+        assert [rho for rho, _, _ in got] == rhos
+        for rho, sel, encoded in got:
+            alone = reference_encode_selection(widest.prefix(rho), cfg.codec)
+            assert sel.to_bytes() == widest.prefix(rho).to_bytes()
+            assert encoded.codes.tobytes() == alone.codes.tobytes(), rho
+            assert encoded.codes.dtype == alone.codes.dtype and encoded.codes.shape == alone.codes.shape
+            assert np.float64(encoded.norm).tobytes() == np.float64(alone.norm).tobytes(), rho
+            assert np.array_equal(encoded.picks, alone.picks)
+            for snr in (10.0, math.inf):
+                expected = reference_received_payloads(alone, cfg.codec, snr, seed=5)
+                assert transmit_selection(encoded, cfg.codec, snr, 5).tobytes() == expected.tobytes()
+        assert got[2][2].codes.size == 0 and got[2][2].norm == 0.0
 
     def test_flow_fields_are_freed_before_the_first_cell(self, tmp_path, clips, monkeypatch):
         refs = []
@@ -429,6 +460,39 @@ class TestPipeline:
             sys.setswitchinterval(interval)
         assert len(reports[1]) == 12
         assert reports[12] == reports[1]
+
+    @pytest.mark.parametrize("rho, snr_db", [("0.3", "10"), ("0.0 0.3", "10")], ids=["1_cell", "2_cells"])
+    def test_two_threads_per_cell_make_frames_ahead_with_the_same_bits(
+        self, tmp_path, clips, monkeypatch, rho, snr_db
+    ):
+        """Each cell makes its frames on a thread of its own only when the video has two
+        threads for each cell; the scores keep their bits either way."""
+        made, scored = [], []
+        reconstructed, losses = pipeline.reconstructed_frames, pipeline.frame_losses
+
+        def making(first, flows):
+            for frame in reconstructed(first, flows):
+                made.append(threading.get_ident())
+                yield frame
+
+        def scoring(frames, video, reference):
+            scored.append(threading.get_ident())
+            return losses(frames, video, reference)
+
+        monkeypatch.setattr(pipeline, "reconstructed_frames", making)
+        monkeypatch.setattr(pipeline, "frame_losses", scoring)
+        cfg = parse_experiment_config(
+            write_config(tmp_path / "c.ini", [clips / "motion0"], rho=rho, snr_db=snr_db)
+        )
+        n_cells = len(rho.split())
+        reports, apart = {}, {}
+        for threads in (2 * n_cells - 1, 2 * n_cells):
+            made.clear(), scored.clear()
+            run = pipeline.VideoRun(cfg, 2, 0, str(clips / "motion0"), threads)
+            reports[threads] = [p.report for p in run.points()]
+            apart[threads] = not set(made) & set(scored)
+        assert reports[2 * n_cells] == reports[2 * n_cells - 1]
+        assert apart == {2 * n_cells - 1: False, 2 * n_cells: True}
 
     @pytest.mark.parametrize("given, threads", [(1, 1), (2, 2), (3, 3), (8, 6)])
     def test_no_more_cells_in_flight_than_threads(self, tmp_path, clips, monkeypatch, given, threads):
@@ -1145,6 +1209,22 @@ class TestAllocateCli:
         out = tmp_path / "alloc"
         assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error: snrs must make log2(1 + snr) positive, got 1.4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, snr",
+        [
+            ("distance = 0.001", "distance = 1e-310", "inf"),  # |h| past the float range: was exit 1
+            ("alpha = 1.0", "alpha = 1e300", "inf"),  # the path gain's power overflows: was exit 1
+            ("P = 1.0", "P = 1e300", "inf"),  # P |h|^2 / sigma2 overflows: was exit 2, naming snrs
+        ],
+    )
+    def test_faded_snr_past_the_float_range_rejected(self, tmp_path, capsys, old, new, snr):
+        cfg = tmp_path / "sc.ini"
+        cfg.write_text(CHANNEL_SCENARIO_INI.replace("distance = 50", "distance = 0.001").replace(old, new))
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"the [channel] link give the UE snr {snr}; it must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scenario_missing_snr_rejected(self, tmp_path):
