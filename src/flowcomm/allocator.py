@@ -279,7 +279,9 @@ def train_ddpg(
     agent = build_agent(sc.n_ue, seed)
     actor_opt = AdamState.for_net(agent.actor, hyper.actor_lr)
     critic_opt = AdamState.for_net(agent.critic, hyper.critic_lr)
-    buffer = ReplayBuffer(hyper.buffer_capacity, env.state_dim, sc.n_ue)
+    # A run stores one transition per TTI, so a larger capacity would only hold zeros.
+    capacity = min(hyper.buffer_capacity, hyper.episodes * hyper.episode_len)
+    buffer = ReplayBuffer(capacity, env.state_dim, sc.n_ue)
     rng = np.random.default_rng(seed)
     curve = []
     for episode in range(hyper.episodes):

@@ -25,7 +25,8 @@ from .config import (
     parse_experiment_config,
     parse_scenario_config,
 )
-from .pipeline import STAGES, check_videos, run_videos, transmit_stats
+from .channel import db_to_linear
+from .pipeline import STAGES, check_videos, run_videos, transmit_selection, transmit_stats
 from .reconstruct import reconstruct_video
 from .video import FormatError, write_flo
 
@@ -129,7 +130,7 @@ def load_rows(out_dir: str, run) -> tuple[list]:
 def transmit_rows(out_dir: str, run) -> tuple[list]:
     rows = []
     for rho, snr_db, sel, encoded, channel_seed in run.cells():
-        decoded = run.transmit(snr_db, encoded, channel_seed)
+        decoded = transmit_selection(encoded, run.cfg.codec, db_to_linear(snr_db), channel_seed)
         rows.append([run.video_id, rho, snr_db, *transmit_stats(sel.payloads, decoded)])
     return (rows,)
 

@@ -64,11 +64,14 @@ def pyramid_shapes(height: int, width: int, levels: int) -> list[tuple[int, int]
     """
     shapes = [(height, width)]
     for _ in range(levels - 1):
-        shapes.insert(0, (-(-shapes[0][0] // 2), -(-shapes[0][1] // 2)))
-    coarse_h, coarse_w = shapes[0]
+        coarser = (-(-shapes[-1][0] // 2), -(-shapes[-1][1] // 2))
+        if coarser == shapes[-1]:  # 1x1: every further level is the same
+            break
+        shapes.append(coarser)
+    coarse_h, coarse_w = shapes[-1]
     if coarse_h < MIN_LEVEL_PX or coarse_w < MIN_LEVEL_PX:
         raise ValueError(f"too many levels for frame size: coarsest would be {coarse_h}x{coarse_w}")
-    return shapes
+    return shapes[::-1]
 
 
 def check_frame_size(height: int, width: int, params: FlowEstimatorParams) -> None:

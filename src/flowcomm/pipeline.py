@@ -12,7 +12,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -122,9 +121,6 @@ class VideoRun:
                 yield rho, snr_db, sel, encoded, derive_seed(self.run_seed, "channel", point)
                 point += 1
 
-    def transmit(self, snr_db, encoded, seed) -> np.ndarray:
-        return transmit_selection(encoded, self.cfg.codec, ch.db_to_linear(snr_db), seed)
-
     def quality(self, frames) -> QualityReport:
         """Score the reconstructed frames against the source, one frame at a time."""
         return frame_losses(frames, self.video, self.ssim_reference)
@@ -179,10 +175,8 @@ def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParam
         yield rho, sel, EncodedSelection(sel.grid, sel.picks, prefix, norm, sel.important)
 
 
-def received_payloads(
-    encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int, buffers
-):
-    """Yield each flow frame's payloads as decoded after an AWGN link at the cell's SNR.
+def received_payloads(encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int):
+    """Yield each flow frame's (k, 2, ph, pw) payloads as decoded after an AWGN link at the cell's SNR.
 
     `snr_linear` is the post-equalization SNR; path loss and fading enter only
     the allocation scenarios. Symbols are normalized to average power gamma
@@ -192,10 +186,10 @@ def received_payloads(
     capacity, hence `tx_seconds`. The transmitter-side scale factor travels
     as error-free metadata alongside the bit payloads. One noise stream runs
     through the frames in order, so the result equals sending all at once.
-    Frame t is decoded into the t-th of `buffers`, (k, 2, ph, pw) arrays:
-    one buffer reused for every frame, or the rows of a stack. The frame's
-    symbols are made, sent and decoded in that buffer, in place: each is
-    looked up in the cell's table of every code's expanded, scaled symbol.
+    One buffer serves every frame, so a frame's payloads hold until the next
+    is decoded. The frame's symbols are made, sent and decoded in that buffer,
+    in place: each is looked up in the cell's table of every code's expanded,
+    scaled symbol.
     """
     ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
     # Extreme mask ratios can round the selection to zero: no symbols, and no norm to scale.
@@ -204,7 +198,8 @@ def received_payloads(
     symbol_of = ch.expand_codes(np.arange(1 << codec.bits_per_symbol), codec)
     symbol_of *= scale
     rng = np.random.default_rng(seed)
-    for codes, decoded in zip(encoded.codes, buffers):
+    decoded = np.empty((encoded.picks.shape[1], 2, ph, pw))
+    for codes in encoded.codes:
         symbols = np.take(symbol_of, codes, out=decoded.reshape(-1), mode="clip")  # in range
         received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng, out=symbols)
         received *= 1.0 / scale
@@ -215,10 +210,10 @@ def received_payloads(
 def transmit_selection(
     encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int
 ) -> np.ndarray:
-    """Every flow frame's `received_payloads`, decoded into one (T', k, 2, ph, pw) stack."""
+    """Every flow frame's `received_payloads`, copied into one (T', k, 2, ph, pw) stack."""
     decoded = np.empty((*encoded.picks.shape, 2, encoded.grid.patch_h, encoded.grid.patch_w))
-    for _ in received_payloads(encoded, codec, snr_linear, seed, decoded):
-        pass
+    for t, payloads in enumerate(received_payloads(encoded, codec, snr_linear, seed)):
+        decoded[t] = payloads
     return decoded
 
 
@@ -243,8 +238,7 @@ def run_point(
     """
     v, snr, grid = run.video, ch.db_to_linear(snr_db), encoded.grid
     breakdown = run.breakdown(rho)
-    buffer = np.empty((encoded.picks.shape[1], 2, grid.patch_h, grid.patch_w))
-    payloads = received_payloads(encoded, run.cfg.codec, snr, channel_seed, repeat(buffer))
+    payloads = received_payloads(encoded, run.cfg.codec, snr, channel_seed)
     flows = dense_flows(grid, encoded.picks, payloads, v.height, v.width)
     frames = reconstructed_frames(v.frames[0], flows)
     if run.threads >= 2 * len(run.cfg.rho_list) * len(run.cfg.snr_db_list):

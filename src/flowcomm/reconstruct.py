@@ -12,7 +12,7 @@ import numpy as np
 from .extractor import SelectionResult
 from .video import PatchGrid, Video
 
-_BLOCK = 1 << 14  # moved pixels per warp block, give or take a row
+_BLOCK = 1 << 14  # most moved pixels per warp block
 
 
 def dense_flows(grid: PatchGrid, picks, payloads, height: int, width: int):
@@ -76,8 +76,8 @@ def reconstructed_frames(first_frame: np.ndarray, flows):
     resampled: a bilinear sample at a zero offset returns the sample itself, so
     every other pixel keeps frame t-1's value. The resampling equals scipy's
     map_coordinates(order=1, mode="nearest") per channel, bit for bit. The
-    planes are made once; the moved pixels go in row ranges of fewer than
-    `_BLOCK` + W each, so no tap, index or weight array outgrows a block.
+    planes are made once; the moved pixels go in blocks of at most `_BLOCK`,
+    so no tap, index or weight array outgrows a block.
     """
     h, w = first_frame.shape[:2]
     frame = np.array(first_frame, dtype=np.uint8).reshape(h * w, 3)
@@ -88,35 +88,21 @@ def reconstructed_frames(first_frame: np.ndarray, flows):
     # only once every block has read frame t-1.
     warped = np.empty_like(current)
     moving = np.empty(h * w, dtype=bool)
-
-    def moved_in(lo, hi):
-        moved = np.flatnonzero(moving[lo:hi])
-        moved += lo
-        return moved
-
     yield frame.reshape(h, w, 3)
     for flow in flows:
         u, v = flow.reshape(2, h * w)
         np.not_equal(u, 0.0, out=moving)
         moving |= v != 0.0
-        # Cut after each row where the running count of moved pixels reaches a multiple of _BLOCK.
-        counts = np.cumsum(np.count_nonzero(moving.reshape(h, w), axis=1))
-        cuts = np.unique(np.searchsorted(counts, np.arange(_BLOCK, counts[-1], _BLOCK)) + 1) * w
-        blocks = list(zip([0, *cuts], [*cuts, h * w]))
-        n = 0
-        for lo, hi in blocks:
-            moved = moved_in(lo, hi)
-            _resample(current, u, v, moved, (h, w), warped[:, n : n + moved.size])
-            n += moved.size
-        n = 0
-        for lo, hi in blocks:
-            moved = moved_in(lo, hi)
-            for c, values in enumerate(warped[:, n : n + moved.size]):
+        moved = np.flatnonzero(moving)
+        blocks = [slice(lo, min(lo + _BLOCK, moved.size)) for lo in range(0, moved.size, _BLOCK)]
+        for block in blocks:
+            _resample(current, u, v, moved[block], (h, w), warped[:, block])
+        for block in blocks:
+            for c, values in enumerate(warped[:, block]):
                 np.clip(values, 0.0, 255.0, out=values)
-                current[c][moved] = values
+                current[c][moved[block]] = values
                 np.rint(values, out=values)
-                frame[:, c][moved] = values  # whole numbers in [0, 255]: the cast is exact
-            n += moved.size
+                frame[:, c][moved[block]] = values  # whole numbers in [0, 255]: the cast is exact
         yield frame.reshape(h, w, 3)
 
 

@@ -2,7 +2,8 @@
 
 Every experiment, valid or not, exits 0 or 2 on every command that reads an
 experiment config (1 would be a flowcomm bug). A run that exits 0 keeps round((1 - rho) N) patches in every flow frame, scores SSIM
-in [-1, 1] and reports finite, non-negative loads. Every scenario exits 2 and
+in [-1, 1], reports finite, non-negative loads, a positive transmission time
+and finite numbers but for the PSNR of a lossless video. Every scenario exits 2 and
 writes nothing, or exits 0 with finite numbers and band fractions in (0, 1].
 """
 import contextlib
@@ -23,10 +24,23 @@ from flowcomm.video import save_ppm_sequence
 # Link SNRs from tiny to huge; 4000 dB gives no finite capacity.
 SNR_DB = st.one_of(st.floats(-100.0, 300.0), st.sampled_from([-150.0, 3000.0, 4000.0]))
 
+# Magnitudes from the smallest subnormal to 1e308, uniform in the exponent, plus the edges
+# and the everyday range, where most scenarios are valid.
+MAGNITUDE = st.one_of(
+    st.floats(-323.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(5e-324, 1e308),
+    st.floats(1.0, 1e7),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 3.0, 1e300, 1e308]),
+)
+
+# [link] B: three times in four from the everyday range, else any magnitude, where the
+# capacity or a cell's transmission time can leave the finite floats.
+BANDWIDTH_HZ = st.one_of(*[st.floats(1e3, 1e9)] * 3, MAGNITUDE)
+
 
 @st.composite
 def experiments(draw):
-    """(height, width, frames, patch h, patch w, pyramid levels, rho list, snr_db).
+    """(height, width, frames, patch h, patch w, pyramid levels, rho list, snr_db, B).
 
     Patches mostly leave the 3x3 grid the background model needs, and rarely
     tile the frame exactly; widths below 11 px fall under the SSIM window, and
@@ -43,6 +57,7 @@ def experiments(draw):
         draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3,
                       unique_by=lambda rho: f"{rho:g}")),
         draw(SNR_DB),
+        draw(BANDWIDTH_HZ),
     )
 
 
@@ -65,7 +80,7 @@ def read_rows(path):
           suppress_health_check=[HealthCheck.too_slow])
 @given(experiments())
 def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
-    height, width, n_frames, patch_h, patch_w, levels, rhos, snr_db = experiment
+    height, width, n_frames, patch_h, patch_w, levels, rhos, snr_db, bandwidth_hz = experiment
     video, _ = synth.block_motion_video(
         height, width, n_frames, [(height // 4, width // 4, height // 3, width // 3)],
         dx=2, dy=1, seed=height * width,
@@ -79,6 +94,7 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                 f"[input]\nvideos = {clip}\n[patches]\nheight = {patch_h}\nwidth = {patch_w}\n"
                 f"[flow]\nlevels = {levels}\n"
                 f"[sweep]\nrho = {' '.join(map(repr, rhos))}\nsnr_db = {snr_db!r}\n"
+                f"[link]\nB = {bandwidth_hz!r}\n"
             )
         n_patches = math.ceil(height / patch_h) * math.ceil(width / patch_w)
 
@@ -103,16 +119,13 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                 for key in ("l_first", "l_sr", "l_b", "l_com"):
                     load = float(row[key])
                     assert math.isfinite(load) and load >= 0.0, (key, load)
-
-
-# Magnitudes from the smallest subnormal to 1e308, uniform in the exponent, plus the edges
-# and the everyday range, where most scenarios are valid.
-MAGNITUDE = st.one_of(
-    st.floats(-323.0, 308.0).map(lambda e: 10.0**e),
-    st.floats(5e-324, 1e308),
-    st.floats(1.0, 1e7),
-    st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 3.0, 1e300, 1e308]),
-)
+                # Every number is finite but PSNR, which is inf exactly for a lossless video.
+                for key, value in row.items():
+                    if key not in ("video_id", "mean_psnr"):
+                        assert math.isfinite(float(value)), (key, row)
+                psnr, mse = float(row["mean_psnr"]), float(row["mean_mse"])
+                assert psnr == math.inf if mse == 0.0 else math.isfinite(psnr), row
+                assert float(row["tx_seconds"]) > 0.0, row
 
 
 @st.composite

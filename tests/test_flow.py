@@ -37,6 +37,19 @@ class TestPyramid:
         with pytest.raises(ValueError, match="too many levels"):
             build_pyramid(texture(32, 32, 2), 4)  # coarsest would be 4x4
 
+    def test_far_too_many_levels_rejected_in_constant_memory(self):
+        # Halving stops at 1x1, so a level count far past the frame size costs no more to
+        # reject than one that just reaches 1x1.
+        params = FlowEstimatorParams(levels=100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^too many levels for frame size: coarsest would be 1x1$"):
+                flow.check_frame_size(64, 64, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+
 
 class TestWarp:
     def test_zero_flow_identity(self):

@@ -9,7 +9,6 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -307,8 +306,7 @@ class TestPipeline:
         payload_bytes, frame_bytes = sel.payloads.nbytes, sel.payloads[0].nbytes
 
         def frame_by_frame():
-            buffer = np.empty(sel.payloads.shape[1:])
-            for _ in received_payloads(encoded, cfg.codec, 10.0, 5, repeat(buffer)):
+            for _ in received_payloads(encoded, cfg.codec, 10.0, 5):
                 pass
 
         peaks = []
@@ -1173,6 +1171,21 @@ class TestAllocateCli:
         assert cli.main(["allocate", "--config", str(cfg), "--out", str(out_b)]) == 0
         for name in ("allocation.csv", "learning_curve.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_buffer_capacity_past_the_run_length(self, tmp_path):
+        # 2 episodes of 5 TTIs store 10 transitions: a capacity of 10^15 must not be
+        # allocated, and trains exactly as a buffer of 10 rows does.
+        outs = []
+        for capacity in ("1000000000000000", "10"):
+            cfg = tmp_path / f"sc{capacity}.ini"
+            cfg.write_text(
+                CHANNEL_SCENARIO_INI
+                + f"\n[ddpg]\nepisodes = 2\nepisode_len = 5\nbatch_size = 4\nbuffer_capacity = {capacity}\n"
+            )
+            outs.append(tmp_path / f"alloc{capacity}")
+            assert cli.main(["allocate", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        for name in ("allocation.csv", "learning_curve.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_scenario_snr_from_channel_section(self, tmp_path):
         cfg = tmp_path / "sc.ini"

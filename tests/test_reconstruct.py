@@ -7,7 +7,7 @@ from scipy.ndimage import map_coordinates
 
 from flowcomm import channel as ch
 from flowcomm import extractor as ex
-from flowcomm import metrics, pipeline, synth
+from flowcomm import metrics, pipeline, reconstruct, synth
 from flowcomm.config import parse_experiment_config
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
 from flowcomm.reconstruct import dense_flows, reconstruct_video
@@ -158,7 +158,10 @@ class TestMatchesMapCoordinates:
         ],
         ids=["dense", "masked-zero-payloads", "dense-30x41", "masked-30x41", "no-patches"],
     )
-    def test_byte_identical_frames(self, h, w, make):
+    # A frame here moves at most 3072 pixels: the smaller blocks split it, down to one pixel each.
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 14])
+    def test_byte_identical_frames(self, monkeypatch, h, w, make, block):
+        monkeypatch.setattr(reconstruct, "_BLOCK", block)
         sel = make(h, w, 4, seed=h + w)
         first = np.random.default_rng(w).integers(0, 256, (h, w, 3)).astype(np.uint8)
         expected = map_coordinates_reconstruction(first, sel)
