@@ -151,6 +151,10 @@ def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - np.sum(g * y, axis=-1, keepdims=True))
 
 
+class DivergedError(ValueError):
+    """A policy's allocation, or the time it gives, is not finite: its training diverged."""
+
+
 class AllocationEnv:
     """Fixed-scenario environment; state is [rho_1..rho_n, t_max / t_ref].
 
@@ -180,6 +184,8 @@ class AllocationEnv:
             raise ValueError("action must be positive fractions summing to 1")
         t = transmission_times(self.sc, action * self.sc.bandwidth_hz)
         t_max = float(t.max())
+        if math.isnan(t_max):  # a NaN fraction passes the checks above, and only it makes t_max NaN
+            raise DivergedError(f"the policy's allocation {action} is not finite")
         reward = math.exp(-self.alpha_r * t_max)
         t_norm = min(t_max / self.t_ref, self.T_NORM_CAP)
         state = np.concatenate([np.asarray(self.sc.mask_ratios, dtype=np.float64), [t_norm]])
@@ -252,6 +258,8 @@ class DdpgAgent:
         """Noise-free policy evaluated on the reset state."""
         fractions = greedy_action(self.actor, env.reset())
         _, _, t_max = env.step(fractions)
+        if math.isinf(t_max):  # a share near the softmax floor can overflow a UE's time
+            raise DivergedError(f"the policy's allocation {fractions} gives a UE a time of inf s")
         return fractions, t_max
 
 

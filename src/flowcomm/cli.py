@@ -40,8 +40,6 @@ FRAME_HEADER = ["video_id", "rho", "snr_db", "frame_idx", "ssim", "psnr", "mse"]
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -198,15 +196,20 @@ def cmd_allocate(config_path: str, seed: int | None, out_dir: str) -> None:
     if run_seed < 0:  # it seeds numpy generators directly; the scenario seed only hashes
         source = "[scenario] seed" if seed is None else "--seed"
         raise ConfigError(f"{source} seeds the DDPG training and must be >= 0, got {run_seed}")
-    write_manifest(out_dir, "allocate", config_path, run_seed)
-    agent, curve = al.train_ddpg(scenario, hyper, run_seed)
     env = al.AllocationEnv(scenario)
+    try:
+        agent, curve = al.train_ddpg(scenario, hyper, run_seed)
+        frac_ddpg, _ = agent.allocate(env)
+    except al.DivergedError as exc:
+        raise ConfigError(
+            f"DDPG training diverged: {exc}; lower [ddpg] actor_lr, critic_lr or noise_scale"
+        ) from exc
 
-    methods = {}
-    frac_ddpg, _ = agent.allocate(env)
-    methods["ddpg"] = frac_ddpg * scenario.bandwidth_hz
-    methods["oracle"] = al.oracle_allocate(scenario)[0]
-    methods["equal"] = al.equal_split_baseline(scenario)[0]
+    methods = {
+        "ddpg": frac_ddpg * scenario.bandwidth_hz,
+        "oracle": al.oracle_allocate(scenario)[0],
+        "equal": al.equal_split_baseline(scenario)[0],
+    }
 
     alloc_rows = []
     for method, bandwidths in methods.items():
@@ -225,6 +228,7 @@ def cmd_allocate(config_path: str, seed: int | None, out_dir: str) -> None:
         ["episode", "mean_reward", "greedy_t_max"],
         [list(row) for row in curve],
     )
+    write_manifest(out_dir, "allocate", config_path, run_seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

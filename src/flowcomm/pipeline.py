@@ -29,7 +29,7 @@ from .metrics import (
     motion_area_percentage,
     ssim_stats,
 )
-from .reconstruct import dense_flows, reconstructed_frames
+from .reconstruct import reconstructed_frames
 from .video import PatchGrid, load_ppm_sequence
 
 
@@ -222,8 +222,16 @@ def transmit_stats(sent: np.ndarray, decoded: np.ndarray) -> tuple[int, float]:
     if not sent.size:
         return 0, 0.0
     error = decoded - sent
-    error **= 2
-    return sent.size, float(np.sqrt(np.mean(error)))
+    with np.errstate(over="ignore"):
+        error **= 2
+    rms = float(np.sqrt(np.mean(error)))
+    if math.isinf(rms):  # the squares overflowed: take them again in units of the largest error
+        np.subtract(decoded, sent, out=error)
+        peak = np.abs(error).max()
+        error /= peak
+        error **= 2
+        rms = float(peak * np.sqrt(np.mean(error)))
+    return sent.size, rms
 
 
 def run_point(
@@ -236,11 +244,9 @@ def run_point(
     When the video has two threads for each of its cells, a cell's second
     thread sends and warps each frame while the one before is scored.
     """
-    v, snr, grid = run.video, ch.db_to_linear(snr_db), encoded.grid
     breakdown = run.breakdown(rho)
-    payloads = received_payloads(encoded, run.cfg.codec, snr, channel_seed)
-    flows = dense_flows(grid, encoded.picks, payloads, v.height, v.width)
-    frames = reconstructed_frames(v.frames[0], flows)
+    payloads = received_payloads(encoded, run.cfg.codec, ch.db_to_linear(snr_db), channel_seed)
+    frames = reconstructed_frames(run.video.frames[0], encoded.grid, encoded.picks, payloads)
     if run.threads >= 2 * len(run.cfg.rho_list) * len(run.cfg.snr_db_list):
         frames = read_ahead(frames)
     report = run.quality(frames)

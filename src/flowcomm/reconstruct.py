@@ -15,18 +15,6 @@ from .video import PatchGrid, Video
 _BLOCK = 1 << 14  # most moved pixels per warp block
 
 
-def dense_flows(grid: PatchGrid, picks, payloads, height: int, width: int):
-    """Yield each flow frame's (2, H, W) flow: payloads[t] at the patches picks[t], zero elsewhere.
-
-    One canvas serves every frame, so a flow holds until the next is drawn.
-    """
-    canvas, patches = grid.canvas()
-    for frame_picks, frame_payloads in zip(picks, payloads):
-        canvas.fill(0.0)
-        patches[np.divmod(frame_picks, grid.cols)] = frame_payloads
-        yield canvas[:, :height, :width]
-
-
 def _bilinear_taps(coord: np.ndarray, n: int):
     """Tap indices and weights of an order-1 spline sample on an axis of n samples.
 
@@ -67,12 +55,13 @@ def _resample(
             out[...] = term
 
 
-def reconstructed_frames(first_frame: np.ndarray, flows):
+def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloads):
     """Yield the first frame, then chain inverse warps: frame t samples t-1 at (x, y) - flow(x, y).
 
-    first_frame: (H, W, 3) uint8; flows yields one (2, H, W) flow per later
-    frame. Every frame is yielded in one (H, W, 3) uint8 buffer that the next
-    step overwrites, clipped to [0, 255]. Only pixels with nonzero flow are
+    first_frame: (H, W, 3) uint8. Flow frame t carries payloads[t] at the
+    patches picks[t] and zero flow elsewhere; each is drawn on one canvas.
+    Every frame is yielded in one (H, W, 3) uint8 buffer that the next step
+    overwrites, clipped to [0, 255]. Only pixels with nonzero flow are
     resampled: a bilinear sample at a zero offset returns the sample itself, so
     every other pixel keeps frame t-1's value. The resampling equals scipy's
     map_coordinates(order=1, mode="nearest") per channel, bit for bit. The
@@ -88,9 +77,12 @@ def reconstructed_frames(first_frame: np.ndarray, flows):
     # only once every block has read frame t-1.
     warped = np.empty_like(current)
     moving = np.empty(h * w, dtype=bool)
+    canvas, patches = grid.canvas()
     yield frame.reshape(h, w, 3)
-    for flow in flows:
-        u, v = flow.reshape(2, h * w)
+    for frame_picks, frame_payloads in zip(picks, payloads):
+        canvas.fill(0.0)
+        patches[np.divmod(frame_picks, grid.cols)] = frame_payloads
+        u, v = canvas[:, :h, :w].reshape(2, h * w)
         np.not_equal(u, 0.0, out=moving)
         moving |= v != 0.0
         moved = np.flatnonzero(moving)
@@ -115,7 +107,6 @@ def reconstruct_video(first_frame: np.ndarray, sel: SelectionResult) -> Video:
             f"{(sel.field_h, sel.field_w)}"
         )
     frames = np.empty((sel.n_flow_frames + 1, *first_frame.shape), dtype=np.uint8)
-    flows = dense_flows(sel.grid, sel.picks, sel.payloads, sel.field_h, sel.field_w)
-    for t, frame in enumerate(reconstructed_frames(first_frame, flows)):
+    for t, frame in enumerate(reconstructed_frames(first_frame, sel.grid, sel.picks, sel.payloads)):
         frames[t] = frame
     return Video(frames)

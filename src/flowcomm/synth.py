@@ -18,26 +18,9 @@ def smooth_texture(height: int, width: int, seed: int, blur: float = 3.0) -> np.
     return np.rint(tex).astype(np.uint8)
 
 
-def translate_wrap(frame: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Integer circular shift: content moves +dx columns, +dy rows."""
-    return np.roll(frame, shift=(dy, dx), axis=(0, 1))
-
-
 def static_video(height: int, width: int, n_frames: int, seed: int) -> Video:
     frame = smooth_texture(height, width, seed)
     return Video(np.stack([frame] * n_frames))
-
-
-def global_translation_video(
-    height: int, width: int, n_frames: int, dx: int, dy: int, seed: int
-) -> Video:
-    """Whole texture translating (dx, dy) px per frame, wrapping at borders."""
-    frame = smooth_texture(height, width, seed)
-    frames = [frame]
-    for _ in range(n_frames - 1):
-        frame = translate_wrap(frame, dx, dy)
-        frames.append(frame)
-    return Video(np.stack(frames))
 
 
 def block_motion_video(

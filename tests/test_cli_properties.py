@@ -40,11 +40,12 @@ BANDWIDTH_HZ = st.one_of(*[st.floats(1e3, 1e9)] * 3, MAGNITUDE)
 
 @st.composite
 def experiments(draw):
-    """(height, width, frames, patch h, patch w, pyramid levels, rho list, snr_db, B).
+    """(height, width, frames, patch h, patch w, pyramid levels, rho list, snr_db, B, mag_cap).
 
     Patches mostly leave the 3x3 grid the background model needs, and rarely
     tile the frame exactly; widths below 11 px fall under the SSIM window, and
-    3 levels need 29 px for the 8 px coarsest level.
+    3 levels need 29 px for the 8 px coarsest level. The codec's magnitude cap is
+    left at its default three times in four (None), else drawn from any magnitude.
     """
     height, width = draw(st.integers(11, 48)), draw(st.integers(6, 48))
     return (
@@ -58,6 +59,7 @@ def experiments(draw):
                       unique_by=lambda rho: f"{rho:g}")),
         draw(SNR_DB),
         draw(BANDWIDTH_HZ),
+        draw(st.one_of(*[st.none()] * 3, MAGNITUDE)),
     )
 
 
@@ -79,8 +81,10 @@ def read_rows(path):
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(experiments())
+# Decoded magnitudes reach the 1e300 cap, and their squared errors overflowed to an inf RMS.
+@example((48, 48, 4, 16, 16, 2, [0.0], 10.0, 1e6, 1e300))
 def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
-    height, width, n_frames, patch_h, patch_w, levels, rhos, snr_db, bandwidth_hz = experiment
+    height, width, n_frames, patch_h, patch_w, levels, rhos, snr_db, bandwidth_hz, mag_cap = experiment
     video, _ = synth.block_motion_video(
         height, width, n_frames, [(height // 4, width // 4, height // 3, width // 3)],
         dx=2, dy=1, seed=height * width,
@@ -96,6 +100,8 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                 f"[sweep]\nrho = {' '.join(map(repr, rhos))}\nsnr_db = {snr_db!r}\n"
                 f"[link]\nB = {bandwidth_hz!r}\n"
             )
+            if mag_cap is not None:
+                fh.write(f"[codec]\nmag_cap = {mag_cap!r}\n")
         n_patches = math.ceil(height / patch_h) * math.ceil(width / patch_w)
 
         extracted = os.path.join(root, "extract")
@@ -106,8 +112,15 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                 per_frame = sel.xi.reshape(n_frames - 1, -1).sum(axis=1)
                 assert per_frame.tolist() == [ex.selection_count(rho, n_patches)] * (n_frames - 1)
 
-        for command in ("flow", "load", "transmit", "reconstruct"):
+        for command in ("flow", "load", "reconstruct"):
             run(command, config, os.path.join(root, command))
+
+        transmitted = os.path.join(root, "transmit")
+        if run("transmit", config, transmitted) == 0:
+            for row in read_rows(os.path.join(transmitted, "transmit.csv")):
+                for key, value in row.items():
+                    if key != "video_id":
+                        assert math.isfinite(float(value)), (key, row)
 
         piped = os.path.join(root, "pipeline")
         if run("pipeline", config, piped) == 0:
@@ -141,6 +154,9 @@ def scenarios(draw):
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(MAGNITUDE)!r}")
     lines.append("[ddpg]\nepisodes = 2\nepisode_len = 5\nbatch_size = 4")
+    for key in ("actor_lr", "critic_lr", "noise_scale"):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(MAGNITUDE)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -154,10 +170,30 @@ UNDERFLOW = (
 )
 
 
+# Training diverges to NaN actions, which passed the environment's action check and were
+# written as nan rewards, t_max and allocations.
+DIVERGING = (
+    "[scenario]\nbandwidth_hz = 4e6\nseed = 3\n"
+    "[ue.1]\nload_bits = 4e6\nsnr = 3.0\nrho = 0.9\n"
+    "[ue.2]\nload_bits = 2e6\nsnr = 3.0\nrho = 0.5\n"
+    "[ddpg]\nepisodes = 3\nepisode_len = 10\nbatch_size = 8\n"
+)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 @example(UNDERFLOW)
+@example(DIVERGING + "actor_lr = 1e300\n")
+@example(DIVERGING + "critic_lr = 1e300\n")
+@example(DIVERGING + "noise_scale = 1e308\nnoise_floor = 1e308\nnoise_decay = 1.0\n")
+# Finite training that starves UE 1 to the softmax floor: its 1.8e296 bits took inf s.
+@example(
+    "[scenario]\nbandwidth_hz = 1.0\nseed = 3\n"
+    "[ue.1]\nload_bits = 1.797693134860518e+296\nrho = 0.5\nsnr = 1.0\n"
+    "[ue.2]\nload_bits = 1.0\nrho = 0.5\nsnr = 1.0\n"
+    "[ddpg]\nepisodes = 2\nepisode_len = 5\nbatch_size = 4\nactor_lr = 100000.0\n"
+)
 def test_allocate_exits_0_or_2_and_writes_finite_numbers(scenario):
     with tempfile.TemporaryDirectory() as root:
         config, out = os.path.join(root, "s.ini"), os.path.join(root, "out")

@@ -129,7 +129,7 @@ class TestEstimateFlow:
         assert mags.mean() < 0.05
 
     def test_global_translation(self):
-        video = synth.global_translation_video(64, 64, 2, dx=2, dy=0, seed=9)
+        video = synth.block_motion_video(64, 64, 2, [], 0, 0, seed=9, bg_dx=2, bg_dy=0)[0]
         fields = estimate_flow(video, FlowEstimatorParams(levels=3))
         assert 1.5 <= np.median(fields[0, 0]) <= 2.5
         assert abs(np.median(fields[0, 1])) < 0.5
@@ -141,13 +141,13 @@ class TestEstimateFlow:
 
     def test_endpoint_error_on_translations(self):
         for dx, dy, seed in ((1, 0, 11), (2, 1, 12), (0, 2, 13)):
-            video = synth.global_translation_video(64, 64, 2, dx=dx, dy=dy, seed=seed)
+            video = synth.block_motion_video(64, 64, 2, [], 0, 0, seed=seed, bg_dx=dx, bg_dy=dy)[0]
             field = estimate_flow(video, FlowEstimatorParams(levels=3))[0]
             epe = np.hypot(field[0] - dx, field[1] - dy)
             assert np.median(epe) < 0.5, (dx, dy, np.median(epe))
 
     def test_warp_with_true_flow_beats_unwarped(self):
-        video = synth.global_translation_video(64, 64, 2, dx=2, dy=0, seed=14)
+        video = synth.block_motion_video(64, 64, 2, [], 0, 0, seed=14, bg_dx=2, bg_dy=0)[0]
         ref = grayscale(video.frames[0])
         target = grayscale(video.frames[1])
         field = estimate_flow(video, FlowEstimatorParams(levels=3))[0]
@@ -179,10 +179,12 @@ EXACT_CASES = {
     "constant": lambda: (Video(np.full((3, 32, 32, 3), 90, dtype=np.uint8)), 2),
     # 3 px at the coarse level, so the 1 px residual clamp binds
     "translation_6px": lambda: (
-        synth.global_translation_video(64, 64, 3, dx=6, dy=0, seed=17), 2
+        synth.block_motion_video(64, 64, 3, [], 0, 0, seed=17, bg_dx=6, bg_dy=0)[0], 2
     ),
     # one pair: no thread pool even with two CPUs
-    "two_frames": lambda: (synth.global_translation_video(48, 48, 2, dx=1, dy=1, seed=18), 3),
+    "two_frames": lambda: (
+        synth.block_motion_video(48, 48, 2, [], 0, 0, seed=18, bg_dx=1, bg_dy=1)[0], 3
+    ),
 }
 
 
@@ -274,7 +276,7 @@ class TestMatchesReference:
     def test_one_pair_peak_memory(self):
         """One 256x256 pair at 3 levels peaks near 17 frame-sized float64 planes,
         workspace and output included; allocating per operation peaked at 32."""
-        video = synth.global_translation_video(256, 256, 2, dx=2, dy=1, seed=20)
+        video = synth.block_motion_video(256, 256, 2, [], 0, 0, seed=20, bg_dx=2, bg_dy=1)[0]
         params = FlowEstimatorParams(levels=3)
         tracemalloc.start()
         try:

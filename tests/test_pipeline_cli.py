@@ -468,8 +468,8 @@ class TestPipeline:
         made, scored = [], []
         reconstructed, losses = pipeline.reconstructed_frames, pipeline.frame_losses
 
-        def making(first, flows):
-            for frame in reconstructed(first, flows):
+        def making(*args):
+            for frame in reconstructed(*args):
                 made.append(threading.get_ident())
                 yield frame
 

@@ -10,7 +10,7 @@ from flowcomm import extractor as ex
 from flowcomm import metrics, pipeline, reconstruct, synth
 from flowcomm.config import parse_experiment_config
 from flowcomm.flow import FlowEstimatorParams, estimate_flow
-from flowcomm.reconstruct import dense_flows, reconstruct_video
+from flowcomm.reconstruct import reconstruct_video
 from flowcomm.video import PatchGrid, Video, partition_patches, save_ppm_sequence
 
 
@@ -33,7 +33,7 @@ class TestReconstruct:
 
     def test_integer_translation_with_true_flow(self):
         dx, n_frames = 1, 4
-        video = synth.global_translation_video(64, 64, n_frames, dx=dx, dy=0, seed=1)
+        video = synth.block_motion_video(64, 64, n_frames, [], 0, 0, seed=1, bg_dx=dx, bg_dy=0)[0]
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         true_flows = np.zeros((n_frames - 1, 2, 64, 64))
         true_flows[:, 0] = dx
@@ -46,7 +46,7 @@ class TestReconstruct:
         assert metrics.frame_losses(rec.frames, video, video.frames).mean_ssim > 0.95
 
     def test_heavy_masking_strictly_worse(self):
-        video = synth.global_translation_video(64, 64, 5, dx=3, dy=0, seed=2)
+        video = synth.block_motion_video(64, 64, 5, [], 0, 0, seed=2, bg_dx=3, bg_dy=0)[0]
         flows = estimate_flow(video, FlowEstimatorParams(levels=3))
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel_full = ex.extract(flows, grid, ex.ExtractorParams(mask_ratio=0.0), seed=3)
@@ -66,14 +66,19 @@ class TestReconstruct:
             reconstruct_video(np.zeros((64, 64, 3), dtype=np.uint8), sel)
 
     def test_masked_patches_carry_zero_flow(self):
+        first = synth.smooth_texture(32, 32, seed=4)
         grid = PatchGrid.for_shape(32, 32, 16, 16)
         flows = [np.stack([np.full((32, 32), 2.0), np.zeros((32, 32))])]
         sel = full_selection_from_flows(flows, grid).prefix(0.75)  # patch (0, 0) alone
         assert sel.picks.tolist() == [[0]]
-        dense = next(dense_flows(grid, sel.picks, sel.payloads, 32, 32))
-        assert dense.shape == (2, 32, 32)
-        assert np.all(dense[0, :16, :16] == 2.0)
-        assert not dense[0, 16:, :].any() and not dense[0, :, 16:].any()
+        frame = reconstruct_video(first, sel).frames[1]
+        outside = np.ones((32, 32), dtype=bool)
+        outside[:16, :16] = False
+        assert np.array_equal(frame[outside], first[outside])
+        # u = 2 px, a whole-pixel shift: each pixel of the patch is frame 0's two columns
+        # to its left, clamped at the left edge.
+        assert np.array_equal(frame[:16, :16], first[:16, np.maximum(np.arange(16) - 2, 0)])
+        assert not np.array_equal(frame[:16, :16], first[:16, :16])
 
 
 def map_coordinates_reconstruction(first_frame, sel):
