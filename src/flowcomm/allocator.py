@@ -224,17 +224,25 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
 
 
 class ReplayBuffer:
+    """A ring of at most `capacity` transitions, whose arrays double as it fills."""
+
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros((capacity, action_dim))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.states = np.zeros((1, state_dim))
+        self.actions = np.zeros((1, action_dim))
+        self.rewards = np.zeros(1)
+        self.next_states = np.zeros((1, state_dim))
         self.size = 0
         self._next = 0
 
     def add(self, s, a, r, s2) -> None:
         k = self._next
+        if k == len(self.rewards):  # every row is full, and there are fewer than `capacity`
+            rows = min(2 * k, self.capacity)
+            self.states, self.actions, self.rewards, self.next_states = (
+                np.concatenate([x, np.zeros((rows - k, *x.shape[1:]))])
+                for x in (self.states, self.actions, self.rewards, self.next_states)
+            )
         self.states[k] = s
         self.actions[k] = a
         self.rewards[k] = r
@@ -287,9 +295,7 @@ def train_ddpg(
     agent = build_agent(sc.n_ue, seed)
     actor_opt = AdamState.for_net(agent.actor, hyper.actor_lr)
     critic_opt = AdamState.for_net(agent.critic, hyper.critic_lr)
-    # A run stores one transition per TTI, so a larger capacity would only hold zeros.
-    capacity = min(hyper.buffer_capacity, hyper.episodes * hyper.episode_len)
-    buffer = ReplayBuffer(capacity, env.state_dim, sc.n_ue)
+    buffer = ReplayBuffer(hyper.buffer_capacity, env.state_dim, sc.n_ue)
     rng = np.random.default_rng(seed)
     curve = []
     for episode in range(hyper.episodes):

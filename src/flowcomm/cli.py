@@ -198,8 +198,10 @@ def cmd_allocate(config_path: str, seed: int | None, out_dir: str) -> None:
         raise ConfigError(f"{source} seeds the DDPG training and must be >= 0, got {run_seed}")
     env = al.AllocationEnv(scenario)
     try:
-        agent, curve = al.train_ddpg(scenario, hyper, run_seed)
-        frac_ddpg, _ = agent.allocate(env)
+        # A run that diverges overflows on its way there: DivergedError is the check, not a warning.
+        with np.errstate(all="ignore"):
+            agent, curve = al.train_ddpg(scenario, hyper, run_seed)
+            frac_ddpg, _ = agent.allocate(env)
     except al.DivergedError as exc:
         raise ConfigError(
             f"DDPG training diverged: {exc}; lower [ddpg] actor_lr, critic_lr or noise_scale"

@@ -20,12 +20,15 @@ def _bilinear_taps(coord: np.ndarray, n: int):
 
     The arithmetic is scipy.ndimage's for order 1 and mode "nearest": the taps
     sit at floor(coord) and one past it, each clamped into [0, n - 1], and the
-    second weight is 1 minus the first, not the fractional part itself.
+    second weight is 1 minus the first, not the fractional part itself. The
+    taps are clamped before the integer cast, so a coordinate past the intp
+    range still takes the nearest edge.
     """
     lo = np.floor(coord)
     w_lo = 1.0 - (coord - lo)
-    i_lo = lo.astype(np.intp)
-    return np.clip(i_lo, 0, n - 1), np.clip(i_lo + 1, 0, n - 1), w_lo, 1.0 - w_lo
+    i_lo = np.clip(lo, 0, n - 1).astype(np.intp)
+    i_hi = np.clip(lo + 1.0, 0, n - 1).astype(np.intp)
+    return i_lo, i_hi, w_lo, 1.0 - w_lo
 
 
 def _resample(

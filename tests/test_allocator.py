@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -294,6 +295,31 @@ class TestTraining:
         b_agent, b_curve = al.train_ddpg(HETERO_3UE, hyper, seed=3)
         assert a_curve == b_curve
         assert all(np.array_equal(w1, w2) for w1, w2 in zip(a_agent.actor.weights, b_agent.actor.weights))
+
+    def test_memory_at_the_first_update_does_not_grow_with_the_run(self, monkeypatch):
+        """The replay buffer grows with what it stores: a run of 10^12 TTIs holds no more
+        before its first update than a run of 10 (it allocated 21.3 PiB up front)."""
+
+        class FirstUpdate(Exception):
+            pass
+
+        def first_update(*args):
+            raise FirstUpdate
+
+        monkeypatch.setattr(al, "_update", first_update)
+        peaks = {}
+        for episodes, episode_len in ((2, 5), (2, 5), (10**6, 10**6)):  # the first run warms up
+            hyper = al.DdpgHyper(episodes=episodes, episode_len=episode_len, batch_size=4,
+                                 buffer_capacity=10**15)
+            tracemalloc.start()
+            try:
+                with pytest.raises(FirstUpdate):
+                    al.train_ddpg(HETERO_3UE, hyper, seed=0)
+                peaks[episodes * episode_len] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # The interpreter's own caches move the peak by a few hundred bytes from run to run.
+        assert abs(peaks[10**12] - peaks[10]) < 1024, peaks
 
     def test_symmetric_converges_to_even_split(self):
         sc = scenario((1e6, 1e6, 1e6), (2.0, 2.0, 2.0), bandwidth=3e6)

@@ -5,6 +5,7 @@ experiment config (1 would be a flowcomm bug). A run that exits 0 keeps round((1
 in [-1, 1], reports finite, non-negative loads, a positive transmission time
 and finite numbers but for the PSNR of a lossless video. Every scenario exits 2 and
 writes nothing, or exits 0 with finite numbers and band fractions in (0, 1].
+No command emits a RuntimeWarning: stderr holds at most the `error:` line.
 """
 import contextlib
 import csv
@@ -12,6 +13,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -63,10 +65,19 @@ def experiments(draw):
     )
 
 
-def run(command, config, out):
+def main(argv):
+    """cli.main's exit code and stderr, checked for RuntimeWarnings, which pytest would capture."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = cli.main([command, "--config", config, "--seed", "3", "--out", out])
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv[0], runtime)
+    return rc, err
+
+
+def run(command, config, out):
+    rc, err = main([command, "--config", config, "--seed", "3", "--out", out])
     assert rc in (0, 2), err.getvalue()
     if rc:
         assert err.getvalue().startswith("error: "), err.getvalue()
@@ -199,9 +210,7 @@ def test_allocate_exits_0_or_2_and_writes_finite_numbers(scenario):
         config, out = os.path.join(root, "s.ini"), os.path.join(root, "out")
         with open(config, "w") as fh:
             fh.write(scenario)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = cli.main(["allocate", "--config", config, "--out", out])
+        rc, err = main(["allocate", "--config", config, "--out", out])
         assert rc in (0, 2), err.getvalue()
         if rc:
             assert err.getvalue().startswith("error: "), err.getvalue()

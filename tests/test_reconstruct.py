@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,23 @@ class TestMatchesMapCoordinates:
         got = reconstruct_video(first, sel).frames
         assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
+
+    def test_a_flow_past_the_intp_range_samples_the_nearest_edge(self):
+        # A decoded magnitude can reach [codec] mag_cap, valid up to about 1.8e308: row
+        # coordinates near 1e300 cast outside int64, which took the top edge, with a warning.
+        h = w = 32
+        first = np.zeros((h, w, 3), dtype=np.uint8)
+        first[0], first[-1] = 10, 200
+        grid = PatchGrid.for_shape(h, w, 16, 16)
+        payloads = np.zeros((1, 1, 2, 16, 16))
+        payloads[..., 1, :, :] = -1e300
+        sel = ex.SelectionResult(grid, 0.75, np.zeros((1, 1), dtype=np.intp), payloads, h, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frames = reconstruct_video(first, sel).frames
+        assert np.all(frames[1, :16, :16] == 200)  # mode "nearest": the bottom edge
+        assert np.array_equal(frames[1, 16:], first[16:])
+        assert np.array_equal(frames[1, :, 16:], first[:, 16:])
 
     def test_rounding_ties_on_a_flat_half_integer_frame(self):
         # Columns alternating 100, 101 shifted by half a pixel give a flat 100.5 frame,
