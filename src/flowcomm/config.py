@@ -17,9 +17,9 @@ class ConfigError(ValueError):
     """Bad or missing experiment configuration."""
 
 
-def derive_seed(run_seed: int, stage: str, index: int) -> int:
-    """Stable per-stage seed: sha256 over (run seed, stage, index)."""
-    digest = hashlib.sha256(f"{run_seed}:{stage}:{index}".encode()).digest()
+def derive_seed(run_seed: int, stage: str, key) -> int:
+    """Stable per-stage seed: sha256 over (run seed, stage, key), for any key with a stable `str`."""
+    digest = hashlib.sha256(f"{run_seed}:{stage}:{key}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -51,16 +51,15 @@ class VideoRun:
     The video is loaded once, on first use, so a run crosses to a worker
     process as its config alone; `check_videos` checks its frames first. Flow is
     estimated only where selections are made, and its fields are let go once
-    the widest selection holds the payloads every rho needs. Seeds
-    are keyed by grid position: extraction by the video index, the channel by
-    the cell's index in the whole (video, rho, snr_db) grid. Flow and the cells
-    run on up to `threads` threads.
+    the widest selection holds the payloads every rho needs. Each seed is
+    keyed by what it draws for: extraction by the video id, the channel by the
+    cell's (video id, rho, snr_db), so a cell gives the same numbers whatever
+    else is in the grid. Flow and the cells run on up to `threads` threads.
     """
 
-    def __init__(self, cfg: ExperimentConfig, run_seed: int, index: int, directory: str, threads: int):
+    def __init__(self, cfg: ExperimentConfig, run_seed: int, directory: str, threads: int):
         self.cfg = cfg
         self.run_seed = run_seed
-        self.index = index
         self.threads = threads
         self.directory = directory
         self.video_id = video_id(directory)
@@ -98,7 +97,7 @@ class VideoRun:
         """
         cfg, v = self.cfg, self.video
         grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
-        seed = derive_seed(self.run_seed, "extract", self.index)
+        seed = derive_seed(self.run_seed, "extract", self.video_id)
         params = replace(cfg.extractor, mask_ratio=min(cfg.rho_list))
         return ex.extract(self.estimate_flows(), grid, params, seed)
 
@@ -113,13 +112,11 @@ class VideoRun:
 
         The video is encoded once, for every rho and SNR cell.
         """
-        snrs = self.cfg.snr_db_list
-        point = self.index * len(self.cfg.rho_list) * len(snrs)
         widest = self.widest_selection()
         for rho, sel, encoded in encode_selections(widest, self.cfg.rho_list, self.cfg.codec):
-            for snr_db in snrs:
-                yield rho, snr_db, sel, encoded, derive_seed(self.run_seed, "channel", point)
-                point += 1
+            for snr_db in self.cfg.snr_db_list:
+                seed = derive_seed(self.run_seed, "channel", (self.video_id, rho, snr_db))
+                yield rho, snr_db, sel, encoded, seed
 
     def quality(self, frames) -> QualityReport:
         """Score the reconstructed frames against the source, one frame at a time."""
@@ -328,5 +325,5 @@ def run_videos(cfg: ExperimentConfig, run_seed: int, workers: int, task) -> list
     """
     processes = min(workers, len(cfg.video_dirs))
     threads = max(1, usable_cpus() // processes)
-    runs = (VideoRun(cfg, run_seed, k, d, threads) for k, d in enumerate(cfg.video_dirs))
+    runs = (VideoRun(cfg, run_seed, d, threads) for d in cfg.video_dirs)
     return fan_out(task, runs, processes, ProcessPoolExecutor)

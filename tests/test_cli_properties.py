@@ -6,6 +6,7 @@ in [-1, 1], reports finite, non-negative loads, a positive transmission time
 and finite numbers but for the PSNR of a lossless video. Every scenario exits 2 and
 writes nothing, or exits 0 with finite numbers and band fractions in (0, 1].
 No command emits a RuntimeWarning: stderr holds at most the `error:` line.
+A cell's rows and its video's selection blobs do not depend on what else is in the grid.
 """
 import contextlib
 import csv
@@ -150,6 +151,58 @@ def test_cli_exits_0_or_2_and_keeps_its_contracts(experiment):
                 psnr, mse = float(row["mean_psnr"]), float(row["mean_mse"])
                 assert psnr == math.inf if mse == 0.0 else math.isfinite(psnr), row
                 assert float(row["tx_seconds"]) > 0.0, row
+
+
+@st.composite
+def grid_pairs(draw):
+    """(frames, clip sizes, first grid, second grid); a grid is its (rho list, snr_db list).
+
+    The first grid sweeps every clip but clip 0. The second puts clip 0 in front,
+    adds a rho and reorders the SNRs, so every cell of the first is one of its own.
+    """
+    n_frames = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.tuples(st.integers(24, 40), st.integers(24, 40)), min_size=2, max_size=3))
+    rhos = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=4,
+                         unique_by=lambda rho: f"{rho:g}"))
+    snrs = draw(st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=3, unique=True))
+    return n_frames, sizes, (rhos[1:], snrs), (draw(st.permutations(rhos)), draw(st.permutations(snrs)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid_pairs())
+def test_a_cell_gives_the_same_outputs_whatever_else_is_in_the_grid(pair):
+    n_frames, sizes, *grids = pair
+    with tempfile.TemporaryDirectory() as root:
+        clips = []
+        for k, (height, width) in enumerate(sizes):
+            video, _ = synth.block_motion_video(
+                height, width, n_frames, [(height // 4, width // 4, height // 3, width // 3)],
+                dx=2, dy=1, seed=k, bg_dx=1, bg_dy=0,
+            )
+            clips.append(os.path.join(root, f"v{k}"))
+            save_ppm_sequence(video, clips[-1])
+        first, second = (os.path.join(root, f"grid{g}") for g in range(2))
+        for out, videos, (rhos, snrs) in zip((first, second), (clips[1:], clips), grids):
+            config = out + ".ini"
+            with open(config, "w") as fh:
+                fh.write(
+                    f"[input]\nvideos = {' '.join(videos)}\n[patches]\nheight = 8\nwidth = 8\n"
+                    f"[flow]\nlevels = 1\n[sweep]\nrho = {' '.join(map(repr, rhos))}\n"
+                    f"snr_db = {' '.join(map(repr, snrs))}\n"
+                )
+            for command in ("pipeline", "transmit", "reconstruct", "extract"):
+                assert run(command, config, out) == 0
+        for name in ("summary.csv", "frames.csv", "transmit.csv", "reconstruct.csv"):
+            with open(os.path.join(first, name)) as fh, open(os.path.join(second, name)) as wider:
+                shared, rows = fh.readlines(), set(wider.readlines())
+            assert [row for row in shared if row not in rows] == [], name
+        for clip in clips[1:]:
+            vid = os.path.basename(clip)
+            for blob in os.listdir(os.path.join(first, vid)):
+                with open(os.path.join(first, vid, blob), "rb") as fh, \
+                        open(os.path.join(second, vid, blob), "rb") as wider:
+                    assert fh.read() == wider.read(), (vid, blob)
 
 
 @st.composite

@@ -244,9 +244,9 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.6 0.0 0.99 0.3")
         )
-        run = pipeline.VideoRun(cfg, 3, 0, str(clips / "motion0"), 1)
+        run = pipeline.VideoRun(cfg, 3, str(clips / "motion0"), 1)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
-        seed = derive_seed(3, "extract", 0)
+        seed = derive_seed(3, "extract", "motion0")
         got = list(run.selections())
         assert [rho for rho, _ in got] == [0.6, 0.0, 0.99, 0.3]
         flows = run.estimate_flows()
@@ -327,7 +327,7 @@ class TestPipeline:
         clip = tmp_path / name
         save_ppm_sequence(video, clip)
         cfg = parse_experiment_config(write_config(tmp_path / f"{name}.ini", [clip], rho="0.0", snr_db="10"))
-        run = pipeline.VideoRun(cfg, 1, 0, str(clip), 1)
+        run = pipeline.VideoRun(cfg, 1, str(clip), 1)
         (rho, snr_db, _, encoded, seed), = run.cells()
         run.ssim_reference  # the per-video SSIM half is not the cell's
         tracemalloc.start()
@@ -452,7 +452,7 @@ class TestPipeline:
         sys.setswitchinterval(1e-5)
         try:
             for threads in (1, 12):
-                run = pipeline.VideoRun(cfg, 2, 0, str(clips / "motion0"), threads)
+                run = pipeline.VideoRun(cfg, 2, str(clips / "motion0"), threads)
                 reports[threads] = [p.report for p in run.points()]
         finally:
             sys.setswitchinterval(interval)
@@ -486,7 +486,7 @@ class TestPipeline:
         reports, apart = {}, {}
         for threads in (2 * n_cells - 1, 2 * n_cells):
             made.clear(), scored.clear()
-            run = pipeline.VideoRun(cfg, 2, 0, str(clips / "motion0"), threads)
+            run = pipeline.VideoRun(cfg, 2, str(clips / "motion0"), threads)
             reports[threads] = [p.report for p in run.points()]
             apart[threads] = not set(made) & set(scored)
         assert reports[2 * n_cells] == reports[2 * n_cells - 1]
@@ -516,7 +516,7 @@ class TestPipeline:
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.3 0.5", snr_db="10 30")
         )
-        run = pipeline.VideoRun(cfg, 1, 0, str(clips / "motion0"), given)
+        run = pipeline.VideoRun(cfg, 1, str(clips / "motion0"), given)
         assert len(run.points()) == 6
         assert most[0] == threads
         if threads == 1:  # the calling thread runs the cells itself
@@ -690,13 +690,13 @@ class TestCli:
         assert self.run("transmit", "--config", str(cfg_path), "--seed", "1", "--out", str(out)) == 0
         row = read_rows(out / "transmit.csv")[1]
         assert row["video_id"] == "motion1"
-        # The pipeline indexes channel seeds over the whole grid: motion1's only cell is 1.
+        # Each seed is keyed by what it draws for: motion1's video, then its one cell.
         cfg = parse_experiment_config(cfg_path)
         flows = estimate_flow(load_ppm_sequence(clips / "motion1"), cfg.flow_params)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
-        sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", 1))
+        sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", "motion1"))
         encoded = encode_selection(sel, cfg.codec)
-        decoded = transmit_selection(encoded, cfg.codec, 10.0, derive_seed(1, "channel", 1))
+        decoded = transmit_selection(encoded, cfg.codec, 10.0, derive_seed(1, "channel", ("motion1", 0.0, 10.0)))
         assert float(row["rms_flow_error"]) == transmit_stats(sel.payloads, decoded)[1]
 
     def test_link_is_awgn_at_the_swept_snr(self, tmp_path, clips, monkeypatch):

@@ -234,7 +234,7 @@ class TestPerFrameCell:
             "[sweep]\nrho = 0.0 0.4 0.99\nsnr_db = -5 5 20\n"
         )
         cfg = parse_experiment_config(config)
-        run = pipeline.VideoRun(cfg, 7, 0, str(tmp_path / "clip"), 2)
+        run = pipeline.VideoRun(cfg, 7, str(tmp_path / "clip"), 2)
         points = run.points()
         cells = list(run.cells())
         assert len(points) == len(cells) == 9
