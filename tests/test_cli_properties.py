@@ -72,7 +72,8 @@ def main(argv):
     with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(argv)
-    runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
+    runtime = [f"{w.filename}:{w.lineno}: {w.message}"
+               for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, (argv[0], runtime)
     return rc, err
 

@@ -81,6 +81,22 @@ class TestReconstruct:
         assert np.array_equal(frame[:16, :16], first[:16, np.maximum(np.arange(16) - 2, 0)])
         assert not np.array_equal(frame[:16, :16], first[:16, :16])
 
+    def test_a_flow_past_the_intp_range_samples_the_nearest_edge(self):
+        # A decoded magnitude can reach [codec] mag_cap, valid up to about 1.8e308: row
+        # coordinates near 1e300 cast outside int64, which took the top edge, with a warning.
+        h = w = 32
+        first = np.zeros((h, w, 3), dtype=np.uint8)
+        first[0], first[-1] = 10, 200
+        grid = PatchGrid.for_shape(h, w, 16, 16)
+        flows = [np.stack([np.zeros((h, w)), np.full((h, w), -1e300)])]
+        sel = full_selection_from_flows(flows, grid).prefix(0.75)  # patch (0, 0) alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frames = reconstruct_video(first, sel).frames
+        assert np.all(frames[1, :16, :16] == 200)  # mode "nearest": the bottom edge
+        assert np.array_equal(frames[1, 16:], first[16:])
+        assert np.array_equal(frames[1, :, 16:], first[:, 16:])
+
 
 def map_coordinates_reconstruction(first_frame, sel):
     """Oracle: every pixel of every frame resampled by three map_coordinates calls."""
@@ -174,23 +190,6 @@ class TestMatchesMapCoordinates:
         got = reconstruct_video(first, sel).frames
         assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
-
-    def test_a_flow_past_the_intp_range_samples_the_nearest_edge(self):
-        # A decoded magnitude can reach [codec] mag_cap, valid up to about 1.8e308: row
-        # coordinates near 1e300 cast outside int64, which took the top edge, with a warning.
-        h = w = 32
-        first = np.zeros((h, w, 3), dtype=np.uint8)
-        first[0], first[-1] = 10, 200
-        grid = PatchGrid.for_shape(h, w, 16, 16)
-        payloads = np.zeros((1, 1, 2, 16, 16))
-        payloads[..., 1, :, :] = -1e300
-        sel = ex.SelectionResult(grid, 0.75, np.zeros((1, 1), dtype=np.intp), payloads, h, w)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            frames = reconstruct_video(first, sel).frames
-        assert np.all(frames[1, :16, :16] == 200)  # mode "nearest": the bottom edge
-        assert np.array_equal(frames[1, 16:], first[16:])
-        assert np.array_equal(frames[1, :, 16:], first[:, 16:])
 
     def test_rounding_ties_on_a_flat_half_integer_frame(self):
         # Columns alternating 100, 101 shifted by half a pixel give a flat 100.5 frame,
