@@ -11,15 +11,15 @@ the calling thread allocates once per block and each stage writes through
 `out=`/`output=`: worker threads allocate no frame-sized array, whose freed
 memory their malloc arenas would keep. Within a block, a frame's pyramid is
 built once, as one pair's target and then the next pair's reference.
+scipy.ndimage and the thread pool are imported where they are first used, so
+a command that estimates no flow and starts no pool loads neither.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .video import Video
 
@@ -98,11 +98,13 @@ def check_frame_size(height: int, width: int, params: FlowEstimatorParams) -> No
 
 def fan_out(task, items, workers: int, executor=None) -> list:
     """[task(item) for item in items], run on `workers` workers of an `executor` pool
-    (ThreadPoolExecutor when None, looked up as the pool starts); one worker is the
+    (ThreadPoolExecutor when None, imported as the pool starts); one worker is the
     calling thread itself, which takes each item only as its task starts."""
     if workers == 1:
         return [task(item) for item in items]
-    with (executor or ThreadPoolExecutor)(workers) as pool:
+    if executor is None:
+        from concurrent.futures import ThreadPoolExecutor as executor
+    with executor(workers) as pool:
         return list(pool.map(task, items))
 
 
@@ -114,6 +116,8 @@ def read_ahead(arrays):
     def step():
         array = next(arrays, None)
         return None if array is None else array.copy()
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as pool:
         ahead = pool.submit(step)
@@ -164,6 +168,8 @@ class _Workspace:
         Each frame's pyramid is built once, into the target slot, and copied
         into the reference slot for the pair that follows.
         """
+        import scipy.ndimage
+
         levels, params = self.levels, self.params
         for t, frame in enumerate(frames):
             _grayscale(frame, levels[-1].images[1])
@@ -194,6 +200,8 @@ def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
 
 def _upsample(coarse: np.ndarray, flow: np.ndarray, level: _Level) -> None:
     """Bilinear resize of the coarser level's flow into flow, scaling displacements."""
+    import scipy.ndimage
+
     coords = level.coords
     np.copyto(coords[0], level.up_rows[:, None])
     np.copyto(coords[1], level.up_cols)
@@ -219,6 +227,8 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
     equations over lk_window-sized neighborhoods; ill-conditioned windows
     contribute zero residual.
     """
+    import scipy.ndimage
+
     ref, target = level.images
     u, v = flow
     coords, bad = level.coords, level.bad

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -320,10 +319,14 @@ def run_videos(cfg: ExperimentConfig, run_seed: int, workers: int, task) -> list
     The videos fan out over min(workers, videos) processes, which split the
     usable CPUs evenly, at least one each: each video's flow and cells run on
     its share, as threads. With one process the videos run in this one, each
-    let go once its task returns. `task` must pickle, as a module-level
-    function or a partial of one.
+    let go once its task returns, and no process pool is imported. `task` must
+    pickle, as a module-level function or a partial of one.
     """
     processes = min(workers, len(cfg.video_dirs))
     threads = max(1, usable_cpus() // processes)
     runs = (VideoRun(cfg, run_seed, d, threads) for d in cfg.video_dirs)
+    if processes == 1:
+        return [task(run) for run in runs]
+    from concurrent.futures import ProcessPoolExecutor
+
     return fan_out(task, runs, processes, ProcessPoolExecutor)

@@ -137,10 +137,13 @@ def load_ppm_sequence(directory: str | os.PathLike) -> Video:
 
 
 def save_ppm_sequence(video: Video, directory: str | os.PathLike) -> list[str]:
+    """Write each frame as frame_<t>.ppm, t zero-padded to at least 4 digits and to
+    one width for the whole clip, so `load_ppm_sequence` reads the frames back in order."""
     os.makedirs(directory, exist_ok=True)
+    digits = max(4, len(str(video.n_frames - 1)))
     paths = []
     for t in range(video.n_frames):
-        p = os.path.join(directory, f"frame_{t:04d}.ppm")
+        p = os.path.join(directory, f"frame_{t:0{digits}d}.ppm")
         save_ppm(video.frames[t], p)
         paths.append(p)
     return paths
@@ -161,9 +164,11 @@ def read_flo(path: str | os.PathLike) -> np.ndarray:
         width, height = struct.unpack("<ii", header)
         if width < 1 or height < 1:
             raise FormatError(f"{path}: empty {width}x{height} field")
-        raw = fh.read(8 * width * height)
-    if len(raw) != 8 * width * height:
-        raise FormatError(f"{path}: truncated payload")
+        # checked against the file before reading: a header can declare more than memory holds
+        size = 8 * width * height
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise FormatError(f"{path}: truncated payload")
+        raw = fh.read(size)
     uv = np.frombuffer(raw, dtype="<f4").reshape(height, width, 2)
     if not np.isfinite(uv).all():
         raise FormatError(f"{path}: flow values must be finite")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import tracemalloc
 
@@ -198,12 +199,12 @@ def pools(monkeypatch):
     """The worker count of each thread pool estimate_flow starts."""
     started = []
 
-    class CountingPool(flow.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(flow, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     return started
 
 

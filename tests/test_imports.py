@@ -1,8 +1,8 @@
-"""What a fresh interpreter imports. flow reaches scipy.ndimage through
-`scipy.ndimage.<fn>`, which loads the submodule on first use, and metrics does
-without it, so commands that never estimate flow (allocate, load) never load it,
-and neither does scoring. Each check runs in a subprocess, because this process
-already has scipy.ndimage loaded."""
+"""What a fresh interpreter imports. flow imports scipy.ndimage in the functions
+that call it, and metrics does without it, so commands that never estimate flow
+(allocate, load) never load SciPy, and neither does scoring. The thread pool is
+imported as one starts, and the process pool only for two or more processes.
+Each check runs in a subprocess, because this process already has them loaded."""
 import json
 import os
 import subprocess
@@ -34,6 +34,11 @@ episodes = 3
 episode_len = 5
 batch_size = 4
 """
+
+
+# what a command that estimates no flow and starts no pool never loads
+BARRED = ("scipy", "concurrent", "multiprocessing")
+LOADED_BARRED = f"sorted(m for m in sys.modules if m.split('.')[0] in {BARRED!r})"
 
 
 def fresh(script: str, *args: str):
@@ -71,7 +76,11 @@ def test_cli_import_loads_every_traced_layer_and_no_ndimage():
     )]
 
 
-def test_allocate_and_load_never_load_ndimage(tmp_path):
+def test_cli_import_loads_no_scipy_or_worker_pool():
+    assert fresh(f"import json, sys\nimport flowcomm.cli\nprint(json.dumps({LOADED_BARRED}))") == []
+
+
+def test_allocate_and_load_load_no_scipy_or_worker_pool(tmp_path):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(SCENARIO_INI)
     config = experiment(tmp_path, 3, "[sweep]\nrho = 0.5\n")
@@ -79,13 +88,26 @@ def test_allocate_and_load_never_load_ndimage(tmp_path):
         "import json, sys\nfrom flowcomm import cli\nresult = {}\n"
         "for command, config, out in zip(('allocate', 'load'), sys.argv[1::2], sys.argv[2::2]):\n"
         "    rc = cli.main([command, '--config', config, '--out', out])\n"
-        "    result[command] = [rc, 'scipy.ndimage' in sys.modules]\n"
+        f"    result[command] = [rc, {LOADED_BARRED}]\n"
         "print(json.dumps(result))",
         scenario, tmp_path / "alloc", config, tmp_path / "load",
     )
-    assert result == {"allocate": [0, False], "load": [0, False]}
+    assert result == {"allocate": [0, []], "load": [0, []]}
     assert (tmp_path / "alloc" / "allocation.csv").is_file()
     assert (tmp_path / "load" / "load.csv").is_file()
+
+
+def test_pipeline_on_one_worker_loads_no_multiprocessing(tmp_path):
+    """One process runs the videos in place: the process pool is never imported."""
+    config = experiment(tmp_path, 3, "[sweep]\nrho = 0.5\n")
+    result = fresh(
+        "import json, sys\nfrom flowcomm import cli\n"
+        "rc = cli.main(['pipeline', '--config', sys.argv[1], '--out', sys.argv[2], '--workers', '1'])\n"
+        "print(json.dumps([rc, 'multiprocessing' in sys.modules]))",
+        config, tmp_path / "out",
+    )
+    assert result == [0, False]
+    assert (tmp_path / "out" / "summary.csv").is_file()
 
 
 def test_scoring_loads_no_ndimage():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import configparser
 import csv
 import json
@@ -7,7 +8,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from operator import attrgetter
 
@@ -167,7 +168,7 @@ class TestPipeline:
             assert a.report.frame_mse == b.report.frame_mse
 
     @staticmethod
-    def counted_pools(monkeypatch, base=pipeline.ProcessPoolExecutor) -> list:
+    def counted_pools(monkeypatch, base=ProcessPoolExecutor) -> list:
         """The worker count of each video pool run_videos starts, each pool a `base`."""
         started = []
 
@@ -176,7 +177,7 @@ class TestPipeline:
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         return started
 
     def test_no_more_processes_than_videos(self, tmp_path, clips, monkeypatch):

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -42,6 +43,17 @@ class TestPpm:
         save_ppm_sequence(video, tmp_path / "seq")
         again = load_ppm_sequence(tmp_path / "seq")
         assert np.array_equal(again.frames, video.frames)
+
+    @pytest.mark.parametrize("n_frames, first", [(10000, "frame_0000.ppm"), (10001, "frame_00000.ppm")])
+    def test_roundtrip_keeps_order_past_four_digits(self, tmp_path, n_frames, first):
+        """Names keep 4 digits up to 10000 frames; past that every name gets the last
+        frame's digits, or frame_10000 would sort between frame_1000 and frame_1001."""
+        t = np.arange(n_frames)
+        frames = np.stack([t % 256, t // 256, t * 0], axis=-1).astype(np.uint8)
+        video = Video(frames.reshape(n_frames, 1, 1, 3))
+        paths = save_ppm_sequence(video, tmp_path / "seq")
+        assert os.path.basename(paths[0]) == first
+        assert np.array_equal(load_ppm_sequence(tmp_path / "seq").frames, video.frames)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -123,6 +135,15 @@ class TestFlo:
         (tmp_path / "t.flo").write_bytes(blob[:-7])
         with pytest.raises(FormatError, match="truncated"):
             read_flo(tmp_path / "t.flo")
+
+    @pytest.mark.parametrize("side", [2**20, 2**30])
+    def test_header_declaring_more_than_the_file_holds_is_truncated(self, tmp_path, side):
+        """Rejected before any read: 2**20 squared would not fit in memory, 2**30 squared
+        not in an index-sized integer."""
+        path = tmp_path / "huge.flo"
+        path.write_bytes(FLO_MAGIC + struct.pack("<ii", side, side) + b"\0" * 16)
+        with pytest.raises(FormatError, match="truncated payload"):
+            read_flo(path)
 
     @pytest.mark.parametrize("width, height, payload", [(-2, 3, b""), (-1, -1, b"\0" * 8), (0, 0, b"")])
     def test_header_dimensions_below_one_rejected(self, tmp_path, width, height, payload):
