@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -164,11 +165,14 @@ def read_flo(path: str | os.PathLike) -> np.ndarray:
         width, height = struct.unpack("<ii", header)
         if width < 1 or height < 1:
             raise FormatError(f"{path}: empty {width}x{height} field")
-        # checked against the file before reading: a header can declare more than memory holds
         size = 8 * width * height
-        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+        # a header can declare more than memory holds: a regular file's size bounds it unread
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < size:
             raise FormatError(f"{path}: truncated payload")
         raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"{path}: truncated payload")
     uv = np.frombuffer(raw, dtype="<f4").reshape(height, width, 2)
     if not np.isfinite(uv).all():
         raise FormatError(f"{path}: flow values must be finite")

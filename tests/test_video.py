@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ class TestFlo:
         path.write_bytes(FLO_MAGIC + struct.pack("<ii", side, side) + b"\0" * 16)
         with pytest.raises(FormatError, match="truncated payload"):
             read_flo(path)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        """A pipe has no size to check the header against: its payload is read, then counted."""
+        flow = np.stack([np.full((3, 5), 1.5), np.full((3, 5), -2.25)])
+        write_flo(flow, tmp_path / "f.flo")
+        os.mkfifo(tmp_path / "pipe")
+        blob = (tmp_path / "f.flo").read_bytes()
+        writer = threading.Thread(target=(tmp_path / "pipe").write_bytes, args=(blob,))
+        writer.start()
+        try:
+            assert np.array_equal(read_flo(tmp_path / "pipe"), flow)
+        finally:
+            writer.join()
 
     @pytest.mark.parametrize("width, height, payload", [(-2, 3, b""), (-1, -1, b"\0" * 8), (0, 0, b"")])
     def test_header_dimensions_below_one_rejected(self, tmp_path, width, height, payload):
