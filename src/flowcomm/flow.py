@@ -11,6 +11,18 @@ the calling thread allocates once per block and each stage writes through
 `out=`/`output=`: worker threads allocate no frame-sized array, whose freed
 memory their malloc arenas would keep. Within a block, a frame's pyramid is
 built once, as one pair's target and then the next pair's reference.
+
+A workspace carries seven frame-sized scratch planes, each reused as one
+refinement iteration goes on:
+- `coords` (2): the sample coordinates, then the warped frame's y/x gradients
+  (averaged with the reference's), then the steps du, dv;
+- `warped`: the pyramid blur's output, the warped frame, then its mismatch
+  with the reference, then the window mean axx;
+- `axy`, `ayy`: the reference's x/y gradients, then their window means;
+- `bx`, `by`: the mismatch window means, then temporaries of the solve and,
+  in `by`, the determinant.
+Each window mean's product is written into its own plane and filtered there.
+
 scipy.ndimage and the thread pool are imported where they are first used, so
 a command that estimates no flow and starts no pool loads neither.
 """
@@ -28,11 +40,11 @@ DEGENERATE_DET = 1e-6
 # per-iteration residual step clamp (px); brightness constancy breaks at
 # occlusion seams and the unclamped least-squares step can run away there
 RESIDUAL_CLAMP_PX = 1.0
-# scratch planes per pyramid level: y/x sample coordinates (the warped frame's
-# gradients once it is sampled), the warped frame (then its difference from the
-# reference), the reference's x/y gradients, a product (the determinant in the
-# solve) and the five structure-tensor and mismatch window means
-_N_SCRATCH = 11
+# scratch planes per pyramid level: y/x sample coordinates (then the gradients,
+# then the steps du, dv), the warped frame (the blur's output in the pyramid,
+# then the mismatch, then axx), axy and ayy (first the reference's x/y
+# gradients), bx and by (then temporaries of the solve, and the determinant)
+_N_SCRATCH = 7
 # the coarsest pyramid level's smaller side must span at least this many pixels
 MIN_LEVEL_PX = 8
 
@@ -134,8 +146,7 @@ class _Level:
         self.images = np.empty((2, h, w))  # reference frame, target frame
         planes = scratch[: _N_SCRATCH * h * w].reshape(_N_SCRATCH, h, w)
         self.coords = planes[:2]
-        (self.warped, self.gx_ref, self.gy_ref, self.prod,
-         self.axx, self.axy, self.ayy, self.bx, self.by) = planes[2:]
+        self.warped, self.axy, self.ayy, self.bx, self.by = planes[2:]
         self.bad = mask[: h * w].reshape(shape)
         self.rows = np.arange(h, dtype=np.float64)
         self.cols = np.arange(w, dtype=np.float64)
@@ -176,9 +187,9 @@ class _Workspace:
             # Gaussian blur + 2x decimate, finest to coarsest.
             for fine, coarse in zip(levels[:0:-1], levels[-2::-1]):
                 scipy.ndimage.gaussian_filter(
-                    fine.images[1], params.smoothing_sigma, output=fine.prod, mode="nearest"
+                    fine.images[1], params.smoothing_sigma, output=fine.warped, mode="nearest"
                 )
-                np.copyto(coarse.images[1], fine.prod[::2, ::2])
+                np.copyto(coarse.images[1], fine.warped[::2, ::2])
             if t:
                 flows = [*self.coarse_flows, out[t - 1]]
                 flows[0].fill(0.0)
@@ -233,46 +244,45 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
     u, v = flow
     coords, bad = level.coords, level.bad
     gy, gx = coords  # the sample coordinates are spent once the target is warped
-    it, det = level.warped, level.prod
-    _gradient(ref, level.gy_ref, level.gx_ref)
+    it = axx = level.warped  # the mismatch is spent once both of its means are taken
+    axy, ayy, bx, by = level.axy, level.ayy, level.bx, level.by
+    gy_ref, gx_ref = ayy, axy  # spent before their planes take the last two means
     for _ in range(params.iterations_per_level):
         np.add(level.rows[:, None], v, out=coords[0])
         np.add(level.cols, u, out=coords[1])
         scipy.ndimage.map_coordinates(target, coords, output=level.warped, order=1, mode="nearest")
         _gradient(level.warped, gy, gx)
-        gx += level.gx_ref
+        _gradient(ref, gy_ref, gx_ref)
+        gx += gx_ref
         gx *= 0.5
-        gy += level.gy_ref
+        gy += gy_ref
         gy *= 0.5
         it -= ref
-        # window means of the structure tensor and mismatch terms
-        for a, b, mean in (
-            (gx, gx, level.axx), (gx, gy, level.axy), (gy, gy, level.ayy),
-            (gx, it, level.bx), (gy, it, level.by),
-        ):
-            np.multiply(a, b, out=level.prod)
-            scipy.ndimage.uniform_filter(level.prod, params.lk_window, output=mean, mode="nearest")
-        axx, axy, ayy, bx, by = level.axx, level.axy, level.ayy, level.bx, level.by
-        # The gradient planes now hold the steps du, dv; it serves as a temporary.
-        du, dv, tmp = gx, gy, it
-        np.multiply(axx, ayy, out=det)
-        np.multiply(axy, axy, out=tmp)
-        det -= tmp
-        np.greater_equal(det, DEGENERATE_DET, out=bad)
-        np.logical_not(bad, out=bad)
-        np.copyto(det, 1.0, where=bad)
-        # du = -(ayy bx - axy by) / det
+        # window means of the mismatch and structure tensor terms, each filtered in place
+        for a, b, mean in ((gx, it, bx), (gy, it, by), (gx, gx, axx), (gx, gy, axy), (gy, gy, ayy)):
+            np.multiply(a, b, out=mean)
+            scipy.ndimage.uniform_filter(mean, params.lk_window, output=mean, mode="nearest")
+        # The gradient planes now hold the steps du, dv, and by the determinant;
+        # gy, and bx once dv has used it, serve as temporaries.
+        du, dv, det = gx, gy, by
+        # du = -(ayy bx - axy by) / det, divided once det is known
         np.multiply(ayy, bx, out=du)
-        np.multiply(axy, by, out=tmp)
-        du -= tmp
+        np.multiply(axy, by, out=gy)
+        du -= gy
         np.negative(du, out=du)
-        du /= det
         # dv = -((-axy) bx + axx by) / det
         np.negative(axy, out=dv)
         dv *= bx
-        np.multiply(axx, by, out=tmp)
-        dv += tmp
+        np.multiply(axx, by, out=bx)
+        dv += bx
         np.negative(dv, out=dv)
+        np.multiply(axx, ayy, out=det)
+        np.multiply(axy, axy, out=bx)
+        det -= bx
+        np.greater_equal(det, DEGENERATE_DET, out=bad)
+        np.logical_not(bad, out=bad)
+        np.copyto(det, 1.0, where=bad)
+        du /= det
         dv /= det
         for step, field in ((du, u), (dv, v)):
             np.copyto(step, 0.0, where=bad)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FLO_MAGIC = b"PIEH"  # little-endian float32 202021.25
-_PPM_SEPARATOR = re.compile(rb"(\s+|#[^\n]*\n)")  # between PPM header tokens
+_PPM_SEPARATOR = re.compile(rb"(?:\s+|#[^\n]*\n)+")  # before each PPM header token
 _PPM_NUMBER = re.compile(rb"\d+")
 
 
@@ -87,14 +87,11 @@ def load_ppm(path: str | os.PathLike) -> np.ndarray:
         data = fh.read()
     if not data.startswith(b"P6"):
         raise FormatError(f"{path}: not a P6 PPM")
-    # header = magic, width, height, maxval; '#' comments allowed between tokens
+    # header = magic, width, height, maxval, each token after whitespace or '#' comments
     pos, tokens = 2, []
     while len(tokens) < 3:
         m = _PPM_SEPARATOR.match(data, pos)
-        if m:
-            pos = m.end()
-            continue
-        m = _PPM_NUMBER.match(data, pos)
+        m = m and _PPM_NUMBER.match(data, m.end())
         if not m:
             raise FormatError(f"{path}: malformed PPM header")
         tokens.append(int(m.group()))
@@ -104,6 +101,8 @@ def load_ppm(path: str | os.PathLike) -> np.ndarray:
         raise FormatError(f"{path}: empty {width}x{height} raster")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    if not data[pos : pos + 1].isspace():
+        raise FormatError(f"{path}: malformed PPM header")
     pos += 1  # single whitespace byte terminating the header
     size = width * height * 3
     if len(data) - pos < size:

@@ -164,28 +164,46 @@ def test_resize_flow_scales_displacements():
     assert np.allclose(out[1], -2.0 * 8 / 4)
 
 
-# (video, pyramid levels) pairs the workspace path must reproduce bit for bit.
+def moving_block(seed):
+    """Three pairs of odd-sized 45x37 frames: a block moving (2, 1) px over a panning background."""
+    return synth.block_motion_video(45, 37, 4, [(5, 5, 10, 10)], dx=2, dy=1, seed=seed, bg_dx=1)[0]
+
+
+# (video, estimator parameters) pairs the workspace path must reproduce bit for bit.
 EXACT_CASES = {
     # odd sizes whose pyramid levels round up: 23x19, and 50x36, 25x18, 13x9
     "45x37_2_levels": lambda: (
-        synth.block_motion_video(45, 37, 4, [(5, 5, 10, 10)], dx=2, dy=1, seed=15)[0], 2
+        synth.block_motion_video(45, 37, 4, [(5, 5, 10, 10)], dx=2, dy=1, seed=15)[0],
+        FlowEstimatorParams(levels=2),
     ),
     "100x72_4_levels": lambda: (
         synth.block_motion_video(
             100, 72, 5, [(20, 20, 20, 20)], dx=2, dy=1, seed=16, bg_dx=1, bg_dy=0
         )[0],
-        4,
+        FlowEstimatorParams(levels=4),
     ),
     # every structure-tensor determinant is 0: the degenerate-window branch
-    "constant": lambda: (Video(np.full((3, 32, 32, 3), 90, dtype=np.uint8)), 2),
+    "constant": lambda: (
+        Video(np.full((3, 32, 32, 3), 90, dtype=np.uint8)), FlowEstimatorParams(levels=2)
+    ),
     # 3 px at the coarse level, so the 1 px residual clamp binds
     "translation_6px": lambda: (
-        synth.block_motion_video(64, 64, 3, [], 0, 0, seed=17, bg_dx=6, bg_dy=0)[0], 2
+        synth.block_motion_video(64, 64, 3, [], 0, 0, seed=17, bg_dx=6, bg_dy=0)[0],
+        FlowEstimatorParams(levels=2),
     ),
     # one pair: no thread pool even with two CPUs
     "two_frames": lambda: (
-        synth.block_motion_video(48, 48, 2, [], 0, 0, seed=18, bg_dx=1, bg_dy=1)[0], 3
+        synth.block_motion_video(48, 48, 2, [], 0, 0, seed=18, bg_dx=1, bg_dy=1)[0],
+        FlowEstimatorParams(levels=3),
     ),
+    # each estimator parameter away from its default, as the planes are reused under it
+    "lk_window_3": lambda: (moving_block(24), FlowEstimatorParams(levels=2, lk_window=3)),
+    "lk_window_7": lambda: (moving_block(25), FlowEstimatorParams(levels=2, lk_window=7)),
+    "unsmoothed": lambda: (moving_block(26), FlowEstimatorParams(levels=3, smoothing_sigma=0.0)),
+    "smoothing_2.5": lambda: (moving_block(27), FlowEstimatorParams(levels=3, smoothing_sigma=2.5)),
+    "1_iteration": lambda: (moving_block(28), FlowEstimatorParams(levels=2, iterations_per_level=1)),
+    "5_iterations": lambda: (moving_block(29), FlowEstimatorParams(levels=2, iterations_per_level=5)),
+    "1_level": lambda: (moving_block(30), FlowEstimatorParams(levels=1)),
 }
 
 
@@ -213,8 +231,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_bit_exact_pair_by_pair(self, threads, pools, case):
-        video, levels = EXACT_CASES[case]()
-        params = FlowEstimatorParams(levels=levels)
+        video, params = EXACT_CASES[case]()
         fields = estimate_flow(video, params, threads)
         expected = flow_reference.estimate_flow(video, params)
         assert len(fields) == len(expected) == video.n_frames - 1
@@ -225,8 +242,7 @@ class TestMatchesReference:
 
     def test_one_thread_per_pair_switching_often(self, pools):
         """Each thread writes only its own workspace and its own pairs' output slots."""
-        video, levels = EXACT_CASES["100x72_4_levels"]()
-        params = FlowEstimatorParams(levels=levels)
+        video, params = EXACT_CASES["100x72_4_levels"]()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -274,18 +290,28 @@ class TestMatchesReference:
         with pytest.raises(ValueError, match="flow values must be finite"):
             estimate_flow(synth.static_video(32, 32, 3, seed=22), FlowEstimatorParams(levels=2))
 
-    def test_one_pair_peak_memory(self):
-        """One 256x256 pair at 3 levels peaks near 17 frame-sized float64 planes,
-        workspace and output included; allocating per operation peaked at 32."""
-        video = synth.block_motion_video(256, 256, 2, [], 0, 0, seed=20, bg_dx=2, bg_dy=1)[0]
-        params = FlowEstimatorParams(levels=3)
+    @staticmethod
+    def peak_planes(n_frames, threads):
+        """tracemalloc's peak, in 256x256 float64 planes, of flow at 3 levels on n_frames."""
+        video = synth.block_motion_video(256, 256, n_frames, [], 0, 0, seed=20, bg_dx=2, bg_dy=1)[0]
         tracemalloc.start()
         try:
-            estimate_flow(video, params)
+            estimate_flow(video, FlowEstimatorParams(levels=3), threads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 256 * 256 * 8
+        return peak / (256 * 256 * 8)
+
+    def test_one_pair_peak_memory(self):
+        """One 256x256 pair at 3 levels peaks near 13 frame-sized float64 planes:
+        7 scratch planes, both frames' pyramids, the coarse flows and the output."""
+        planes = self.peak_planes(2, 1)
+        assert planes < 14, planes
+
+    def test_two_pairs_on_two_threads_peak_memory(self):
+        """A workspace per thread: two pairs on two threads peak near 26 planes."""
+        planes = self.peak_planes(3, 2)
+        assert planes < 27, planes
 
 
 class TestReadAhead:

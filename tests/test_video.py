@@ -84,6 +84,19 @@ class TestPpm:
         assert frame.shape == (2, 4, 3)
         assert frame.tobytes() == raster
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P61 1\n255\n",  # no whitespace after the magic
+            b"P6\n1 1\n255#\n",  # a comment, not one whitespace byte, after maxval
+        ],
+        ids=["magic_run_on", "comment_after_maxval"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        (tmp_path / "a.ppm").write_bytes(header + bytes([1, 2, 3]))
+        with pytest.raises(FormatError, match="malformed PPM header"):
+            load_ppm(tmp_path / "a.ppm")
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, tmp_path_factory, h, w, seed):
