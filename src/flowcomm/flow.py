@@ -4,27 +4,38 @@ Flow convention: a field for frame pair (t-1, t) is the displacement from
 frame t-1 to frame t, sampled on the t-1 pixel grid. Reconstruction
 (flowcomm.reconstruct) inverse-warps with the same convention.
 
-Frame pairs are independent, and numpy's and scipy.ndimage's loops release the
-interpreter lock, so `estimate_flow` runs contiguous blocks of pairs on the
-threads it is given. Every plane a pair touches lives in a `_Workspace` that
-the calling thread allocates once per block and each stage writes through
-`out=`/`output=`: worker threads allocate no frame-sized array, whose freed
-memory their malloc arenas would keep. Within a block, a frame's pyramid is
-built once, as one pair's target and then the next pair's reference.
+Every kernel is numpy, and each equals the scipy.ndimage call it stands for bit
+for bit: the pyramid blur is gaussian_filter(mode="nearest") computed at the
+decimated samples only, and the warp and the coarse-to-fine resize are
+map_coordinates(order=1, mode="nearest"), by `flowcomm.reconstruct`'s bilinear
+taps and four-term sum. The Lucas-Kanade window means are direct sums: the
+lk_window edge-clamped samples added first to last and divided by lk_window,
+down the rows and then along them.
+
+Frame pairs are independent, and numpy's loops release the interpreter lock,
+so `estimate_flow` runs contiguous blocks of pairs on the threads it is given.
+Every plane a pair touches lives in a `_Workspace` that the calling thread
+allocates once per block and each kernel writes through `out=`: worker threads
+allocate no frame-sized array, whose freed memory their malloc arenas would
+keep. Within a block, a frame's pyramid is built once, as one pair's target
+and then the next pair's reference. Each level's images sit inside a one-pixel
+border that repeats their edge pixels, so every warp tap is in range.
 
 A workspace carries seven frame-sized scratch planes, each reused as one
 refinement iteration goes on:
-- `coords` (2): the sample coordinates, then the warped frame's y/x gradients
-  (averaged with the reference's), then the steps du, dv;
-- `warped`: the pyramid blur's output, the warped frame, then its mismatch
-  with the reference, then the window mean axx;
-- `axy`, `ayy`: the reference's x/y gradients, then their window means;
-- `bx`, `by`: the mismatch window means, then temporaries of the solve and,
-  in `by`, the determinant.
-Each window mean's product is written into its own plane and filtered there.
+- `coords` (2): the warp's sample coordinates and then its row and column
+  weights, then the warped frame's y/x gradients (averaged with the
+  reference's), then the window means' first passes, then the steps du, dv;
+- `warped`: the warp's output, then the mismatch with the reference, then the
+  window mean axx;
+- `axy`, `ayy`, `bx`, `by`: the warp's other tap arrays, then the reference's
+  x/y gradients (in `axy`, `ayy`), then the window means, then temporaries of
+  the solve and, in `by`, the determinant.
+The pyramid blur and the resize take what they need of all seven. The five
+products are written into their planes before any mean is taken.
 
-scipy.ndimage and the thread pool are imported where they are first used, so
-a command that estimates no flow and starts no pool loads neither.
+The thread pool is imported where one is first started, so a command that
+starts no pool loads none.
 """
 from __future__ import annotations
 
@@ -33,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import gaussian_taps, separable_blur
+from .reconstruct import bilinear_sum, bilinear_taps, tap_indices
 from .video import Video
 
 # windows whose structure-tensor determinant falls below this get zero residual
@@ -41,9 +54,9 @@ DEGENERATE_DET = 1e-6
 # occlusion seams and the unclamped least-squares step can run away there
 RESIDUAL_CLAMP_PX = 1.0
 # scratch planes per pyramid level: y/x sample coordinates (then the gradients,
-# then the steps du, dv), the warped frame (the blur's output in the pyramid,
-# then the mismatch, then axx), axy and ayy (first the reference's x/y
-# gradients), bx and by (then temporaries of the solve, and the determinant)
+# then the steps du, dv), the warped frame (then the mismatch, then axx), axy,
+# ayy, bx and by (the warp's taps, the reference's gradients, the means, the
+# solve's temporaries); the warp fills all seven
 _N_SCRATCH = 7
 # the coarsest pyramid level's smaller side must span at least this many pixels
 MIN_LEVEL_PX = 8
@@ -90,8 +103,10 @@ def check_frame_size(height: int, width: int, params: FlowEstimatorParams) -> No
     """Raise ValueError unless the pyramid and both filters fit height x width frames.
 
     A window or blur wider than the frame mostly averages replicated border
-    pixels, and its cost grows with its size without bound. scipy's Gaussian
-    blur reaches int(4 sigma + 0.5) pixels each way; only levels > 1 blur.
+    pixels, and its cost grows with its size without bound. The pyramid blur's
+    taps, made as gaussian_filter1d makes them, reach int(4 sigma + 0.5) pixels
+    each way; only levels > 1 blur. Within these bounds a level's padded lines
+    fit in the workspace's scratch planes.
     """
     pyramid_shapes(height, width, params.levels)
     side = min(height, width)
@@ -141,34 +156,48 @@ def read_ahead(arrays):
 class _Level:
     """One pyramid level's planes: both frames' images and level-sized views of the scratch."""
 
-    def __init__(self, shape, coarser, scratch, mask):
+    def __init__(self, shape, coarser, scratch, mask, window):
         h, w = shape
-        self.images = np.empty((2, h, w))  # reference frame, target frame
-        planes = scratch[: _N_SCRATCH * h * w].reshape(_N_SCRATCH, h, w)
-        self.coords = planes[:2]
-        self.warped, self.axy, self.ayy, self.bx, self.by = planes[2:]
+        # reference frame, target frame, each inside a border that repeats its edge pixels
+        self.bordered = np.empty((2, h + 2, w + 2))
+        self.images = self.bordered[:, 1:-1, 1:-1]
+        self.planes = scratch[: _N_SCRATCH * h * w].reshape(_N_SCRATCH, h, w)
+        self.coords = self.planes[:2]
+        # the five window means' planes, one (5, h, w) block
+        self.products = self.planes[2:]
+        self.warped, self.axy, self.ayy, self.bx, self.by = self.products
+        self.line_ends = [_line_ends(n, window) for n in shape]  # down the rows, along them
         self.bad = mask[: h * w].reshape(shape)
         self.rows = np.arange(h, dtype=np.float64)
         self.cols = np.arange(w, dtype=np.float64)
         if coarser is not None:
             # Where each pixel samples the coarser level's flow, half-pixel convention
-            # (mean-preserving for 2x upsampling), and how displacements scale.
-            ch, cw = coarser
-            self.up_rows = np.clip((np.arange(h) + 0.5) * ch / h - 0.5, 0, ch - 1)
-            self.up_cols = np.clip((np.arange(w) + 0.5) * cw / w - 0.5, 0, cw - 1)
-            self.up_scale = (w / cw, h / ch)
+            # (mean-preserving for 2x upsampling): one axis' taps at a time, and how
+            # displacements scale.
+            self.up_taps = [_resize_taps(n, m) for n, m in zip(shape, coarser)]
+            self.up_scale = (w / coarser[1], h / coarser[0])
+
+
+def _resize_taps(n: int, coarse_n: int):
+    """Tap indices and weights that resize an axis of coarse_n samples to n."""
+    coord = np.clip((np.arange(n) + 0.5) * coarse_n / n - 0.5, 0, coarse_n - 1)
+    lo, *weights = bilinear_taps(coord, coarse_n)
+    return tap_indices(lo, coarse_n), weights
 
 
 class _Workspace:
     """Every plane of every pyramid level that one frame pair needs; one per block of pairs."""
 
     def __init__(self, height: int, width: int, params: FlowEstimatorParams):
+        check_frame_size(height, width, params)
         shapes = pyramid_shapes(height, width, params.levels)
         self.params = params
-        scratch = np.empty(_N_SCRATCH * height * width)
+        # only levels > 1 blur: a single level accepts any smoothing_sigma
+        self.taps = gaussian_taps(params.smoothing_sigma) if len(shapes) > 1 else None
+        self.scratch = np.empty(_N_SCRATCH * height * width)
         mask = np.empty(height * width, dtype=bool)
         self.levels = [
-            _Level(shape, coarser, scratch, mask)
+            _Level(shape, coarser, self.scratch, mask, params.lk_window)
             for shape, coarser in zip(shapes, [None, *shapes[:-1]])
         ]
         self.coarse_flows = [np.empty((2, *shape)) for shape in shapes[:-1]]
@@ -179,17 +208,14 @@ class _Workspace:
         Each frame's pyramid is built once, into the target slot, and copied
         into the reference slot for the pair that follows.
         """
-        import scipy.ndimage
-
         levels, params = self.levels, self.params
         for t, frame in enumerate(frames):
             _grayscale(frame, levels[-1].images[1])
+            _fill_border(levels[-1].bordered[1])
             # Gaussian blur + 2x decimate, finest to coarsest.
             for fine, coarse in zip(levels[:0:-1], levels[-2::-1]):
-                scipy.ndimage.gaussian_filter(
-                    fine.images[1], params.smoothing_sigma, output=fine.warped, mode="nearest"
-                )
-                np.copyto(coarse.images[1], fine.warped[::2, ::2])
+                separable_blur(fine.images[1], self.taps, coarse.images[1], self.scratch, "clip", step=2)
+                _fill_border(coarse.bordered[1])
             if t:
                 flows = [*self.coarse_flows, out[t - 1]]
                 flows[0].fill(0.0)
@@ -198,7 +224,7 @@ class _Workspace:
                     _upsample(coarse, flow, level)
                     _refine(level, flow, params)
             for level in levels:
-                np.copyto(level.images[0], level.images[1])
+                np.copyto(level.bordered[0], level.bordered[1])
 
 
 def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
@@ -209,16 +235,60 @@ def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
     np.floor_divide(out, 4.0, out=out)
 
 
-def _upsample(coarse: np.ndarray, flow: np.ndarray, level: _Level) -> None:
-    """Bilinear resize of the coarser level's flow into flow, scaling displacements."""
-    import scipy.ndimage
+def _fill_border(bordered: np.ndarray) -> None:
+    """Repeat an image's edge pixels into the one-pixel border around it."""
+    bordered[1:-1, 0] = bordered[1:-1, 1]
+    bordered[1:-1, -1] = bordered[1:-1, -2]
+    bordered[0] = bordered[1]
+    bordered[-1] = bordered[-2]
 
-    coords = level.coords
-    np.copyto(coords[0], level.up_rows[:, None])
-    np.copyto(coords[1], level.up_cols)
+
+def _upsample(coarse: np.ndarray, flow: np.ndarray, level: _Level) -> None:
+    """Bilinear resize of the coarser level's flow into flow, scaling displacements.
+
+    Both axes' taps are fixed per level, so each tap row is gathered once and
+    each of the four terms takes its columns from one of them.
+    """
+    (rows, row_weights), (cols, col_weights) = level.up_taps
+    row_weights = [weight[:, None] for weight in row_weights]
+    h, cw = flow.shape[1], coarse.shape[2]
+    gathered = [plane.reshape(-1)[: h * cw].reshape(h, cw) for plane in level.planes[:2]]
+    term = level.planes[2]
+
+    def sample(r, c, dst):
+        np.take(gathered[r], cols[c], axis=1, out=dst, mode="clip")
+
     for src, dst, scale in zip(coarse, flow, level.up_scale):
-        scipy.ndimage.map_coordinates(src, coords, output=dst, order=1, mode="nearest")
+        for tap, rows_at in zip(rows, gathered):
+            np.take(src, tap, axis=0, out=rows_at, mode="clip")
+        bilinear_sum(sample, row_weights, col_weights, dst, term)
         dst *= scale
+
+
+def _warp(level: _Level, flow: np.ndarray) -> None:
+    """The level's target sampled at (x + u, y + v), bilinear and border-clamped, into level.warped.
+
+    In the bordered target a sample's four taps sit at one flat index plus
+    0, 1, w + 2 and w + 3. Every scratch plane but `warped` holds a tap array.
+    """
+    h, w = level.warped.shape
+    u, v = flow
+    y, x, out, row_weight_hi, term, col_weight_hi, first = level.planes
+    np.add(level.rows[:, None], v, out=y)
+    np.add(level.cols, u, out=x)
+    lo_rows, *row_weights = bilinear_taps(y, h, out=(out, y, row_weight_hi))
+    lo_cols, *col_weights = bilinear_taps(x, w, out=(term, x, col_weight_hi))
+    lo_rows += 1.0
+    lo_rows *= w + 2
+    lo_cols += 1.0
+    first = first.view(np.intp)
+    np.add(lo_rows, lo_cols, out=first, casting="unsafe")  # whole numbers: the cast is exact
+    target = level.bordered[1].reshape(-1)
+
+    def sample(r, c, dst):
+        np.take(target[r * (w + 2) + c :], first, out=dst, mode="clip")  # in range: no clipping
+
+    bilinear_sum(sample, row_weights, col_weights, out, term)
 
 
 def _gradient(f: np.ndarray, gy: np.ndarray, gx: np.ndarray) -> None:
@@ -230,6 +300,44 @@ def _gradient(f: np.ndarray, gy: np.ndarray, gx: np.ndarray) -> None:
         np.subtract(a[-1], a[-2], out=g[-1])
 
 
+def _line_ends(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of a line of n samples within window // 2 of either end, and
+    for each, the clamped positions of its window's samples, first to last."""
+    half = window // 2
+    head = min(half, n)
+    ends = np.r_[0:head, max(n - half, head) : n]
+    return ends, np.clip(ends[:, None] + np.arange(-half, half + 1), 0, n - 1)
+
+
+def _window_mean(a: np.ndarray, out: np.ndarray, window: int, axis: int, line_ends) -> None:
+    """Mean of the `window` samples of `a` centred on each position along `axis`,
+    edge-clamped, into `out`: the samples added first to last, the sum divided
+    by `window`. Both arrays are C-contiguous and of one shape, and
+    `line_ends` is `_line_ends` of the axis.
+
+    Every position is first summed from the flattened block shifted by each
+    offset, which is right wherever the window lies inside the line; the
+    positions within window // 2 of a line's ends are then summed again from
+    their clamped samples.
+    """
+    stride = math.prod(a.shape[axis + 1 :])
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    lo, hi = window // 2 * stride, flat_a.size - window // 2 * stride
+    if lo < hi:
+        shifted = [flat_a[lo + k : hi + k] for k in range(-lo, lo + 1, stride)]
+        np.add(shifted[0], shifted[1], out=flat_out[lo:hi])
+        for samples in shifted[2:]:
+            flat_out[lo:hi] += samples
+        flat_out[lo:hi] /= window
+    ends, samples = line_ends
+    strip = np.moveaxis(np.take(a, samples, axis=axis), (axis, axis + 1), (0, 1))
+    total = np.add(strip[:, 0], strip[:, 1])
+    for k in range(2, window):
+        total += strip[:, k]
+    total /= window
+    np.moveaxis(out, axis, 0)[ends] = total
+
+
 def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> None:
     """Add an iterated windowed least-squares residual to the level's flow, in place.
 
@@ -238,19 +346,15 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
     equations over lk_window-sized neighborhoods; ill-conditioned windows
     contribute zero residual.
     """
-    import scipy.ndimage
-
-    ref, target = level.images
+    ref = level.images[0]
     u, v = flow
     coords, bad = level.coords, level.bad
-    gy, gx = coords  # the sample coordinates are spent once the target is warped
-    it = axx = level.warped  # the mismatch is spent once both of its means are taken
+    gy, gx = coords  # the tap arrays are spent once the target is warped
+    it = axx = level.warped  # the mismatch is spent once both of its products are taken
     axy, ayy, bx, by = level.axy, level.ayy, level.bx, level.by
-    gy_ref, gx_ref = ayy, axy  # spent before their planes take the last two means
+    gy_ref, gx_ref = ayy, axy  # spent before their planes take the last two products
     for _ in range(params.iterations_per_level):
-        np.add(level.rows[:, None], v, out=coords[0])
-        np.add(level.cols, u, out=coords[1])
-        scipy.ndimage.map_coordinates(target, coords, output=level.warped, order=1, mode="nearest")
+        _warp(level, flow)
         _gradient(level.warped, gy, gx)
         _gradient(ref, gy_ref, gx_ref)
         gx += gx_ref
@@ -258,10 +362,15 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
         gy += gy_ref
         gy *= 0.5
         it -= ref
-        # window means of the mismatch and structure tensor terms, each filtered in place
-        for a, b, mean in ((gx, it, bx), (gy, it, by), (gx, gx, axx), (gx, gy, axy), (gy, gy, ayy)):
-            np.multiply(a, b, out=mean)
-            scipy.ndimage.uniform_filter(mean, params.lk_window, output=mean, mode="nearest")
+        for a, b, product in ((gx, it, bx), (gy, it, by), (gx, gx, axx), (gx, gy, axy), (gy, gy, ayy)):
+            np.multiply(a, b, out=product)
+        # Window means of the products, two planes at a time: down the rows into
+        # the spent gradient planes, then along the rows back.
+        for k in range(0, len(level.products), 2):
+            means = level.products[k : k + 2]
+            down = coords[: len(means)]
+            _window_mean(means, down, params.lk_window, 1, level.line_ends[0])
+            _window_mean(down, means, params.lk_window, 2, level.line_ends[1])
         # The gradient planes now hold the steps du, dv, and by the determinant;
         # gy, and bx once dv has used it, serve as temporaries.
         du, dv, det = gx, gy, by

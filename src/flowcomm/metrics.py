@@ -75,20 +75,76 @@ class SsimPlanes:
         return self.scratch[k, : shape[0] * shape[1]].reshape(shape)
 
 
-def _correlate_rows(a: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
-    """The taps' correlation with `a` down its rows, into `out`, where the window fits.
+def gaussian_taps(sigma: float) -> np.ndarray:
+    """Unit-sum Gaussian taps as scipy.ndimage.gaussian_filter1d makes them.
+
+    The radius is int(4 sigma + 0.5), and the tap at offset x is
+    exp(-0.5 / sigma^2 * x^2), x^2 taken in integers, before the division by
+    the taps' sum. At radius 0 (sigma 0 included) the one tap is 1.0, so a
+    blur by it copies the plane, as SciPy does.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return np.ones(1)
+    x = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * (x * x))
+    taps /= taps.sum()
+    return taps
+
+
+def correlate(a: np.ndarray, taps: np.ndarray, out: np.ndarray, pair: np.ndarray,
+              step: int = 1, axis: int = 0) -> None:
+    """Symmetric `taps`' correlation with `a` along `axis`, into `out`: out[i] is
+    the window starting at a[step * i], so `a` carries the window's reach past
+    each end of the line. `pair` is scratch shaped like `out`.
 
     The arithmetic is scipy.ndimage.correlate1d's for a symmetric filter: the
     centre sample times the centre tap, then for each mirrored pair, outermost
     first, the pair's sum times its tap, added. Each step is one pass over
-    contiguous rows.
+    whole planes.
     """
-    n = out.shape[0]
-    np.multiply(a[_HALF : _HALF + n], _TAPS[_HALF], out=out)
-    for k in range(_HALF):
-        np.add(a[k : k + n], a[SSIM_WINDOW - 1 - k : SSIM_WINDOW - 1 - k + n], out=pair)
-        pair *= _TAPS[k]
+    a, out, pair = (np.moveaxis(x, axis, 0) for x in (a, out, pair))
+    half, span = len(taps) // 2, step * (out.shape[0] - 1) + 1
+    np.multiply(a[half : half + span : step], taps[half], out=out)
+    for k in range(half):
+        far = 2 * half - k
+        np.add(a[k : k + span : step], a[far : far + span : step], out=pair)
+        pair *= taps[k]
         out += pair
+
+
+def separable_blur(a: np.ndarray, taps: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                   mode: str, step: int = 1) -> None:
+    """`a` correlated with symmetric `taps` down its rows, then along them, at every
+    `step`-th row and column, into `out` (which may be `a` itself).
+
+    Each line is first extended by the taps' radius past each end: by its edge
+    sample for `mode` "clip" (SciPy's "nearest"), periodically for "wrap". Each
+    pass is `correlate`, so with `gaussian_taps` this is
+    scipy.ndimage.gaussian_filter(a, sigma, mode=...)[::step, ::step], bit for
+    bit. `scratch` is a flat float64 buffer for the padded lines and the row
+    pass; 3 (h + 2 radius) (w + 2 radius) elements always suffice.
+    """
+    (h, w), n_rows = a.shape, out.shape[0]
+    radius = len(taps) // 2
+
+    def carve(*shapes):
+        views, start = [], 0
+        for shape in shapes:
+            views.append(scratch[start : start + shape[0] * shape[1]].reshape(shape))
+            start += shape[0] * shape[1]
+        return views
+
+    rows, pair, padded = carve((n_rows, w), (n_rows, w), (h + 2 * radius, w))
+    # `a` itself may be a strided view, which np.take would copy whole first
+    inside = padded[radius : radius + h]
+    np.copyto(inside, a)
+    np.take(inside, np.arange(-radius, 0), axis=0, out=padded[:radius], mode=mode)
+    np.take(inside, np.arange(h, h + radius), axis=0, out=padded[radius + h :], mode=mode)
+    correlate(padded, taps, rows, pair, step, axis=0)
+    _, padded, pair = carve((n_rows, w), (n_rows, w + 2 * radius), out.shape)
+    np.take(rows, np.arange(-radius, w + radius), axis=1, out=padded, mode=mode)
+    correlate(padded, taps, out, pair, step, axis=1)
 
 
 def _windowed_mean(a: np.ndarray, out: np.ndarray, planes: SsimPlanes) -> None:
@@ -100,10 +156,10 @@ def _windowed_mean(a: np.ndarray, out: np.ndarray, planes: SsimPlanes) -> None:
     (h, w), (vw, vh) = a.shape, out.shape
     first, second = planes.scratch
     rows = first.reshape(vh, w)
-    _correlate_rows(a, rows, second.reshape(vh, w))
+    correlate(a, _TAPS, rows, second.reshape(vh, w))
     columns = second.reshape(w, vh)
     np.copyto(columns, rows.T)
-    _correlate_rows(columns, out, planes.at_valid(0))
+    correlate(columns, _TAPS, out, planes.at_valid(0))
 
 
 def _moments(y: np.ndarray, mu: np.ndarray, var: np.ndarray, planes: SsimPlanes) -> None:

@@ -15,47 +15,65 @@ from .video import PatchGrid, Video
 _BLOCK = 1 << 14  # most moved pixels per warp block
 
 
-def _bilinear_taps(coord: np.ndarray, n: int):
-    """Tap indices and weights of an order-1 spline sample on an axis of n samples.
+def bilinear_taps(coord: np.ndarray, n: int, out=None):
+    """An order-1 spline sample's taps on an axis of n samples: (lo, w_lo, w_hi).
 
     The arithmetic is scipy.ndimage's for order 1 and mode "nearest": the taps
     sit at floor(coord) and one past it, each clamped into [0, n - 1], and the
-    second weight is 1 minus the first, not the fractional part itself. The
-    taps are clamped before the integer cast, so a coordinate past the intp
-    range still takes the nearest edge.
+    second weight is 1 minus the first, not the fractional part itself. `lo`
+    is floor(coord) clamped into [-1, n - 1], which moves neither tap, so a
+    coordinate past the intp range still takes the nearest edge, and the taps
+    are lo + 1 in a line padded by one edge sample each way. They are written
+    into `out`, three arrays shaped like coord (the second may be coord
+    itself), or into new ones.
     """
-    lo = np.floor(coord)
-    w_lo = 1.0 - (coord - lo)
-    i_lo = np.clip(lo, 0, n - 1).astype(np.intp)
-    i_hi = np.clip(lo + 1.0, 0, n - 1).astype(np.intp)
-    return i_lo, i_hi, w_lo, 1.0 - w_lo
+    lo, w_lo, w_hi = (np.empty_like(coord) for _ in range(3)) if out is None else out
+    np.floor(coord, out=lo)
+    np.subtract(coord, lo, out=w_lo)
+    np.subtract(1.0, w_lo, out=w_lo)
+    np.subtract(1.0, w_lo, out=w_hi)
+    np.clip(lo, -1.0, n - 1.0, out=lo)
+    return lo, w_lo, w_hi
+
+
+def tap_indices(lo: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two taps' indices on an axis of n samples, from `bilinear_taps`' lo."""
+    return np.maximum(lo, 0.0).astype(np.intp), np.minimum(lo + 1.0, n - 1.0).astype(np.intp)
+
+
+def bilinear_sum(sample, row_weights, col_weights, out: np.ndarray, term: np.ndarray) -> None:
+    """An order-1 spline sample in two dimensions, into `out`, with `term` shaped like it as scratch.
+
+    scipy's sum: from 0, the four taps (row r, column c) in the order (0, 0),
+    (0, 1), (1, 0), (1, 1), each (sample * row weight) * column weight.
+    `sample(r, c, dst)` writes the samples at that pair of taps into dst; the
+    weights are (w_lo, w_hi) per axis, as `bilinear_taps` makes them.
+    """
+    out.fill(0.0)
+    for r, w_row in enumerate(row_weights):
+        for c, w_col in enumerate(col_weights):
+            sample(r, c, term)
+            term *= w_row
+            term *= w_col
+            out += term
 
 
 def _resample(
     current: np.ndarray, u: np.ndarray, v: np.ndarray, moved: np.ndarray, shape: tuple[int, int], out: np.ndarray
 ) -> None:
-    """Bilinear samples of (3, H*W) `current` at each pixel of `moved` minus its flow (u, v), into (3, n) `out`.
-
-    scipy's sum: from 0, the four taps in this order, each (sample * row weight) * column weight.
-    Every tap is a non-negative finite product, so the first is written as is: 0.0 + t == t.
-    """
+    """Bilinear samples of (3, H*W) `current` at each pixel of `moved` minus its flow (u, v), into (3, n) `out`."""
     h, w = shape
     rows, cols = np.divmod(moved, w)
-    i0, i1, wr0, wr1 = _bilinear_taps(rows - v[moved], h)
-    j0, j1, wc0, wc1 = _bilinear_taps(cols - u[moved], w)
+    lo_rows, *row_weights = bilinear_taps(rows - v[moved], h)
+    lo_cols, *col_weights = bilinear_taps(cols - u[moved], w)
     del rows, cols
-    i0 *= w
-    i1 *= w
-    term = np.empty(out.shape)
-    taps = ((i0, wr0, j0, wc0), (i0, wr0, j1, wc1), (i1, wr1, j0, wc0), (i1, wr1, j1, wc1))
-    for n, (i, w_row, j, w_col) in enumerate(taps):
-        np.take(current, i + j, axis=1, out=term, mode="clip")  # in range: no clipping
-        term *= w_row
-        term *= w_col
-        if n:
-            out += term
-        else:
-            out[...] = term
+    row_starts = [i * w for i in tap_indices(lo_rows, h)]
+    cols = tap_indices(lo_cols, w)
+
+    def sample(r, c, dst):
+        np.take(current, row_starts[r] + cols[c], axis=1, out=dst, mode="clip")  # in range: no clipping
+
+    bilinear_sum(sample, row_weights, col_weights, out, np.empty(out.shape))
 
 
 def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloads):

@@ -2,17 +2,23 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
+from .metrics import gaussian_taps, separable_blur
 from .video import Video
 
 
 def smooth_texture(height: int, width: int, seed: int, blur: float = 3.0) -> np.ndarray:
-    """Band-limited random RGB texture; smooth enough for gradient-based flow."""
+    """Band-limited random RGB texture; smooth enough for gradient-based flow.
+
+    Each channel is blurred as scipy.ndimage.gaussian_filter(mode="wrap") would.
+    """
     rng = np.random.default_rng(seed)
     tex = rng.uniform(0, 255, size=(height, width, 3))
+    taps = gaussian_taps(blur)
+    reach = len(taps) - 1
+    scratch = np.empty(3 * (height + reach) * (width + reach))
     for c in range(3):
-        tex[:, :, c] = gaussian_filter(tex[:, :, c], blur, mode="wrap")
+        separable_blur(tex[:, :, c], taps, tex[:, :, c], scratch, "wrap")
     lo, hi = tex.min(), tex.max()
     tex = 30.0 + (tex - lo) * (225.0 - 30.0) / (hi - lo)
     return np.rint(tex).astype(np.uint8)

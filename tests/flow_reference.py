@@ -1,16 +1,18 @@
 """Allocate-per-operation pyramidal Lucas-Kanade flow: the bit-exact oracle.
 
 This is the flow estimator written one whole-array expression at a time, each
-result a fresh array. `flowcomm.flow` runs the same float operations in the
-same order into preallocated planes, so every field it returns must equal
-`estimate_flow` here bit for bit.
+result a fresh array, with SciPy's pyramid blur, warp and resize. `flowcomm.flow`
+runs the same float operations in the same order into preallocated planes, so
+every field it returns must equal `estimate_flow` here bit for bit. The
+Lucas-Kanade window means are `window_mean`'s direct sums, not SciPy's
+running-sum uniform_filter, which rounds differently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from flowcomm.flow import DEGENERATE_DET, RESIDUAL_CLAMP_PX, FlowEstimatorParams
 from flowcomm.video import Video
@@ -73,6 +75,20 @@ def resize_flow(flow: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     return np.stack([_resize_bilinear(u, new_h, new_w) * su, _resize_bilinear(v, new_h, new_w) * sv])
 
 
+def window_mean(a: np.ndarray, win: int) -> np.ndarray:
+    """Mean over each win x win window, edge-clamped: down the rows, then along them,
+    each pass adding the win samples first to last and dividing the sum by win."""
+    for axis in (0, 1):
+        n = a.shape[axis]
+        samples = [np.take(a, np.clip(np.arange(n) + k, 0, n - 1), axis=axis)
+                   for k in range(-(win // 2), win // 2 + 1)]
+        total = samples[0]
+        for sample in samples[1:]:
+            total = total + sample
+        a = total / win
+    return a
+
+
 def refine_level(
     prev_flow_up: np.ndarray,
     ref: np.ndarray,
@@ -92,11 +108,11 @@ def refine_level(
         gx = 0.5 * (gx_r + gx_w)
         gy = 0.5 * (gy_r + gy_w)
         it = warped - ref
-        axx = uniform_filter(gx * gx, win, mode="nearest")
-        axy = uniform_filter(gx * gy, win, mode="nearest")
-        ayy = uniform_filter(gy * gy, win, mode="nearest")
-        bx = uniform_filter(gx * it, win, mode="nearest")
-        by = uniform_filter(gy * it, win, mode="nearest")
+        axx = window_mean(gx * gx, win)
+        axy = window_mean(gx * gy, win)
+        ayy = window_mean(gy * gy, win)
+        bx = window_mean(gx * it, win)
+        by = window_mean(gy * it, win)
         det = axx * ayy - axy * axy
         ok = det >= DEGENERATE_DET
         safe_det = np.where(ok, det, 1.0)

@@ -1,12 +1,14 @@
-"""What a fresh interpreter imports. flow imports scipy.ndimage in the functions
-that call it, and metrics does without it, so commands that never estimate flow
-(allocate, load) never load SciPy, and neither does scoring. The thread pool is
-imported as one starts, and the process pool only for two or more processes.
-Each check runs in a subprocess, because this process already has them loaded."""
+"""What a fresh interpreter imports. flowcomm runs on numpy alone: no command
+loads SciPy, which the tests keep only as an oracle. The thread pool is imported
+as one starts, and the process pool only for two or more processes. Each check
+runs in a subprocess, because this process already has them loaded."""
+import filecmp
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from flowcomm import cli, synth
 from flowcomm.video import save_ppm_sequence
@@ -97,6 +99,22 @@ def test_allocate_and_load_load_no_scipy_or_worker_pool(tmp_path):
     assert (tmp_path / "load" / "load.csv").is_file()
 
 
+def test_flow_commands_on_one_cpu_load_no_scipy_or_worker_pool(tmp_path):
+    """Flow on one thread starts no pool, and no numpy kernel imports SciPy, which
+    itself imported concurrent.futures."""
+    config = experiment(tmp_path, 3, "[sweep]\nrho = 0.5\n")
+    commands = ["flow", "extract", "transmit", "reconstruct", "pipeline", "sweep"]
+    result = fresh(
+        "import json, sys\nfrom flowcomm import cli, pipeline\n"
+        "pipeline.usable_cpus = lambda: 1\n"
+        "rcs = [cli.main([c, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + c]) for c in sys.argv[3:]]\n"
+        f"print(json.dumps([rcs, {LOADED_BARRED}]))",
+        config, tmp_path, *commands,
+    )
+    assert result == [[0] * len(commands), []]
+    assert all((tmp_path / c / "manifest.json").is_file() for c in commands)
+
+
 def test_pipeline_on_one_worker_loads_no_multiprocessing(tmp_path):
     """One process runs the videos in place: the process pool is never imported."""
     config = experiment(tmp_path, 3, "[sweep]\nrho = 0.5\n")
@@ -124,23 +142,31 @@ def test_scoring_loads_no_ndimage():
     assert result == [True, False]
 
 
-def test_first_ndimage_use_on_two_flow_threads(tmp_path):
-    """With scipy.ndimage not yet loaded when flow starts, its two pool threads make the
-    first scipy.ndimage accesses at once; the outputs match a run in this process."""
+@pytest.mark.parametrize("command", ["pipeline", "flow", "extract", "transmit", "reconstruct", "sweep"])
+def test_flow_commands_run_without_scipy_on_two_flow_threads(tmp_path, command):
+    """With SciPy unimportable, each command that estimates flow runs it on two threads
+    in a fresh interpreter and writes the bytes of a run in this process."""
     config = experiment(tmp_path, 6, "[sweep]\nrho = 0.0 0.5\nsnr_db = 10 30\n")
     result = fresh(
-        "import json, sys\nfrom flowcomm import cli, pipeline\n"
+        "import json, sys\nsys.modules['scipy'] = None  # any import of SciPy raises ImportError\n"
+        "from flowcomm import cli, pipeline\n"
         "pipeline.usable_cpus = lambda: 2\n"
-        "estimate, loaded = pipeline.estimate_flow, []\n"
+        "estimate, threads = pipeline.estimate_flow, []\n"
         "def traced(*args):\n"
-        "    loaded.append('scipy.ndimage' in sys.modules)\n"
+        "    threads.append(args[2])\n"
         "    return estimate(*args)\n"
         "pipeline.estimate_flow = traced\n"
-        "rc = cli.main(['pipeline', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(json.dumps([rc, loaded, 'scipy.ndimage' in sys.modules]))",
-        config, tmp_path / "fresh",
+        "rc = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "scipy = sorted(m for m, module in sys.modules.items() if m.split('.')[0] == 'scipy' and module)\n"
+        "print(json.dumps([rc, threads, scipy]))",
+        command, config, tmp_path / "fresh",
     )
-    assert result == [0, [False], True]
-    assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "here")]) == 0
-    for name in ("summary.csv", "frames.csv"):
-        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert result == [0, [2], []]
+    assert cli.main([command, "--config", config, "--out", str(tmp_path / "here")]) == 0
+    written = sorted(
+        os.path.relpath(os.path.join(root, name), tmp_path / "here")
+        for root, _, names in os.walk(tmp_path / "here") for name in names
+    )
+    assert any(name.endswith(".csv") for name in written)
+    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "fresh", tmp_path / "here", written, shallow=False)
+    assert (mismatch, errors) == ([], [])
