@@ -127,7 +127,7 @@ def load_rows(out_dir: str, run) -> tuple[list]:
 
 def transmit_rows(out_dir: str, run) -> tuple[list]:
     rows = []
-    for rho, snr_db, sel, encoded, channel_seed in run.cells():
+    for rho, snr_db, sel, encoded, channel_seed in run.cells(payloads=True):
         decoded = transmit_selection(encoded, run.cfg.codec, db_to_linear(snr_db), channel_seed)
         rows.append([run.video_id, rho, snr_db, *transmit_stats(sel.payloads, decoded)])
     return (rows,)
@@ -138,7 +138,8 @@ def reconstruct_rows(out_dir: str, run) -> tuple[list]:
     rows = []
     for rho, sel in run.selections():
         reconstructed = reconstruct_video(run.video.frames[0], sel)
-        rows += _frame_rows([run.video_id, rho, ""], run.quality(reconstructed.frames))
+        report = run.quality(reconstructed.frames, len(run.cfg.rho_list))
+        rows += _frame_rows([run.video_id, rho, ""], report)
     return (rows,)
 
 

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .video import PatchGrid, partition_patches
+from .video import PatchGrid, carve, partition_patches
 
 SELECTION_MAGIC = b"FCSR"
 # smallest singular value of a 6-sample design matrix that still determines the background fit
@@ -70,17 +71,21 @@ class SelectionResult:
     """Selected flow-patch payloads, the same number from every flow frame.
 
     Row t of `picks` holds frame t's row-major patch indices in selection
-    order, and `payloads[t, n]` is the flow of patch `picks[t, n]`. The
-    selection for a larger mask ratio is a per-frame prefix of both.
+    order, and `payloads[t, n]` is the flow of patch `picks[t, n]`. A
+    selection extracted with an encoder keeps, instead of the payloads, row t
+    of `codes`: the codes of frame t's payloads, 2 ph pw of them per patch, in
+    pick order. The selection for a larger mask ratio is a per-frame prefix of
+    each.
     """
 
     grid: PatchGrid
     mask_ratio: float
-    picks: np.ndarray     # (T', k) intp
-    payloads: np.ndarray  # (T', k, 2, patch_h, patch_w) float64
+    picks: np.ndarray            # (T', k) intp
+    payloads: np.ndarray | None  # (T', k, 2, patch_h, patch_w) float64
     field_h: int
     field_w: int
     important: np.ndarray | None = None  # (T', rows, cols) bool, pre-selection classification
+    codes: np.ndarray | None = None      # (T', 2 k patch_h patch_w) quantizer codes
 
     @property
     def n_flow_frames(self) -> int:
@@ -114,8 +119,11 @@ class SelectionResult:
                 f"mask ratio {mask_ratio!r} keeps {k} patches a frame, more than the "
                 f"{self.picks.shape[1]} selected at {self.mask_ratio!r}"
             )
+        n_codes = k * 2 * self.grid.patch_h * self.grid.patch_w
         return replace(
-            self, mask_ratio=mask_ratio, picks=self.picks[:, :k], payloads=self.payloads[:, :k]
+            self, mask_ratio=mask_ratio, picks=self.picks[:, :k],
+            payloads=None if self.payloads is None else self.payloads[:, :k],
+            codes=None if self.codes is None else self.codes[:, :n_codes],
         )
 
     def to_bytes(self) -> bytes:
@@ -291,23 +299,45 @@ def select_patches(important: np.ndarray, resid: np.ndarray, k: int) -> np.ndarr
     return order[:k]
 
 
-def extract(
-    flows: np.ndarray, grid: PatchGrid, params: ExtractorParams, seed: int
-) -> SelectionResult:
-    """Run the per-frame mean/background/threshold/classify/select pipeline on (T', 2, H, W) flows."""
-    if len(flows) == 0:
-        raise ValueError("no flow fields to extract from")
+def extract(fields, grid: PatchGrid, params: ExtractorParams, seed: int, encode=None) -> SelectionResult:
+    """Run the per-frame mean/background/threshold/classify/select pipeline on each flow field.
+
+    `fields` is a (T', 2, H, W) stack, or a function that calls sink(t, field,
+    scratch) with each field t and returns the results in order, as
+    `flow.estimate_flow` does given a sink. A frame's patches and its picked
+    payloads are carved from `scratch` (see `partition_patches`), so what is
+    made afresh is only what the selection keeps of the frame: a copy of the
+    payloads, or, given `encode`, the codes encode(payloads), which it keeps
+    in their place. Frames that arrive on several threads are extracted one
+    at a time, as the background fits hold the interpreter lock for most of
+    their time.
+    """
     k = selection_count(params.mask_ratio, grid.n_patches)
-    picks = np.empty((len(flows), k), dtype=np.intp)
-    payloads = np.empty((len(flows), k, 2, grid.patch_h, grid.patch_w))
-    important_all = np.empty((len(flows), grid.rows, grid.cols), dtype=bool)
-    for t, flow in enumerate(flows):
-        patches = partition_patches(flow, grid)
-        pf = patch_mean_flow(flow, grid, patches)
-        model = ransac_background(pf, params, seed ^ t)
-        l_th = adaptive_threshold(pf, params)
-        important_all[t], resid = classify_patches(pf, model, l_th, params)
-        picks[t] = select_patches(important_all[t], resid, k)
-        payloads[t] = patches[picks[t]]
-    _, height, width = flows[0].shape
-    return SelectionResult(grid, params.mask_ratio, picks, payloads, height, width, important_all)
+    lock = threading.Lock()
+
+    def select(t, field, scratch):
+        with lock:
+            patches = partition_patches(field, grid, scratch)
+            pf = patch_mean_flow(field, grid, patches)
+            model = ransac_background(pf, params, seed ^ t)
+            l_th = adaptive_threshold(pf, params)
+            important, resid = classify_patches(pf, model, l_th, params)
+            picks = select_patches(important, resid, k)
+            # in the canvas's place, free once the patches are cut from it
+            payloads, = carve(scratch, (k, 2, grid.patch_h, grid.patch_w))
+            np.take(patches, picks, axis=0, out=payloads)
+            kept = payloads.copy() if encode is None else encode(payloads)
+            return field.shape[1:], picks, important, kept
+
+    if callable(fields):
+        rows = fields(select)
+    else:
+        rows = [select(t, field, None) for t, field in enumerate(fields)]
+    if not rows:
+        raise ValueError("no flow fields to extract from")
+    shapes, picks, important, kept = zip(*rows)
+    kept = np.stack(kept)
+    payloads, codes = (kept, None) if encode is None else (None, kept)
+    return SelectionResult(
+        grid, params.mask_ratio, np.stack(picks), payloads, *shapes[0], np.stack(important), codes
+    )

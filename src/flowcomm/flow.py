@@ -17,9 +17,14 @@ so `estimate_flow` runs contiguous blocks of pairs on the threads it is given.
 Every plane a pair touches lives in a `_Workspace` that the calling thread
 allocates once per block and each kernel writes through `out=`: worker threads
 allocate no frame-sized array, whose freed memory their malloc arenas would
-keep. Within a block, a frame's pyramid is built once, as one pair's target
-and then the next pair's reference. Each level's images sit inside a one-pixel
-border that repeats their edge pixels, so every warp tap is in range.
+keep. The finest level refines into the caller's stack, or, for a sink, into
+one (2, H, W) field per block, which the sink gets on the worker thread with
+the scratch planes, free once the field is refined: a consumer such as
+extraction carves its planes from them, so a run need hold no field but the
+one each thread is on. Within a block, a frame's pyramid is built once, as
+one pair's target and then the next pair's reference. Each level's images sit
+inside a one-pixel border that repeats their edge pixels, so every warp tap is
+in range.
 
 A workspace carries seven frame-sized scratch planes, each reused as one
 refinement iteration goes on:
@@ -202,13 +207,16 @@ class _Workspace:
         ]
         self.coarse_flows = [np.empty((2, *shape)) for shape in shapes[:-1]]
 
-    def estimate(self, frames: np.ndarray, out: np.ndarray) -> None:
+    def estimate(self, frames: np.ndarray, out, sink=None, first: int = 0) -> list:
         """Coarse-to-fine flow frames[t] -> frames[t + 1], written into out[t] (u, v).
 
-        Each frame's pyramid is built once, into the target slot, and copied
-        into the reference slot for the pair that follows.
+        Given a sink, each finished field is checked and handed to
+        sink(first + t, out[t], self.scratch), and the sink's results are
+        returned in order. Each frame's pyramid is built once, into the target
+        slot, and copied into the reference slot for the pair that follows.
         """
         levels, params = self.levels, self.params
+        results = []
         for t, frame in enumerate(frames):
             _grayscale(frame, levels[-1].images[1])
             _fill_border(levels[-1].bordered[1])
@@ -223,8 +231,12 @@ class _Workspace:
                 for level, coarse, flow in zip(levels[1:], flows, flows[1:]):
                     _upsample(coarse, flow, level)
                     _refine(level, flow, params)
+                if sink is not None:  # the scratch planes are free until the next frame's pyramid
+                    _check_finite(out[t - 1])
+                    results.append(sink(first + t - 1, out[t - 1], self.scratch))
             for level in levels:
                 np.copyto(level.bordered[0], level.bordered[1])
+        return results
 
 
 def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
@@ -232,7 +244,8 @@ def _grayscale(frame: np.ndarray, out: np.ndarray) -> None:
     np.add(frame[:, :, 0], frame[:, :, 2], out=out, dtype=np.float64)
     out += frame[:, :, 1]
     out += frame[:, :, 1]
-    np.floor_divide(out, 4.0, out=out)
+    out *= 0.25
+    np.floor(out, out=out)
 
 
 def _fill_border(bordered: np.ndarray) -> None:
@@ -399,23 +412,37 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
             field += step
 
 
-def estimate_flow(video: Video, params: FlowEstimatorParams, threads: int = 1) -> np.ndarray:
-    """Flow fields for all T-1 adjacent frame pairs of a video, as one (T-1, 2, H, W) array.
+def _check_finite(fields: np.ndarray) -> None:
+    # min and max propagate NaN and reach any infinity, without a mask the size of the fields
+    if not (math.isfinite(fields.min()) and math.isfinite(fields.max())):
+        raise ValueError("flow values must be finite")
+
+
+def estimate_flow(video: Video, params: FlowEstimatorParams, threads: int = 1, sink=None):
+    """Flow fields for all T-1 adjacent frame pairs of a video.
+
+    Without a sink, the fields come back as one (T-1, 2, H, W) array. With
+    one, no field outlives its sink: each thread refines its pairs into one
+    (2, H, W) buffer of its own and calls sink(t, field, scratch) with each
+    finished field, on that thread; `scratch` is a flat float64 buffer of
+    seven H x W planes, free, like the field, until the sink returns. The
+    sinks' results come back as a list, in pair order.
 
     The pairs run in contiguous blocks of near-equal size, one per thread, on
     `threads` threads or one per pair if there are fewer pairs. Raises
-    ValueError if any estimated value is not finite.
+    ValueError if any estimated value is not finite, before a sink sees it.
     """
-    n_pairs = video.n_frames - 1
+    n_pairs, shape = video.n_frames - 1, (2, video.height, video.width)
     threads = min(threads, n_pairs)
     bounds = [n_pairs * k // threads for k in range(threads + 1)]
-    out = np.empty((n_pairs, 2, video.height, video.width))
+    out = np.empty((n_pairs, *shape)) if sink is None else None
     blocks = [
-        (_Workspace(video.height, video.width, params), video.frames[a : b + 1], out[a:b])
+        (_Workspace(video.height, video.width, params), video.frames[a : b + 1],
+         *((out[a:b],) if sink is None else ([np.empty(shape)] * (b - a), sink, a)))
         for a, b in zip(bounds, bounds[1:])
     ]
-    fan_out(lambda block: block[0].estimate(*block[1:]), blocks, threads)
-    # min and max propagate NaN and reach any infinity, without a mask the size of out
-    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
-        raise ValueError("flow values must be finite")
+    results = fan_out(lambda block: block[0].estimate(*block[1:]), blocks, threads)
+    if sink is not None:
+        return [result for block in results for result in block]
+    _check_finite(out)
     return out

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 COLOR_CHANNELS = 3  # C, first-frame color channels
 FLOW_CHANNELS = 2   # C', flow components (u, v)
-BIT_DEPTH = 8       # N_b, bits per transmitted value
+BIT_DEPTH = 8       # N_b, bits per transmitted first-frame and bitmap value
 COLOR_DEPTH = 8     # D, source color depth bits
 COMPENSATION_RATIO = Fraction(1, COLOR_DEPTH)  # rho_c = 1 / D
 
@@ -24,9 +24,10 @@ class LoadParams:
     patch_w: int = 16            # W'
     mask_ratio: float = 0.0      # rho
     zip_ratio: float = 0.0       # rho_zip
+    bits_per_symbol: int = 8     # bits per transmitted flow value, the codec's
 
     def __post_init__(self):
-        for name in ("n_frames", "height", "width", "patch_h", "patch_w"):
+        for name in ("n_frames", "height", "width", "patch_h", "patch_w", "bits_per_symbol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.mask_ratio < 1.0:
@@ -50,13 +51,14 @@ class LoadBreakdown:
 def numeric_load(p: LoadParams) -> tuple[Fraction, Fraction]:
     """Bits for the first frame and the kept flow patches (ratio form).
 
-    l_first = N_b * H * W * C;  l_sr = (1 - rho) * (T - 1) * N_b * H * W * C'.
+    l_first = N_b * H * W * C;  l_sr = (1 - rho) * (T - 1) * bits * H * W * C',
+    with bits the codec's bits per symbol, one symbol per flow value.
     """
     l_first = Fraction(BIT_DEPTH * p.height * p.width * COLOR_CHANNELS)
     l_sr = (
         (1 - Fraction(p.mask_ratio))
         * (p.n_frames - 1)
-        * BIT_DEPTH
+        * p.bits_per_symbol
         * p.height
         * p.width
         * FLOW_CHANNELS

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video import Video
+from .video import Video, carve
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -128,21 +128,14 @@ def separable_blur(a: np.ndarray, taps: np.ndarray, out: np.ndarray, scratch: np
     (h, w), n_rows = a.shape, out.shape[0]
     radius = len(taps) // 2
 
-    def carve(*shapes):
-        views, start = [], 0
-        for shape in shapes:
-            views.append(scratch[start : start + shape[0] * shape[1]].reshape(shape))
-            start += shape[0] * shape[1]
-        return views
-
-    rows, pair, padded = carve((n_rows, w), (n_rows, w), (h + 2 * radius, w))
+    rows, pair, padded = carve(scratch, (n_rows, w), (n_rows, w), (h + 2 * radius, w))
     # `a` itself may be a strided view, which np.take would copy whole first
     inside = padded[radius : radius + h]
     np.copyto(inside, a)
     np.take(inside, np.arange(-radius, 0), axis=0, out=padded[:radius], mode=mode)
     np.take(inside, np.arange(h, h + radius), axis=0, out=padded[radius + h :], mode=mode)
     correlate(padded, taps, rows, pair, step, axis=0)
-    _, padded, pair = carve((n_rows, w), (n_rows, w + 2 * radius), out.shape)
+    _, padded, pair = carve(scratch, (n_rows, w), (n_rows, w + 2 * radius), out.shape)
     np.take(rows, np.arange(-radius, w + radius), axis=1, out=padded, mode=mode)
     correlate(padded, taps, out, pair, step, axis=1)
 

@@ -49,11 +49,12 @@ class VideoRun:
 
     The video is loaded once, on first use, so a run crosses to a worker
     process as its config alone; `check_videos` checks its frames first. Flow is
-    estimated only where selections are made, and its fields are let go once
-    the widest selection holds the payloads every rho needs. Each seed is
-    keyed by what it draws for: extraction by the video id, the channel by the
-    cell's (video id, rho, snr_db), so a cell gives the same numbers whatever
-    else is in the grid. Flow and the cells run on up to `threads` threads.
+    estimated only where selections are made, and each field is extracted on
+    the thread that estimated it, before that thread refines the next. Each
+    seed is keyed by what it draws for: extraction by the video id, the channel
+    by the cell's (video id, rho, snr_db), so a cell gives the same numbers
+    whatever else is in the grid. Flow and the cells run on up to `threads`
+    threads.
     """
 
     def __init__(self, cfg: ExperimentConfig, run_seed: int, directory: str, threads: int):
@@ -69,7 +70,7 @@ class VideoRun:
 
     @cached_property
     def ssim_reference(self) -> list:
-        """Each source frame's half of SSIM, computed once for all of the video's cells.
+        """Each source frame's half of SSIM, computed once for every scoring pass that shares it.
 
         Each entry keeps a view of its source frame, not a luma plane: a score
         makes the luma again in its cell's planes. Frame 0 stays a raw frame:
@@ -80,25 +81,28 @@ class VideoRun:
         planes = SsimPlanes(self.video.height, self.video.width)
         return [frames[0], *(ssim_stats(f, planes) for f in frames[1:])]
 
-    def estimate_flows(self) -> np.ndarray:
-        """The video's flow fields, estimated afresh on each call."""
-        return estimate_flow(self.video, self.cfg.flow_params, self.threads)
+    def estimate_flows(self, sink=None):
+        """The video's flow fields, estimated afresh on each call: one stack, or each
+        handed to `sink` on the thread that estimated it (see `estimate_flow`)."""
+        return estimate_flow(self.video, self.cfg.flow_params, self.threads, sink)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
         return load_breakdown(self.cfg, self.video.frames.shape[:3], rho)
 
-    def widest_selection(self) -> ex.SelectionResult:
+    def widest_selection(self, encode=None) -> ex.SelectionResult:
         """The selection at the smallest rho: every rho's selection is a prefix of it.
 
         The selection count never grows with rho, and the RANSAC seeds do not
-        depend on it, so one ranking serves every rho. The flow fields live only
-        as extract's argument, so they are freed before any cell.
+        depend on it, so one ranking serves every rho. Flow hands each field to
+        extraction as it is estimated, so no field outlives its frame's
+        selection; given `encode`, the selection keeps each frame's codes in
+        place of its payloads (see `ex.extract`).
         """
         cfg, v = self.cfg, self.video
         grid = PatchGrid.for_shape(v.height, v.width, cfg.patch_h, cfg.patch_w)
         seed = derive_seed(self.run_seed, "extract", self.video_id)
         params = replace(cfg.extractor, mask_ratio=min(cfg.rho_list))
-        return ex.extract(self.estimate_flows(), grid, params, seed)
+        return ex.extract(self.estimate_flows, grid, params, seed, encode)
 
     def selections(self):
         """Yield (rho, selection) for each rho: a rho=0 selection holds every patch."""
@@ -106,32 +110,39 @@ class VideoRun:
         for rho in self.cfg.rho_list:
             yield rho, widest.prefix(rho)
 
-    def cells(self):
+    def cells(self, payloads: bool = False):
         """Yield (rho, snr_db, selection, encoded selection, channel seed) in grid order.
 
-        The video is encoded once, for every rho and SNR cell.
+        The video is encoded once, for every rho and SNR cell, each frame as
+        it is extracted: the selections keep codes, not float64 payloads,
+        unless `payloads` asks for both.
         """
-        widest = self.widest_selection()
-        for rho, sel, encoded in encode_selections(widest, self.cfg.rho_list, self.cfg.codec):
+        codec = self.cfg.codec
+        widest = self.widest_selection(None if payloads else lambda p: ch.flow_codes(p, codec))
+        for rho, sel, encoded in encode_selections(widest, self.cfg.rho_list, codec):
             for snr_db in self.cfg.snr_db_list:
                 seed = derive_seed(self.run_seed, "channel", (self.video_id, rho, snr_db))
                 yield rho, snr_db, sel, encoded, seed
 
-    def quality(self, frames) -> QualityReport:
-        """Score the reconstructed frames against the source, one frame at a time."""
-        return frame_losses(frames, self.video, self.ssim_reference)
+    def quality(self, frames, passes: int) -> QualityReport:
+        """Score the reconstructed frames against the source, one frame at a time, in one
+        of `passes` scoring passes over the video: two or more share `ssim_reference`,
+        and one scores against the source frames themselves."""
+        reference = self.ssim_reference if passes > 1 else self.video.frames
+        return frame_losses(frames, self.video, reference)
 
     def points(self) -> list[PointResult]:
         """Every (rho, snr_db) cell of the video through the channel, scored, in grid order.
 
-        Every rho is encoded, and the selection payloads let go, before the
-        first cell. The cells run on the video's threads, at most one per cell,
-        one cell per thread at a time; `run_point` gives a cell a second thread
-        when there are two per cell.
+        Every rho is encoded before the first cell. The cells run on the
+        video's threads, at most one per cell, one cell per thread at a time;
+        `run_point` gives a cell a second thread when there are two per cell.
         """
         cells = [(rho, snr_db, encoded, seed) for rho, snr_db, _, encoded, seed in self.cells()]
         # Before any cell thread reads them: cached_property takes no lock.
-        self.ssim_reference, self.cfg.codec.decode_tables
+        if len(cells) > 1:
+            self.ssim_reference
+        self.cfg.codec.decode_tables
         return fan_out(lambda cell: run_point(self, *cell), cells, min(self.threads, len(cells)))
 
 
@@ -155,20 +166,20 @@ class EncodedSelection:
 def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParams):
     """Yield (rho, selection, EncodedSelection) for each rho, from one encoding of `widest`.
 
-    The widest selection is encoded frame by frame. A rho's picks are a prefix
-    of each frame's, and the codec works pixel by pixel in patch order, so its
-    codes are views of each frame's first 2 k ph pw codes. Its norm is taken
-    with one `np.vdot` over its own symbols, expanded contiguously.
+    The widest selection is encoded frame by frame, here if it was not as it
+    was extracted. A rho's picks are a prefix of each frame's, and the codec
+    works pixel by pixel in patch order, so its codes are views of each
+    frame's first 2 k ph pw codes. Its norm is taken with one `np.vdot` over
+    its own symbols, expanded contiguously.
     """
-    codes = np.stack([ch.flow_codes(payloads, codec) for payloads in widest.payloads])
-    per_patch = 2 * widest.grid.patch_h * widest.grid.patch_w
+    if widest.codes is None:
+        widest = replace(widest, codes=np.stack([ch.flow_codes(p, codec) for p in widest.payloads]))
     for rho in rho_list:
         sel = widest.prefix(rho)
-        prefix = codes[:, : sel.picks.shape[1] * per_patch]
-        symbols = ch.expand_codes(prefix, codec)
+        symbols = ch.expand_codes(sel.codes, codec)
         norm = float(np.sqrt(np.vdot(symbols, symbols)))
         del symbols  # not kept across the yield, so no two rhos' symbols are alive at once
-        yield rho, sel, EncodedSelection(sel.grid, sel.picks, prefix, norm, sel.important)
+        yield rho, sel, EncodedSelection(sel.grid, sel.picks, sel.codes, norm, sel.important)
 
 
 def received_payloads(encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int):
@@ -240,12 +251,12 @@ def run_point(
     When the video has two threads for each of its cells, a cell's second
     thread sends and warps each frame while the one before is scored.
     """
-    breakdown = run.breakdown(rho)
+    breakdown, n_cells = run.breakdown(rho), len(run.cfg.rho_list) * len(run.cfg.snr_db_list)
     payloads = received_payloads(encoded, run.cfg.codec, ch.db_to_linear(snr_db), channel_seed)
     frames = reconstructed_frames(run.video.frames[0], encoded.grid, encoded.picks, payloads)
-    if run.threads >= 2 * len(run.cfg.rho_list) * len(run.cfg.snr_db_list):
+    if run.threads >= 2 * n_cells:
         frames = read_ahead(frames)
-    report = run.quality(frames)
+    report = run.quality(frames, n_cells)
     return PointResult(
         run.video_id, rho, snr_db, report, motion_area_percentage(encoded.important),
         breakdown, tx_seconds(run.cfg, breakdown, snr_db), encoded.picks.size,
@@ -255,7 +266,8 @@ def run_point(
 def load_breakdown(cfg: ExperimentConfig, shape: tuple[int, int, int], rho: float) -> LoadBreakdown:
     """The load of a cell at mask ratio `rho` on a video of `shape` (T, H, W)."""
     n_frames, height, width = shape
-    params = ld.LoadParams(n_frames, height, width, cfg.patch_h, cfg.patch_w, rho, cfg.zip_ratio)
+    params = ld.LoadParams(n_frames, height, width, cfg.patch_h, cfg.patch_w, rho, cfg.zip_ratio,
+                           cfg.codec.bits_per_symbol)
     return ld.total_load(params)
 
 

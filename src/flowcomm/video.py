@@ -4,6 +4,7 @@ A flow field is a float64 (2, H, W) array: channel 0 = u (horizontal px), 1 = v 
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import stat
@@ -187,15 +188,35 @@ def write_flo(flow: np.ndarray, path: str | os.PathLike) -> None:
         fh.write(np.ascontiguousarray(flow.transpose(1, 2, 0), dtype="<f4").tobytes())
 
 
-def partition_patches(flow: np.ndarray, grid: PatchGrid) -> np.ndarray:
+def carve(buffer: np.ndarray | None, *shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of flat float64 `buffer`, one per shape, from its start;
+    fresh arrays instead when `buffer` is None or too small to hold them all."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if buffer is None or sum(sizes) > buffer.size:
+        return [np.empty(shape) for shape in shapes]
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def partition_patches(flow: np.ndarray, grid: PatchGrid, scratch: np.ndarray | None = None) -> np.ndarray:
     """Split a (2, H, W) flow field into grid patches.
 
     Returns an (N, 2, patch_h, patch_w) array, patch i * cols + j at row-major
-    index, channel 0 = u and 1 = v, zero-padded beyond the field border.
+    index, channel 0 = u and 1 = v, zero-padded beyond the field border. The
+    padded canvas and then the patches are carved from `scratch` (see `carve`),
+    so once this returns, the canvas's place at the start of `scratch` is free.
     """
     _, height, width = flow.shape
-    if grid.patch_h > height or grid.patch_w > width:
+    ph, pw, rows, cols = grid.patch_h, grid.patch_w, grid.rows, grid.cols
+    if ph > height or pw > width:
         raise ValueError("patch larger than field")
-    canvas, patches = grid.canvas()
+    canvas, patches = carve(scratch, (2, rows * ph, cols * pw), (grid.n_patches, 2, ph, pw))
     canvas[:, :height, :width] = flow
-    return patches.reshape(grid.n_patches, 2, grid.patch_h, grid.patch_w)
+    canvas[:, height:] = 0.0
+    canvas[:, :height, width:] = 0.0
+    by_patch = canvas.reshape(2, rows, ph, cols, pw).transpose(1, 3, 0, 2, 4)
+    np.copyto(patches.reshape(rows, cols, 2, ph, pw), by_patch)
+    return patches

@@ -23,6 +23,21 @@ class TestPyramid:
         assert len(pyr.levels) == 1
         assert np.array_equal(pyr.levels[0], grayscale(frame))
 
+    def test_luma_quarter_and_floor_equal_floor_division(self):
+        """_grayscale takes a quarter of R + 2G + B and floors it: on every sum from
+        0 to 1020 that equals floor division by 4, sign bits included."""
+        sums = np.arange(4 * 255 + 1, dtype=np.float64)
+        quarter = sums * 0.25
+        np.floor(quarter, out=quarter)
+        assert quarter.tobytes() == np.floor_divide(sums, 4.0).tobytes()
+        # one pixel per sum: G as large as it can be, then R, then B
+        g = np.minimum(np.arange(sums.size) // 2, 255)
+        r = np.minimum(np.arange(sums.size) - 2 * g, 255)
+        frame = np.stack([r, g, np.arange(sums.size) - 2 * g - r], axis=-1)[None].astype(np.uint8)
+        out = np.empty((1, sums.size))
+        flow._grayscale(frame, out)
+        assert out.tobytes() == np.floor_divide(sums, 4.0)[None].tobytes()
+
     def test_level_sizes(self):
         pyr = build_pyramid(texture(32, 32, 1), 3)
         assert [lvl.shape for lvl in pyr.levels] == [(8, 8), (16, 16), (32, 32)]

@@ -24,6 +24,12 @@ class TestNumericLoad:
         _, l_sr = numeric_load(LoadParams(**REFERENCE_CFG, mask_ratio=0.0))
         assert l_sr == 7 * 8 * 224 * 224 * 2 == 5_619_712
 
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    def test_sr_counts_the_codecs_bits_per_flow_value(self, bits):
+        l_first, l_sr = numeric_load(LoadParams(**REFERENCE_CFG, bits_per_symbol=bits))
+        assert l_sr == 7 * bits * 224 * 224 * 2
+        assert l_first == 8 * 224 * 224 * 3  # the first frame keeps its 8-bit color
+
     def test_sr_scales_with_keep_fraction(self):
         _, full = numeric_load(LoadParams(**REFERENCE_CFG, mask_ratio=0.0))
         _, half = numeric_load(LoadParams(**REFERENCE_CFG, mask_ratio=0.5))
@@ -85,3 +91,5 @@ class TestProperties:
             LoadParams(n_frames=0, height=16, width=16)
         with pytest.raises(ValueError):
             LoadParams(n_frames=2, height=16, width=16, mask_ratio=1.0)
+        with pytest.raises(ValueError):
+            LoadParams(n_frames=2, height=16, width=16, bits_per_symbol=0)

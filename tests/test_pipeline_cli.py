@@ -359,6 +359,34 @@ class TestPipeline:
         peak = self.rho0_cell_peak(tmp_path, video, "pan")
         assert peak < 22 * 256 * 256 * 8, peak / (256 * 256 * 8)
 
+    def one_cell_peak(self, tmp_path, n_frames):
+        """The tracemalloc peak of a one-cell run on a 128x128 clip, its frames loaded first."""
+        video, _ = synth.block_motion_video(
+            128, 128, n_frames, [(32, 48, 32, 32)], dx=2, dy=1, seed=14, bg_dx=1, bg_dy=0
+        )
+        clip = tmp_path / f"clip{n_frames}"
+        save_ppm_sequence(video, clip)
+        cfg = parse_experiment_config(
+            write_config(tmp_path / f"c{n_frames}.ini", [clip], rho="0.5", snr_db="20")
+        )
+        run = pipeline.VideoRun(cfg, 1, str(clip), 1)
+        run.video  # the source frames grow with the clip whatever a run keeps
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run.points()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_a_one_cell_runs_peak_memory_grows_by_less_than_half_a_field_a_frame(self, tmp_path):
+        # Each frame keeps its picks, its importance bitmap and its uint8 codes; a stack
+        # of flow fields, of float64 payloads or of SSIM statistics would each add about
+        # a field or more per frame.
+        peaks = {n_frames: self.one_cell_peak(tmp_path, n_frames) for n_frames in (4, 16)}
+        field_bytes = 2 * 128 * 128 * 8
+        assert (peaks[16] - peaks[4]) / 12 < field_bytes / 2, peaks
+
     @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
     def test_each_video_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
         encoded = []
@@ -401,11 +429,14 @@ class TestPipeline:
         refs = []
         estimate, run_point = pipeline.estimate_flow, pipeline.run_point
 
-        def tracked(*args):
-            flows = estimate(*args)
-            assert flows.shape == (3, 2, 64, 64)  # one buffer holds every field
-            refs.append(weakref.ref(flows))
-            return flows
+        def tracked(video, params, threads, sink):
+            def tracking(t, field, scratch):
+                refs.extend([weakref.ref(field), weakref.ref(scratch)])
+                return sink(t, field, scratch)
+
+            rows = estimate(video, params, threads, tracking)
+            assert len(rows) == 3  # one entry per pair, and no field among them
+            return rows
 
         alive_at_cells = []
 
@@ -417,7 +448,7 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "run_point", cell)
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0 0.5", snr_db="10 30")
         assert len(run_points(parse_experiment_config(cfg), run_seed=1)) == 4
-        assert len(refs) == 1
+        assert len(refs) == 6
         assert alive_at_cells == [0, 0, 0, 0]
 
     def test_selection_payloads_are_freed_before_the_first_cell(self, tmp_path, clips, monkeypatch):
@@ -426,8 +457,10 @@ class TestPipeline:
 
         def tracked(*args):
             sel = extract(*args)
-            assert sel.payloads.dtype == np.float64  # every rho's payloads are views of this one
-            refs.append(weakref.ref(sel.payloads))
+            # each frame's payloads became codes as it was extracted; every rho's codes are views of these
+            assert sel.payloads is None
+            assert sel.codes.dtype == np.uint8 and sel.codes.shape == (3, 16 * 2 * 16 * 16)
+            refs.append(weakref.ref(sel))
             return sel
 
         alive_at_cells = []
@@ -459,6 +492,42 @@ class TestPipeline:
             sys.setswitchinterval(interval)
         assert len(reports[1]) == 12
         assert reports[12] == reports[1]
+
+    def test_flow_threads_extract_their_own_fields_one_frame_at_a_time(self, tmp_path, monkeypatch):
+        video, _ = synth.block_motion_video(64, 64, 7, [(16, 16, 16, 16)], dx=2, dy=1, seed=13)
+        save_ppm_sequence(video, tmp_path / "clip")
+        cfg = parse_experiment_config(write_config(tmp_path / "c.ini", [tmp_path / "clip"], levels=2))
+        active, overlaps, extracted_on = [], [], set()
+        fit = ex.ransac_background
+
+        def watched(*args):
+            active.append(None)
+            overlaps.append(len(active))
+            extracted_on.add(threading.get_ident())
+            try:
+                return fit(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(ex, "ransac_background", watched)
+        selections = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 6):
+                run = pipeline.VideoRun(cfg, 3, str(tmp_path / "clip"), threads)
+                selections[threads] = run.widest_selection(lambda p: ch.flow_codes(p, cfg.codec))
+                if threads == 1:
+                    assert extracted_on == {threading.get_ident()}
+                    extracted_on.clear()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(overlaps) == 12 and max(overlaps) == 1
+        assert len(extracted_on) > 1 and threading.get_ident() not in extracted_on
+        one, six = selections[1], selections[6]
+        assert one.payloads is None and six.payloads is None
+        for name in ("picks", "codes", "important"):
+            assert getattr(six, name).tobytes() == getattr(one, name).tobytes(), name
 
     @pytest.mark.parametrize("rho, snr_db", [("0.3", "10"), ("0.0 0.3", "10")], ids=["1_cell", "2_cells"])
     def test_two_threads_per_cell_make_frames_ahead_with_the_same_bits(
@@ -671,6 +740,19 @@ class TestCli:
         assert float(row["l_first"]) == 8 * 64 * 64 * 3
         assert float(row["l_sr"]) == 3 * 8 * 64 * 64 * 2
         assert float(row["l_b"]) == 4 * 16
+
+    @pytest.mark.parametrize("bits", [1, 16])
+    def test_load_counts_the_codecs_bits_per_flow_value(self, tmp_path, clips, bits):
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0", snr_db="10", bits=bits)
+        assert self.run("load", "--config", str(cfg), "--out", str(tmp_path / "load")) == 0
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "p")) == 0
+        l_first, l_sr, l_b = 8 * 64 * 64 * 3, 3 * bits * 64 * 64 * 2, 4 * 16
+        for row in (read_rows(tmp_path / "load" / "load.csv")[0], read_rows(tmp_path / "p" / "summary.csv")[0]):
+            assert [float(row[k]) for k in ("l_first", "l_sr", "l_b", "l_com")] == [
+                l_first, l_sr, l_b, l_first + l_sr + l_b
+            ]
+        tx = float(read_rows(tmp_path / "p" / "summary.csv")[0]["tx_seconds"])
+        assert tx == (l_first + l_sr + l_b) / (1e6 * math.log2(1.0 + 10.0))
 
     def test_transmit_and_reconstruct_subcommands(self, tmp_path, clips):
         cfg = write_config(tmp_path / "c.ini", [clips / "motion0"], rho="0.0")

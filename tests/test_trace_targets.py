@@ -65,7 +65,8 @@ def test_traced_pipeline_extracts_once_per_video(tmp_path):
 
 
 def test_traced_pipeline_with_flow_threads(tmp_path, monkeypatch):
-    """Flow's worker threads call no traced function, so the span stack stays whole."""
+    """Flow's worker threads call traced functions only in extraction, one frame at a
+    time, so traced calls never overlap and the span stack stays whole."""
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
     video, _ = synth.block_motion_video(64, 64, 5, [(16, 16, 16, 16)], dx=2, dy=0, seed=2)
     save_ppm_sequence(video, tmp_path / "clip")
