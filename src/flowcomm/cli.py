@@ -101,21 +101,23 @@ def _frame_rows(key: list, report) -> list[list]:
 def flow_rows(out_dir: str, run) -> tuple[list]:
     vid_dir = os.path.join(out_dir, run.video_id)
     os.makedirs(vid_dir, exist_ok=True)
-    flows = run.estimate_flows()
-    for t, field in enumerate(flows):
+
+    def write(t, field, scratch):
         write_flo(field, os.path.join(vid_dir, f"flow_{t:04d}.flo"))
-    magnitude = float(np.mean([np.hypot(*field).mean() for field in flows]))
-    return ([[run.video_id, len(flows), magnitude]],)
+        return np.hypot(*field, out=scratch[: field[0].size].reshape(field.shape[1:])).mean()
+
+    magnitudes = run.estimate_flows(write)
+    return ([[run.video_id, len(magnitudes), float(np.mean(magnitudes))]],)
 
 
 def extract_rows(out_dir: str, run) -> tuple[list]:
     vid_dir = os.path.join(out_dir, run.video_id)
     rows = []
-    for rho, sel in run.selections():
+    for sel in run.selections():
         os.makedirs(vid_dir, exist_ok=True)
-        with open(os.path.join(vid_dir, f"selection_rho{rho:g}.bin"), "wb") as fh:
+        with open(os.path.join(vid_dir, f"selection_rho{sel.mask_ratio:g}.bin"), "wb") as fh:
             fh.write(sel.to_bytes())
-        rows.append([run.video_id, rho, sel.n_selected, int(sel.xi.sum())])
+        rows.append([run.video_id, sel.mask_ratio, sel.n_selected, int(sel.xi.sum())])
     return (rows,)
 
 
@@ -127,19 +129,19 @@ def load_rows(out_dir: str, run) -> tuple[list]:
 
 def transmit_rows(out_dir: str, run) -> tuple[list]:
     rows = []
-    for rho, snr_db, sel, encoded, channel_seed in run.cells(payloads=True):
-        decoded = transmit_selection(encoded, run.cfg.codec, db_to_linear(snr_db), channel_seed)
-        rows.append([run.video_id, rho, snr_db, *transmit_stats(sel.payloads, decoded)])
+    for sel, norm, snr_db, channel_seed in run.cells(payloads=True):
+        decoded = transmit_selection(sel, norm, run.cfg.codec, db_to_linear(snr_db), channel_seed)
+        rows.append([run.video_id, sel.mask_ratio, snr_db, *transmit_stats(sel.payloads, decoded)])
     return (rows,)
 
 
 def reconstruct_rows(out_dir: str, run) -> tuple[list]:
     """Local reconstruction from lossless selections (no channel in the loop)."""
     rows = []
-    for rho, sel in run.selections():
+    for sel in run.selections():
         reconstructed = reconstruct_video(run.video.frames[0], sel)
         report = run.quality(reconstructed.frames, len(run.cfg.rho_list))
-        rows += _frame_rows([run.video_id, rho, ""], report)
+        rows += _frame_rows([run.video_id, sel.mask_ratio, ""], report)
     return (rows,)
 
 

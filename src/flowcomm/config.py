@@ -170,7 +170,7 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
 
     Each [ue.N] section gives load_bits and rho, and either a direct linear
     snr or a distance resolved through the [channel] link parameters with
-    the scenario seed (fading frozen at scenario construction).
+    the scenario seed (fading frozen at scenario construction), not both.
     """
     p = _read_ini(path)
     if not p.has_section("scenario"):
@@ -188,10 +188,12 @@ def parse_scenario_config(path) -> tuple[AllocationScenario, DdpgHyper, int]:
     for k, sec in enumerate(ue_sections):
         loads.append(_get(p, sec, "load_bits", float))
         rhos.append(_get(p, sec, "rho", float, 0.0))
-        dist = _get(p, sec, "distance", float, -1.0)
         if p.has_option(sec, "snr"):
+            if p.has_option(sec, "distance"):
+                raise ConfigError(f"[{sec}] gives both snr and distance; give one or the other")
             snrs.append(_get(p, sec, "snr", float))
         else:
+            dist = _get(p, sec, "distance", float, -1.0)
             if not p.has_section("channel") or dist <= 0:
                 raise ConfigError(f"[{sec}] needs snr, or distance plus a [channel] section")
             link = _build(

@@ -81,9 +81,9 @@ class VideoRun:
         planes = SsimPlanes(self.video.height, self.video.width)
         return [frames[0], *(ssim_stats(f, planes) for f in frames[1:])]
 
-    def estimate_flows(self, sink=None):
-        """The video's flow fields, estimated afresh on each call: one stack, or each
-        handed to `sink` on the thread that estimated it (see `estimate_flow`)."""
+    def estimate_flows(self, sink):
+        """The video's flow fields, estimated afresh on each call, each handed to `sink`
+        on the thread that estimated it (see `estimate_flow`)."""
         return estimate_flow(self.video, self.cfg.flow_params, self.threads, sink)
 
     def breakdown(self, rho: float) -> LoadBreakdown:
@@ -105,13 +105,13 @@ class VideoRun:
         return ex.extract(self.estimate_flows, grid, params, seed, encode)
 
     def selections(self):
-        """Yield (rho, selection) for each rho: a rho=0 selection holds every patch."""
+        """Yield each rho's selection, its `mask_ratio` the rho: a rho=0 selection holds every patch."""
         widest = self.widest_selection()
         for rho in self.cfg.rho_list:
-            yield rho, widest.prefix(rho)
+            yield widest.prefix(rho)
 
     def cells(self, payloads: bool = False):
-        """Yield (rho, snr_db, selection, encoded selection, channel seed) in grid order.
+        """Yield (selection, norm, snr_db, channel seed) in grid order, as `run_point` takes them.
 
         The video is encoded once, for every rho and SNR cell, each frame as
         it is extracted: the selections keep codes, not float64 payloads,
@@ -119,10 +119,10 @@ class VideoRun:
         """
         codec = self.cfg.codec
         widest = self.widest_selection(None if payloads else lambda p: ch.flow_codes(p, codec))
-        for rho, sel, encoded in encode_selections(widest, self.cfg.rho_list, codec):
+        for sel, norm in encode_selections(widest, self.cfg.rho_list, codec):
             for snr_db in self.cfg.snr_db_list:
-                seed = derive_seed(self.run_seed, "channel", (self.video_id, rho, snr_db))
-                yield rho, snr_db, sel, encoded, seed
+                seed = derive_seed(self.run_seed, "channel", (self.video_id, sel.mask_ratio, snr_db))
+                yield sel, norm, snr_db, seed
 
     def quality(self, frames, passes: int) -> QualityReport:
         """Score the reconstructed frames against the source, one frame at a time, in one
@@ -138,7 +138,7 @@ class VideoRun:
         video's threads, at most one per cell, one cell per thread at a time;
         `run_point` gives a cell a second thread when there are two per cell.
         """
-        cells = [(rho, snr_db, encoded, seed) for rho, snr_db, _, encoded, seed in self.cells()]
+        cells = list(self.cells())
         # Before any cell thread reads them: cached_property takes no lock.
         if len(cells) > 1:
             self.ssim_reference
@@ -146,31 +146,14 @@ class VideoRun:
         return fan_out(lambda cell: run_point(self, *cell), cells, min(self.threads, len(cells)))
 
 
-@dataclass(frozen=True)
-class EncodedSelection:
-    """What a sweep cell needs of its rho's selection: channel symbols, not float64 payloads.
-
-    Row t of `codes` holds the quantizer codes (`ch.flow_codes`) of flow frame
-    t's patches `picks[t]`, a view of the first codes of the widest selection's
-    row; `norm` is the Euclidean norm of the whole expanded symbol vector, and
-    `important` the classification MAP is taken from.
-    """
-
-    grid: PatchGrid
-    picks: np.ndarray
-    codes: np.ndarray
-    norm: float
-    important: np.ndarray
-
-
 def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParams):
-    """Yield (rho, selection, EncodedSelection) for each rho, from one encoding of `widest`.
+    """Yield (selection, norm) for each rho, from one encoding of `widest`.
 
     The widest selection is encoded frame by frame, here if it was not as it
     was extracted. A rho's picks are a prefix of each frame's, and the codec
     works pixel by pixel in patch order, so its codes are views of each
-    frame's first 2 k ph pw codes. Its norm is taken with one `np.vdot` over
-    its own symbols, expanded contiguously.
+    frame's first 2 k ph pw codes. Its norm, of its whole symbol vector, is
+    taken with one `np.vdot` over its own symbols, expanded contiguously.
     """
     if widest.codes is None:
         widest = replace(widest, codes=np.stack([ch.flow_codes(p, codec) for p in widest.payloads]))
@@ -179,10 +162,12 @@ def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParam
         symbols = ch.expand_codes(sel.codes, codec)
         norm = float(np.sqrt(np.vdot(symbols, symbols)))
         del symbols  # not kept across the yield, so no two rhos' symbols are alive at once
-        yield rho, sel, EncodedSelection(sel.grid, sel.picks, sel.codes, norm, sel.important)
+        yield sel, norm
 
 
-def received_payloads(encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int):
+def received_payloads(
+    sel: ex.SelectionResult, norm: float, codec: ch.CodecParams, snr_linear: float, seed: int
+):
     """Yield each flow frame's (k, 2, ph, pw) payloads as decoded after an AWGN link at the cell's SNR.
 
     `snr_linear` is the post-equalization SNR; path loss and fading enter only
@@ -198,15 +183,15 @@ def received_payloads(encoded: EncodedSelection, codec: ch.CodecParams, snr_line
     in place: each is looked up in the cell's table of every code's expanded,
     scaled symbol.
     """
-    ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
+    ph, pw = sel.grid.patch_h, sel.grid.patch_w
     # Extreme mask ratios can round the selection to zero: no symbols, and no norm to scale.
-    n_symbols = encoded.codes.size
-    scale = ch.power_scale(encoded.norm, codec.gamma, n_symbols) if n_symbols else 1.0
+    n_symbols = sel.codes.size
+    scale = ch.power_scale(norm, codec.gamma, n_symbols) if n_symbols else 1.0
     symbol_of = ch.expand_codes(np.arange(1 << codec.bits_per_symbol), codec)
     symbol_of *= scale
     rng = np.random.default_rng(seed)
-    decoded = np.empty((encoded.picks.shape[1], 2, ph, pw))
-    for codes in encoded.codes:
+    decoded = np.empty((sel.picks.shape[1], 2, ph, pw))
+    for codes in sel.codes:
         symbols = np.take(symbol_of, codes, out=decoded.reshape(-1), mode="clip")  # in range
         received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng, out=symbols)
         received *= 1.0 / scale
@@ -215,11 +200,11 @@ def received_payloads(encoded: EncodedSelection, codec: ch.CodecParams, snr_line
 
 
 def transmit_selection(
-    encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int
+    sel: ex.SelectionResult, norm: float, codec: ch.CodecParams, snr_linear: float, seed: int
 ) -> np.ndarray:
     """Every flow frame's `received_payloads`, copied into one (T', k, 2, ph, pw) stack."""
-    decoded = np.empty((*encoded.picks.shape, 2, encoded.grid.patch_h, encoded.grid.patch_w))
-    for t, payloads in enumerate(received_payloads(encoded, codec, snr_linear, seed)):
+    decoded = np.empty((*sel.picks.shape, 2, sel.grid.patch_h, sel.grid.patch_w))
+    for t, payloads in enumerate(received_payloads(sel, norm, codec, snr_linear, seed)):
         decoded[t] = payloads
     return decoded
 
@@ -242,24 +227,24 @@ def transmit_stats(sent: np.ndarray, decoded: np.ndarray) -> tuple[int, float]:
 
 
 def run_point(
-    run: VideoRun, rho: float, snr_db: float, encoded: EncodedSelection, channel_seed: int
+    run: VideoRun, sel: ex.SelectionResult, norm: float, snr_db: float, channel_seed: int
 ) -> PointResult:
-    """One (video, rho, snr) cell of the sweep grid: one loop over the flow frames.
+    """One (video, `sel.mask_ratio`, snr_db) cell of the sweep grid: one loop over the flow frames.
 
     Each step sends and decodes a frame's payloads, warps the next frame from
     the one before and scores it, so a cell holds one frame of each at a time.
     When the video has two threads for each of its cells, a cell's second
     thread sends and warps each frame while the one before is scored.
     """
-    breakdown, n_cells = run.breakdown(rho), len(run.cfg.rho_list) * len(run.cfg.snr_db_list)
-    payloads = received_payloads(encoded, run.cfg.codec, ch.db_to_linear(snr_db), channel_seed)
-    frames = reconstructed_frames(run.video.frames[0], encoded.grid, encoded.picks, payloads)
+    breakdown, n_cells = run.breakdown(sel.mask_ratio), len(run.cfg.rho_list) * len(run.cfg.snr_db_list)
+    payloads = received_payloads(sel, norm, run.cfg.codec, ch.db_to_linear(snr_db), channel_seed)
+    frames = reconstructed_frames(run.video.frames[0], sel.grid, sel.picks, payloads)
     if run.threads >= 2 * n_cells:
         frames = read_ahead(frames)
     report = run.quality(frames, n_cells)
     return PointResult(
-        run.video_id, rho, snr_db, report, motion_area_percentage(encoded.important),
-        breakdown, tx_seconds(run.cfg, breakdown, snr_db), encoded.picks.size,
+        run.video_id, sel.mask_ratio, snr_db, report, motion_area_percentage(sel.important),
+        breakdown, tx_seconds(run.cfg, breakdown, snr_db), sel.n_selected,
     )
 
 

@@ -123,18 +123,23 @@ def save_ppm(frame: np.ndarray, path: str | os.PathLike) -> None:
 
 
 def load_ppm_sequence(directory: str | os.PathLike) -> Video:
-    """Load all *.ppm files in a directory (lexicographic order) as one video."""
+    """Load all *.ppm files in a directory (lexicographic order) as one video: each file is
+    read into its row of one (T, H, W, 3) array, its bytes let go before the next is read."""
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"no such directory: {directory}")
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".ppm"))
     if len(names) < 2:
         raise FormatError(f"insufficient frames: found {len(names)} PPM files in {directory}")
-    frames = [load_ppm(os.path.join(directory, n)) for n in names]
-    shape = frames[0].shape
-    for name, fr in zip(names, frames):
-        if fr.shape != shape:
-            raise FormatError(f"dimension mismatch: {name} is {fr.shape}, expected {shape}")
-    return Video(np.stack(frames))
+    frames = None
+    for t, name in enumerate(names):
+        frame = load_ppm(os.path.join(directory, name))
+        if frames is None:
+            frames = np.empty((len(names), *frame.shape), np.uint8)
+        elif frame.shape != frames.shape[1:]:
+            raise FormatError(f"dimension mismatch: {name} is {frame.shape}, expected {frames.shape[1:]}")
+        frames[t] = frame
+        del frame  # a view of its file's bytes: free them before the next file is read
+    return Video(frames)
 
 
 def save_ppm_sequence(video: Video, directory: str | os.PathLike) -> list[str]:

@@ -5,6 +5,7 @@ share a code path with the implementations it checks.
 """
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -12,7 +13,6 @@ from scipy.ndimage import correlate1d
 from flowcomm import channel as ch
 from flowcomm.extractor import SELECTION_MAGIC, SelectionResult
 from flowcomm.metrics import DYNAMIC_RANGE, SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW
-from flowcomm.pipeline import EncodedSelection
 from flowcomm.video import PatchGrid
 
 
@@ -68,29 +68,29 @@ def reference_flow_decode(symbols: np.ndarray, cp: ch.CodecParams, patch_h: int,
     return out
 
 
-def reference_encode_selection(sel: SelectionResult, codec: ch.CodecParams) -> EncodedSelection:
-    """A selection encoded on its own: its frames' `flow_codes`, and the norm of all their symbols."""
+def reference_encode_selection(sel: SelectionResult, codec: ch.CodecParams) -> tuple[SelectionResult, float]:
+    """A selection encoded on its own: the selection with its frames' `flow_codes`, and the
+    norm of all their symbols."""
     codes = np.stack([ch.flow_codes(payloads, codec) for payloads in sel.payloads])
     symbols = ch.expand_codes(codes, codec)
-    norm = float(np.sqrt(np.vdot(symbols, symbols)))
-    return EncodedSelection(sel.grid, sel.picks, codes, norm, sel.important)
+    return replace(sel, codes=codes), float(np.sqrt(np.vdot(symbols, symbols)))
 
 
 def reference_received_payloads(
-    encoded: EncodedSelection, codec: ch.CodecParams, snr_linear: float, seed: int
+    sel: SelectionResult, norm: float, codec: ch.CodecParams, snr_linear: float, seed: int
 ) -> np.ndarray:
     """A cell's (T', k, 2, ph, pw) decoded payloads, each step out of place: expand, scale, send,
     unscale, then `reference_flow_decode`."""
-    ph, pw = encoded.grid.patch_h, encoded.grid.patch_w
-    n_symbols = encoded.codes.size
-    scale = ch.power_scale(encoded.norm, codec.gamma, n_symbols) if n_symbols else 1.0
+    ph, pw = sel.grid.patch_h, sel.grid.patch_w
+    n_symbols = sel.codes.size
+    scale = ch.power_scale(norm, codec.gamma, n_symbols) if n_symbols else 1.0
     rng = np.random.default_rng(seed)
     frames = []
-    for codes in encoded.codes:
+    for codes in sel.codes:
         symbols = ch.expand_codes(codes, codec) * scale
         received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng) * (1.0 / scale)
         frames.append(reference_flow_decode(received, codec, ph, pw))
-    return np.stack(frames).reshape(*encoded.picks.shape, 2, ph, pw)
+    return np.stack(frames).reshape(*sel.picks.shape, 2, ph, pw)
 
 
 def reference_patch_mean_flow(flow: np.ndarray, grid: PatchGrid) -> np.ndarray:

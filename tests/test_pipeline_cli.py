@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -36,8 +37,8 @@ from flowcomm.video import PatchGrid, load_ppm_sequence, read_flo, save_ppm_sequ
 
 
 def encode_selection(sel, codec):
-    """`sel` encoded by `encode_selections` as the one rho of its video."""
-    (_, _, encoded), = encode_selections(sel, [sel.mask_ratio], codec)
+    """(selection, norm): `sel` encoded by `encode_selections` as the one rho of its video."""
+    encoded, = encode_selections(sel, [sel.mask_ratio], codec)
     return encoded
 
 
@@ -233,12 +234,12 @@ class TestPipeline:
         flows = estimate_flow(video, cfg.flow_params)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, seed=4)
-        encoded = encode_selection(sel, cfg.codec)
-        decoded = transmit_selection(encoded, cfg.codec, math.inf, seed=5)
+        coded, norm = encode_selection(sel, cfg.codec)
+        decoded = transmit_selection(coded, norm, cfg.codec, math.inf, seed=5)
         payloads = sel.payloads.reshape(-1, 2, 16, 16)
         expected = ch.flow_decode(ch.flow_encode(payloads, cfg.codec), cfg.codec, 16, 16)
         assert np.array_equal(decoded.reshape(-1, 2, 16, 16), expected)
-        assert np.array_equal(encoded.picks, sel.picks)
+        assert np.array_equal(coded.picks, sel.picks)
 
 
     def test_each_rho_keeps_a_prefix_of_one_extraction(self, tmp_path, clips):
@@ -249,13 +250,14 @@ class TestPipeline:
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         seed = derive_seed(3, "extract", "motion0")
         got = list(run.selections())
-        assert [rho for rho, _ in got] == [0.6, 0.0, 0.99, 0.3]
-        flows = run.estimate_flows()
-        for rho, sel in got:
+        assert [sel.mask_ratio for sel in got] == [0.6, 0.0, 0.99, 0.3]
+        flows = estimate_flow(run.video, cfg.flow_params)
+        for sel in got:
+            rho = sel.mask_ratio
             alone = ex.extract(flows, grid, replace(cfg.extractor, mask_ratio=rho), seed)
             assert sel.to_bytes() == alone.to_bytes(), rho
             assert sel.picks.shape == (3, ex.selection_count(rho, 16))
-        assert got[2][1].n_selected == 0  # rho 0.99 keeps round(0.16) = 0 of 16
+        assert got[2].n_selected == 0  # rho 0.99 keeps round(0.16) = 0 of 16
 
     def test_ssim_statistics_skip_the_copied_first_frame(self, tmp_path, clips, monkeypatch):
         calls = []
@@ -290,8 +292,8 @@ class TestPipeline:
         noise = np.random.default_rng(5).standard_normal(normalized.shape) * math.sqrt(1.0 / 10.0 / 2.0)
         decoded = ch.flow_decode((normalized + noise) * (1.0 / scale), cfg.codec, 16, 16)
 
-        encoded = encode_selection(sel, cfg.codec)
-        degraded = transmit_selection(encoded, cfg.codec, 10.0, seed=5)
+        coded, norm = encode_selection(sel, cfg.codec)
+        degraded = transmit_selection(coded, norm, cfg.codec, 10.0, seed=5)
         assert np.array_equal(degraded.reshape(-1, 2, 16, 16), decoded)
         assert np.array_equal(sel.payloads.reshape(-1, 2, 16, 16), payloads)
         n_symbols, rms = transmit_stats(sel.payloads, degraded)
@@ -303,15 +305,15 @@ class TestPipeline:
         # arrays besides, whatever the clip's length; the transmit command's stacked decode holds
         # the stack besides. Each rho is encoded once, before its cells.
         cfg, sel = self.full_selection(tmp_path, clips)
-        encoded = encode_selection(sel, cfg.codec)
+        coded, norm = encode_selection(sel, cfg.codec)
         payload_bytes, frame_bytes = sel.payloads.nbytes, sel.payloads[0].nbytes
 
         def frame_by_frame():
-            for _ in received_payloads(encoded, cfg.codec, 10.0, 5):
+            for _ in received_payloads(coded, norm, cfg.codec, 10.0, 5):
                 pass
 
         peaks = []
-        for decode in (frame_by_frame, lambda: transmit_selection(encoded, cfg.codec, 10.0, seed=5)):
+        for decode in (frame_by_frame, lambda: transmit_selection(coded, norm, cfg.codec, 10.0, seed=5)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -321,7 +323,7 @@ class TestPipeline:
                 tracemalloc.stop()
         assert peaks[0] < 5.0 * frame_bytes, peaks[0] / frame_bytes
         assert peaks[1] < 2.0 * payload_bytes, peaks[1] / payload_bytes
-        assert encoded.codes.nbytes * 8 == payload_bytes  # uint8 codes, one per float64 payload value
+        assert coded.codes.nbytes * 8 == payload_bytes  # uint8 codes, one per float64 payload value
 
     def rho0_cell_peak(self, tmp_path, video, name):
         """The tracemalloc peak of the clip's one cell, at rho 0 and 10 dB, above its start."""
@@ -329,12 +331,12 @@ class TestPipeline:
         save_ppm_sequence(video, clip)
         cfg = parse_experiment_config(write_config(tmp_path / f"{name}.ini", [clip], rho="0.0", snr_db="10"))
         run = pipeline.VideoRun(cfg, 1, str(clip), 1)
-        (rho, snr_db, _, encoded, seed), = run.cells()
+        cell, = run.cells()
         run.ssim_reference  # the per-video SSIM half is not the cell's
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            pipeline.run_point(run, rho, snr_db, encoded, seed)
+            pipeline.run_point(run, *cell)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -359,8 +361,9 @@ class TestPipeline:
         peak = self.rho0_cell_peak(tmp_path, video, "pan")
         assert peak < 22 * 256 * 256 * 8, peak / (256 * 256 * 8)
 
-    def one_cell_peak(self, tmp_path, n_frames):
-        """The tracemalloc peak of a one-cell run on a 128x128 clip, its frames loaded first."""
+    def one_cell_peak(self, tmp_path, n_frames, task=pipeline.VideoRun.points):
+        """The tracemalloc peak of task(run), by default the run's one cell, on a 128x128 clip,
+        its frames loaded first."""
         video, _ = synth.block_motion_video(
             128, 128, n_frames, [(32, 48, 32, 32)], dx=2, dy=1, seed=14, bg_dx=1, bg_dy=0
         )
@@ -374,7 +377,7 @@ class TestPipeline:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run.points()
+            task(run)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -386,6 +389,15 @@ class TestPipeline:
         peaks = {n_frames: self.one_cell_peak(tmp_path, n_frames) for n_frames in (4, 16)}
         field_bytes = 2 * 128 * 128 * 8
         assert (peaks[16] - peaks[4]) / 12 < field_bytes / 2, peaks
+
+    def test_the_flow_commands_peak_memory_grows_by_less_than_half_a_field_a_frame(self, tmp_path):
+        # Each field is written to its .flo file and reduced to its mean magnitude as it is
+        # estimated; a stack of the fields would add a field per frame.
+        task = partial(cli.flow_rows, str(tmp_path / "out"))
+        peaks = {n_frames: self.one_cell_peak(tmp_path, n_frames, task) for n_frames in (4, 16)}
+        field_bytes = 2 * 128 * 128 * 8
+        assert (peaks[16] - peaks[4]) / 12 < field_bytes / 2, peaks
+        assert len(os.listdir(tmp_path / "out" / "clip16")) == 15
 
     @pytest.mark.parametrize("entry", ["run_videos", "transmit"])
     def test_each_video_is_encoded_once(self, tmp_path, clips, monkeypatch, entry):
@@ -412,18 +424,19 @@ class TestPipeline:
         widest = ex.extract(flows, PatchGrid.for_shape(64, 64, 16, 16), cfg.extractor, seed=2)
         rhos = [0.6, 0.0, 0.99, 0.3]  # 0.99 keeps round(0.16) = 0 of 16 patches
         got = list(encode_selections(widest, rhos, cfg.codec))
-        assert [rho for rho, _, _ in got] == rhos
-        for rho, sel, encoded in got:
-            alone = reference_encode_selection(widest.prefix(rho), cfg.codec)
+        assert [sel.mask_ratio for sel, _ in got] == rhos
+        for sel, norm in got:
+            rho = sel.mask_ratio
+            alone, alone_norm = reference_encode_selection(widest.prefix(rho), cfg.codec)
             assert sel.to_bytes() == widest.prefix(rho).to_bytes()
-            assert encoded.codes.tobytes() == alone.codes.tobytes(), rho
-            assert encoded.codes.dtype == alone.codes.dtype and encoded.codes.shape == alone.codes.shape
-            assert np.float64(encoded.norm).tobytes() == np.float64(alone.norm).tobytes(), rho
-            assert np.array_equal(encoded.picks, alone.picks)
+            assert sel.codes.tobytes() == alone.codes.tobytes(), rho
+            assert sel.codes.dtype == alone.codes.dtype and sel.codes.shape == alone.codes.shape
+            assert np.float64(norm).tobytes() == np.float64(alone_norm).tobytes(), rho
+            assert np.array_equal(sel.picks, alone.picks)
             for snr in (10.0, math.inf):
-                expected = reference_received_payloads(alone, cfg.codec, snr, seed=5)
-                assert transmit_selection(encoded, cfg.codec, snr, 5).tobytes() == expected.tobytes()
-        assert got[2][2].codes.size == 0 and got[2][2].norm == 0.0
+                expected = reference_received_payloads(alone, alone_norm, cfg.codec, snr, seed=5)
+                assert transmit_selection(sel, norm, cfg.codec, snr, 5).tobytes() == expected.tobytes()
+        assert got[2][0].codes.size == 0 and got[2][1] == 0.0
 
     def test_flow_fields_are_freed_before_the_first_cell(self, tmp_path, clips, monkeypatch):
         refs = []
@@ -778,8 +791,8 @@ class TestCli:
         flows = estimate_flow(load_ppm_sequence(clips / "motion1"), cfg.flow_params)
         grid = PatchGrid.for_shape(64, 64, 16, 16)
         sel = ex.extract(flows, grid, cfg.extractor, derive_seed(1, "extract", "motion1"))
-        encoded = encode_selection(sel, cfg.codec)
-        decoded = transmit_selection(encoded, cfg.codec, 10.0, derive_seed(1, "channel", ("motion1", 0.0, 10.0)))
+        coded, norm = encode_selection(sel, cfg.codec)
+        decoded = transmit_selection(coded, norm, cfg.codec, 10.0, derive_seed(1, "channel", ("motion1", 0.0, 10.0)))
         assert float(row["rms_flow_error"]) == transmit_stats(sel.payloads, decoded)[1]
 
     def test_link_is_awgn_at_the_swept_snr(self, tmp_path, clips, monkeypatch):
@@ -1321,6 +1334,16 @@ class TestAllocateCli:
         out = tmp_path / "alloc"
         assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"the [channel] link give the UE snr {snr}; it must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_ue_with_both_snr_and_distance_rejected(self, tmp_path, capsys):
+        """The snr would win and the distance go unused: one key or the other, not both."""
+        cfg = tmp_path / "sc.ini"
+        cfg.write_text(CHANNEL_SCENARIO_INI.replace("distance = 150", "distance = 150\nsnr = 3.0"))
+        out = tmp_path / "alloc"
+        assert cli.main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [ue.2] gives both snr and distance") and err.count("\n") == 1
         assert not out.exists()
 
     def test_scenario_missing_snr_rejected(self, tmp_path):

@@ -237,8 +237,9 @@ class TestPerFrameCell:
         points = run.points()
         cells = list(run.cells())
         assert len(points) == len(cells) == 9
-        for point, (rho, snr_db, sel, encoded, seed) in zip(points, cells):
-            decoded = pipeline.transmit_selection(encoded, cfg.codec, ch.db_to_linear(snr_db), seed)
+        for point, (sel, norm, snr_db, seed) in zip(points, cells):
+            rho = sel.mask_ratio
+            decoded = pipeline.transmit_selection(sel, norm, cfg.codec, ch.db_to_linear(snr_db), seed)
             noisy = replace(sel, payloads=decoded)
             frames = map_coordinates_reconstruction(video.frames[0], noisy)
             expected = whole_video_losses(frames, video, run.ssim_reference)

@@ -1,6 +1,7 @@
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ class TestPpm:
         again = load_ppm_sequence(tmp_path / "seq")
         assert np.array_equal(again.frames, video.frames)
 
+    def test_load_holds_the_clip_once(self, tmp_path):
+        # Each file's bytes are copied into one preallocated array and let go before the next
+        # file is read; a list of frames stacked at the end held the clip twice. The frames
+        # are large next to a file object's read buffer.
+        frames = np.random.default_rng(2).integers(0, 256, size=(8, 64, 128, 3)).astype(np.uint8)
+        save_ppm_sequence(Video(frames), tmp_path / "seq")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            video = load_ppm_sequence(tmp_path / "seq")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(video.frames, frames)
+        assert peak < frames.nbytes + 2 * frames[0].nbytes, peak / frames[0].nbytes
+
     @pytest.mark.parametrize("n_frames, first", [(10000, "frame_0000.ppm"), (10001, "frame_00000.ppm")])
     def test_roundtrip_keeps_order_past_four_digits(self, tmp_path, n_frames, first):
         """Names keep 4 digits up to 10000 frames; past that every name gets the last
@@ -61,9 +78,17 @@ class TestPpm:
             load_ppm_sequence(tmp_path / "nowhere")
 
     def test_dimension_mismatch(self, tmp_path):
-        save_ppm(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "a.ppm")
-        save_ppm(np.zeros((5, 4, 3), dtype=np.uint8), tmp_path / "b.ppm")
-        with pytest.raises(FormatError, match="dimension mismatch"):
+        self.check_dimension_mismatch(tmp_path, 5)
+
+    def test_dimension_mismatch_of_a_one_row_frame(self, tmp_path):
+        self.check_dimension_mismatch(tmp_path, 1)  # would broadcast into its row of the clip
+
+    @staticmethod
+    def check_dimension_mismatch(tmp_path, height):
+        for name, h in (("a", 4), ("b", height), ("c", 4)):
+            save_ppm(np.zeros((h, 4, 3), dtype=np.uint8), tmp_path / f"{name}.ppm")
+        message = rf"^dimension mismatch: b\.ppm is \({height}, 4, 3\), expected \(4, 4, 3\)$"
+        with pytest.raises(FormatError, match=message):
             load_ppm_sequence(tmp_path)
 
     @pytest.mark.parametrize("header", [b"P6\n0 4\n255\n", b"P6\n4 0\n255\n"])
