@@ -24,8 +24,8 @@ def derive_seed(run_seed: int, stage: str, key) -> int:
 
 
 def video_id(directory: str) -> str:
-    """The name a video's outputs go under: its directory's basename."""
-    return os.path.basename(os.path.normpath(directory))
+    """The name a video's outputs go under: the basename of its directory's absolute path."""
+    return os.path.basename(os.path.abspath(directory))
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,14 @@ so `estimate_flow` runs contiguous blocks of pairs on the threads it is given.
 Every plane a pair touches lives in a `_Workspace` that the calling thread
 allocates once per block and each kernel writes through `out=`: worker threads
 allocate no frame-sized array, whose freed memory their malloc arenas would
-keep. The finest level refines into the caller's stack, or, for a sink, into
-one (2, H, W) field per block, which the sink gets on the worker thread with
-the scratch planes, free once the field is refined: a consumer such as
-extraction carves its planes from them, so a run need hold no field but the
-one each thread is on. Within a block, a frame's pyramid is built once, as
-one pair's target and then the next pair's reference. Each level's images sit
-inside a one-pixel border that repeats their edge pixels, so every warp tap is
-in range.
+keep. The finest level refines into the workspace's one (2, H, W) field,
+which is checked finite and handed to a sink on the worker thread with the
+scratch planes, free once the field is refined: a consumer such as extraction
+carves its planes from them, so a run need hold no field but the one each
+thread is on. The library call's sink copies each field into the stack it
+returns. Within a block, a frame's pyramid is built once, as one pair's
+target and then the next pair's reference. Each level's images sit inside a
+one-pixel border that repeats their edge pixels, so every warp tap is in range.
 
 A workspace carries seven frame-sized scratch planes, each reused as one
 refinement iteration goes on:
@@ -205,17 +205,14 @@ class _Workspace:
             _Level(shape, coarser, self.scratch, mask, params.lk_window)
             for shape, coarser in zip(shapes, [None, *shapes[:-1]])
         ]
-        self.coarse_flows = [np.empty((2, *shape)) for shape in shapes[:-1]]
+        self.flows = [np.empty((2, *shape)) for shape in shapes]  # the last is the field
 
-    def estimate(self, frames: np.ndarray, out, sink=None, first: int = 0) -> list:
-        """Coarse-to-fine flow frames[t] -> frames[t + 1], written into out[t] (u, v).
-
-        Given a sink, each finished field is checked and handed to
-        sink(first + t, out[t], self.scratch), and the sink's results are
-        returned in order. Each frame's pyramid is built once, into the target
-        slot, and copied into the reference slot for the pair that follows.
-        """
-        levels, params = self.levels, self.params
+    def estimate(self, frames: np.ndarray, sink, first: int = 0) -> list:
+        """Coarse-to-fine flow frames[t] -> frames[t + 1] (u, v), each refined into the
+        workspace's field, checked finite and handed to sink(first + t, field, self.scratch);
+        the sinks' results come back in order. Each frame's pyramid is built once, into the
+        target slot, and copied into the reference slot for the pair that follows."""
+        levels, params, flows = self.levels, self.params, self.flows
         results = []
         for t, frame in enumerate(frames):
             _grayscale(frame, levels[-1].images[1])
@@ -225,15 +222,13 @@ class _Workspace:
                 separable_blur(fine.images[1], self.taps, coarse.images[1], self.scratch, "clip", step=2)
                 _fill_border(coarse.bordered[1])
             if t:
-                flows = [*self.coarse_flows, out[t - 1]]
                 flows[0].fill(0.0)
                 _refine(levels[0], flows[0], params)
                 for level, coarse, flow in zip(levels[1:], flows, flows[1:]):
                     _upsample(coarse, flow, level)
                     _refine(level, flow, params)
-                if sink is not None:  # the scratch planes are free until the next frame's pyramid
-                    _check_finite(out[t - 1])
-                    results.append(sink(first + t - 1, out[t - 1], self.scratch))
+                _check_finite(flows[-1])  # the scratch planes are free until the next pyramid
+                results.append(sink(first + t - 1, flows[-1], self.scratch))
             for level in levels:
                 np.copyto(level.bordered[0], level.bordered[1])
         return results
@@ -412,37 +407,37 @@ def _refine(level: _Level, flow: np.ndarray, params: FlowEstimatorParams) -> Non
             field += step
 
 
-def _check_finite(fields: np.ndarray) -> None:
-    # min and max propagate NaN and reach any infinity, without a mask the size of the fields
-    if not (math.isfinite(fields.min()) and math.isfinite(fields.max())):
+def _check_finite(field: np.ndarray) -> None:
+    # min and max propagate NaN and reach any infinity, without a mask the size of the field
+    if not (math.isfinite(field.min()) and math.isfinite(field.max())):
         raise ValueError("flow values must be finite")
 
 
 def estimate_flow(video: Video, params: FlowEstimatorParams, threads: int = 1, sink=None):
     """Flow fields for all T-1 adjacent frame pairs of a video.
 
-    Without a sink, the fields come back as one (T-1, 2, H, W) array. With
-    one, no field outlives its sink: each thread refines its pairs into one
-    (2, H, W) buffer of its own and calls sink(t, field, scratch) with each
-    finished field, on that thread; `scratch` is a flat float64 buffer of
-    seven H x W planes, free, like the field, until the sink returns. The
-    sinks' results come back as a list, in pair order.
+    Each thread refines its pairs into one (2, H, W) field of its own and
+    calls sink(t, field, scratch) with each finished field, on that thread;
+    `scratch` is a flat float64 buffer of seven H x W planes, free, like the
+    field, until the sink returns. The sinks' results come back as a list, in
+    pair order. Without a sink, the fields are copied into one (T-1, 2, H, W)
+    array, which comes back instead.
 
     The pairs run in contiguous blocks of near-equal size, one per thread, on
     `threads` threads or one per pair if there are fewer pairs. Raises
     ValueError if any estimated value is not finite, before a sink sees it.
     """
-    n_pairs, shape = video.n_frames - 1, (2, video.height, video.width)
+    n_pairs = video.n_frames - 1
     threads = min(threads, n_pairs)
     bounds = [n_pairs * k // threads for k in range(threads + 1)]
-    out = np.empty((n_pairs, *shape)) if sink is None else None
+    stack = np.empty((n_pairs, 2, video.height, video.width)) if sink is None else None
+    if sink is None:  # the library call's sink copies each field into the stack returned
+        def sink(t, field, scratch):
+            stack[t] = field
+
     blocks = [
-        (_Workspace(video.height, video.width, params), video.frames[a : b + 1],
-         *((out[a:b],) if sink is None else ([np.empty(shape)] * (b - a), sink, a)))
+        (_Workspace(video.height, video.width, params), video.frames[a : b + 1], sink, a)
         for a, b in zip(bounds, bounds[1:])
     ]
     results = fan_out(lambda block: block[0].estimate(*block[1:]), blocks, threads)
-    if sink is not None:
-        return [result for block in results for result in block]
-    _check_finite(out)
-    return out
+    return [result for block in results for result in block] if stack is None else stack

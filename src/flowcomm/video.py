@@ -130,6 +130,9 @@ def load_ppm_sequence(directory: str | os.PathLike) -> Video:
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".ppm"))
     if len(names) < 2:
         raise FormatError(f"insufficient frames: found {len(names)} PPM files in {directory}")
+    for path in (os.path.join(directory, name) for name in names):  # all, before any is read
+        if not os.path.isfile(path):  # a directory cannot be read, and a FIFO's open blocks
+            raise FormatError(f"{path}: not a regular file")
     frames = None
     for t, name in enumerate(names):
         frame = load_ppm(os.path.join(directory, name))

@@ -293,25 +293,59 @@ class TestMatchesReference:
         with pytest.raises(ValueError, match="too many levels"):
             estimate_flow(synth.static_video(32, 32, 2, seed=19), FlowEstimatorParams(levels=4))
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_stack_equals_the_fields_a_sink_receives(self, threads):
+        """The library call's stack holds, bit for bit, the fields a sink is handed, in pair order."""
+        video = synth.block_motion_video(48, 40, 6, [(8, 8, 12, 12)], dx=2, dy=1, seed=31, bg_dx=1)[0]
+        params = FlowEstimatorParams(levels=2)
+        received = {}
+
+        def keep(t, field, scratch):
+            received[t] = field.copy()
+            return t
+
+        assert estimate_flow(video, params, threads, keep) == list(range(5))
+        stack = estimate_flow(video, params, threads)
+        assert stack.shape == (5, 2, 48, 40) and stack.dtype == np.float64 and stack.flags.c_contiguous
+        assert sorted(received) == list(range(5))
+        for t, field in enumerate(stack):
+            assert field.tobytes() == received[t].tobytes()
+
+    @pytest.mark.parametrize("sink", [False, True], ids=["stack", "sink"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_field_rejected(self, monkeypatch, bad):
-        estimate = flow._Workspace.estimate
+    def test_non_finite_field_rejected(self, monkeypatch, bad, sink):
+        """A value poisoned as the second pair's finest level is refined stops the run
+        before any sink is handed that field; the first pair's field reaches its sink."""
+        refine, finest = flow._refine, []
 
-        def poisoned(self, frames, out):
-            estimate(self, frames, out)
-            out[-1, 1, -1, -1] = bad
+        def poisoned(level, field, params):
+            refine(level, field, params)
+            if field.shape[1:] == (32, 32):
+                finest.append(field)
+                if len(finest) == 2:
+                    field[1, -1, -1] = bad
 
-        monkeypatch.setattr(flow._Workspace, "estimate", poisoned)
-        with pytest.raises(ValueError, match="flow values must be finite"):
-            estimate_flow(synth.static_video(32, 32, 3, seed=22), FlowEstimatorParams(levels=2))
+        received = []
+
+        def keep(t, field, scratch):
+            assert np.isfinite(field).all()
+            received.append(t)
+
+        monkeypatch.setattr(flow, "_refine", poisoned)
+        video = synth.static_video(32, 32, 4, seed=22)
+        with pytest.raises(ValueError, match="^flow values must be finite$"):
+            estimate_flow(video, FlowEstimatorParams(levels=2), 1, keep if sink else None)
+        assert len(finest) == 2
+        assert received == ([0] if sink else [])
 
     @staticmethod
     def peak_planes(n_frames, threads):
-        """tracemalloc's peak, in 256x256 float64 planes, of flow at 3 levels on n_frames."""
+        """tracemalloc's peak, in 256x256 float64 planes, of flow at 3 levels on n_frames,
+        each field handed to a sink that keeps nothing: the path every command runs."""
         video = synth.block_motion_video(256, 256, n_frames, [], 0, 0, seed=20, bg_dx=2, bg_dy=1)[0]
         tracemalloc.start()
         try:
-            estimate_flow(video, FlowEstimatorParams(levels=3), threads)
+            estimate_flow(video, FlowEstimatorParams(levels=3), threads, lambda t, field, scratch: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,7 +353,7 @@ class TestMatchesReference:
 
     def test_one_pair_peak_memory(self):
         """One 256x256 pair at 3 levels peaks near 13 frame-sized float64 planes:
-        7 scratch planes, both frames' pyramids, the coarse flows and the output."""
+        7 scratch planes, both frames' pyramids, the coarse flows and the field."""
         planes = self.peak_planes(2, 1)
         assert planes < 14, planes
 

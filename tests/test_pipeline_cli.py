@@ -822,6 +822,39 @@ class TestCli:
         assert "'motion0'" in err and str(clips / "motion0") in err and str(twin) in err
         assert not out.exists()
 
+    def test_video_named_by_dot_dot_writes_inside_out(self, tmp_path, clips, monkeypatch):
+        """`..` is named for the directory it points to, so its files go under --out."""
+        clip = tmp_path / "clip"
+        save_ppm_sequence(load_ppm_sequence(clips / "motion0"), clip)
+        (clip / "sub").mkdir()
+        monkeypatch.chdir(clip / "sub")
+        cfg = write_config(tmp_path / "c.ini", [".."])
+        out = tmp_path / "o"
+        assert self.run("flow", "--config", str(cfg), "--out", str(out)) == 0
+        assert [row["video_id"] for row in read_rows(out / "flow.csv")] == ["clip"]
+        assert sorted(os.listdir(out / "clip")) == [f"flow_{t:04d}.flo" for t in range(3)]
+        assert sorted(os.listdir(tmp_path)) == ["c.ini", "clip", "o"]
+
+    def test_dot_next_to_its_own_path_shares_its_video_id(self, tmp_path, clips, monkeypatch, capsys):
+        clip = tmp_path / "clip"
+        save_ppm_sequence(load_ppm_sequence(clips / "motion0"), clip)
+        monkeypatch.chdir(clip)
+        cfg = write_config(tmp_path / "c.ini", [".", "../clip"])
+        out = tmp_path / "o"
+        assert self.run("flow", "--config", str(cfg), "--out", str(out)) == 2
+        assert "videos . and ../clip share the video id 'clip'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ppm_entry_that_is_a_directory_rejected(self, tmp_path, clips, capsys):
+        clip = tmp_path / "clip"
+        save_ppm_sequence(load_ppm_sequence(clips / "motion0"), clip)
+        (clip / "zzzz.ppm").mkdir()
+        cfg = write_config(tmp_path / "c.ini", [clip])
+        out = tmp_path / "o"
+        assert self.run("load", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {clip / 'zzzz.ppm'}: not a regular file\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["transmit", "pipeline"])
     @pytest.mark.parametrize("snr_db", ["-4000", "-inf", "4000", "-200", "nan", "inf"])
     def test_snr_the_link_cannot_carry_rejected(self, tmp_path, clips, capsys, command, snr_db):

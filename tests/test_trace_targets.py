@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 import os
 
-from flowcomm import cli, pipeline, synth
+from flowcomm import cli, flow, pipeline, synth
 from flowcomm.extractor import selection_count
 from flowcomm.video import save_ppm_sequence
 
@@ -85,6 +85,22 @@ def test_traced_pipeline_with_flow_threads(tmp_path, monkeypatch):
     metrics = tracer.metrics()
     assert metrics["flow.estimate_flow.calls"] == 1
     # The hook reads estimate_flow's video argument and the number of fields returned.
+    assert metrics["flow.pairs"] == 4
+
+
+def test_traced_library_call_is_one_span():
+    """The library call fills its stack through a sink of its own, not by calling the
+    traced name again, so its span and its pairs are counted once."""
+    video, _ = synth.block_motion_video(64, 64, 5, [(16, 16, 16, 16)], dx=2, dy=0, seed=4)
+    tracer = load_spans().Tracer("tier-1")
+    tracer.install()
+    try:
+        fields = flow.estimate_flow(video, flow.FlowEstimatorParams(levels=2), 2)
+    finally:
+        tracer.uninstall()
+    assert fields.shape == (4, 2, 64, 64)
+    metrics = tracer.metrics()
+    assert metrics["flow.estimate_flow.calls"] == 1
     assert metrics["flow.pairs"] == 4
 
 

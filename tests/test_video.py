@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomm import synth
+from flowcomm import video as video_module
 from flowcomm.video import (
     FLO_MAGIC,
     FormatError,
@@ -76,6 +77,26 @@ class TestPpm:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_ppm_sequence(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
+    def test_entry_that_is_not_a_regular_file_rejected(self, tmp_path, monkeypatch, make):
+        """Named before any file is read: a directory's read fails, and a FIFO's open blocks."""
+        save_ppm_sequence(synth.static_video(8, 8, 2, seed=0), tmp_path)
+        make(tmp_path / "zzz.ppm")
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(video_module, "load_ppm", unread)
+        with pytest.raises(FormatError, match=rf"^{tmp_path / 'zzz.ppm'}: not a regular file$"):
+            load_ppm_sequence(tmp_path)
+
+    def test_symlinks_to_frames_load(self, tmp_path):
+        video = synth.static_video(8, 8, 2, seed=0)
+        (tmp_path / "clip").mkdir()
+        for path in save_ppm_sequence(video, tmp_path / "frames"):
+            (tmp_path / "clip" / os.path.basename(path)).symlink_to(path)
+        assert np.array_equal(load_ppm_sequence(tmp_path / "clip").frames, video.frames)
 
     def test_dimension_mismatch(self, tmp_path):
         self.check_dimension_mismatch(tmp_path, 5)
