@@ -24,6 +24,7 @@ from .config import (
     config_digest,
     parse_experiment_config,
     parse_scenario_config,
+    video_id,
 )
 from .channel import db_to_linear
 from .pipeline import STAGES, check_videos, run_videos, transmit_selection, transmit_stats
@@ -179,12 +180,22 @@ EXPERIMENTS = {
     ),
 }
 EXPERIMENTS["sweep"] = EXPERIMENTS["pipeline"]  # pipeline under the name of its grid
+# The commands whose task writes each video's files into a directory of --out named by its id.
+VIDEO_DIRECTORIES = ("flow", "extract")
 
 
 def run_experiment(command: str, config_path: str, seed: int, out_dir: str, workers: int):
     """Check every video, then run the command's task on each and write each of its CSVs once."""
     cfg = parse_experiment_config(config_path)
     task, stages, tables = EXPERIMENTS[command]
+    if command in VIDEO_DIRECTORIES:
+        outputs = {name for name, _ in tables} | {"manifest.json"}
+        for directory in cfg.video_dirs:
+            if video_id(directory) in outputs:
+                raise ConfigError(
+                    f"{directory}: video id {video_id(directory)!r} names one of {command}'s "
+                    "own output files, so the video's directory would collide with it in --out"
+                )
     check_videos(cfg, stages)
     write_manifest(out_dir, command, config_path, seed)
     per_video = run_videos(cfg, seed, workers, partial(task, out_dir))

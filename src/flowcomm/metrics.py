@@ -54,20 +54,31 @@ def check_ssim_window(h: int, w: int) -> None:
 class SsimPlanes:
     """Scratch planes for SSIM on (h, w) frames, made once and reused by every call given them.
 
-    One set serves one thread: calls that share a set must not overlap.
+    One set serves one thread: calls that share a set must not overlap. The
+    planes are carved from the start of flat float64 `buffer` (see `carve`),
+    fresh when it is None or smaller than `SsimPlanes.size(h, w)`; no value in
+    them outlives a call, so between calls the buffer may serve other work.
     """
 
-    def __init__(self, h: int, w: int):
+    def __init__(self, h: int, w: int, buffer: np.ndarray | None = None):
         check_ssim_window(h, w)
         self.shape = (h, w)
         self.valid = (w - 2 * _HALF, h - 2 * _HALF)  # transposed, as `SsimStats` keeps them
-        self.y = np.empty((h, w))  # the luma of the operand whose statistics are made here
-        self.product = np.empty((h, w))  # a product of two luma planes
-        # Two flat vectors: a window mean's running sum and tap pair term in each pass,
-        # and between means, products at the valid positions.
-        self.scratch = np.empty((2, self.valid[1] * w))
-        # At every valid position: that operand's mean and variance, and the covariance.
-        self.mu, self.var, self.cov = np.empty((3, *self.valid))
+        # The luma of the operand whose statistics are made here; a product of two luma
+        # planes; two flat vectors: a window mean's running sum and tap pair term in each
+        # pass, and between means, products at the valid positions; at every valid
+        # position, that operand's mean and variance, and the covariance.
+        self.y, self.product, self.scratch, stats = carve(buffer, *self._shapes(h, w))
+        self.mu, self.var, self.cov = stats
+
+    @staticmethod
+    def _shapes(h: int, w: int) -> list[tuple[int, ...]]:
+        return [(h, w), (h, w), (2, (h - 2 * _HALF) * w), (3, w - 2 * _HALF, h - 2 * _HALF)]
+
+    @staticmethod
+    def size(h: int, w: int) -> int:
+        """The float64 elements of one set of planes for (h, w) frames."""
+        return sum(math.prod(shape) for shape in SsimPlanes._shapes(h, w))
 
     def at_valid(self, k: int, shape: tuple[int, int] | None = None) -> np.ndarray:
         """Scratch vector k as a contiguous array of the valid positions, transposed unless `shape` says."""
@@ -250,7 +261,9 @@ def psnr(mse_value: float) -> float:
     return 10.0 * math.log10(DYNAMIC_RANGE**2 / mse_value)
 
 
-def frame_losses(reconstructed, original: Video, reference) -> QualityReport:
+def frame_losses(
+    reconstructed, original: Video, reference, scratch: np.ndarray | None = None
+) -> QualityReport:
     """Per-frame MSE/PSNR/SSIM plus video means (mean SSIM is the objective).
 
     `reconstructed` yields one frame per original frame, in order: a stack of
@@ -259,6 +272,10 @@ def frame_losses(reconstructed, original: Video, reference) -> QualityReport:
     original frame: the frames themselves, or their `ssim_stats` computed once
     per video. The video-level PSNR is the PSNR of the mean MSE; averaging
     per-frame PSNR would be pinned at infinity by any losslessly carried frame.
+
+    The SSIM planes are carved from `scratch` (see `SsimPlanes`), which may be
+    the generator's own scratch if it leaves that free while a frame is held,
+    as `reconstructed_frames` does: a frame is scored between two `next()`s.
     """
     f_ssim, f_psnr, f_mse = [], [], []
     planes = None  # made at the first frame that reaches the SSIM kernel, then reused
@@ -274,7 +291,7 @@ def frame_losses(reconstructed, original: Video, reference) -> QualityReport:
             f_ssim.append(1.0)
             continue
         if planes is None:
-            planes = SsimPlanes(*frame.shape[:2])
+            planes = SsimPlanes(*frame.shape[:2], scratch)
         f_ssim.append(ssim(frame, ref, planes))
     mean_mse = float(np.mean(f_mse))
     return QualityReport(

@@ -29,7 +29,7 @@ from .metrics import (
     ssim_stats,
 )
 from .reconstruct import reconstructed_frames
-from .video import PatchGrid, load_ppm_sequence
+from .video import PatchGrid, carve, load_ppm_sequence
 
 
 @dataclass
@@ -124,12 +124,13 @@ class VideoRun:
                 seed = derive_seed(self.run_seed, "channel", (self.video_id, sel.mask_ratio, snr_db))
                 yield sel, norm, snr_db, seed
 
-    def quality(self, frames, passes: int) -> QualityReport:
+    def quality(self, frames, passes: int, scratch: np.ndarray | None = None) -> QualityReport:
         """Score the reconstructed frames against the source, one frame at a time, in one
         of `passes` scoring passes over the video: two or more share `ssim_reference`,
-        and one scores against the source frames themselves."""
+        and one scores against the source frames themselves. The SSIM planes are carved
+        from `scratch` (see `frame_losses`)."""
         reference = self.ssim_reference if passes > 1 else self.video.frames
-        return frame_losses(frames, self.video, reference)
+        return frame_losses(frames, self.video, reference, scratch)
 
     def points(self) -> list[PointResult]:
         """Every (rho, snr_db) cell of the video through the channel, scored, in grid order.
@@ -153,20 +154,23 @@ def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParam
     was extracted. A rho's picks are a prefix of each frame's, and the codec
     works pixel by pixel in patch order, so its codes are views of each
     frame's first 2 k ph pw codes. Its norm, of its whole symbol vector, is
-    taken with one `np.vdot` over its own symbols, expanded contiguously.
+    taken from a histogram of its codes, counted frame by frame: the square
+    root of the `math.fsum` of each code's count times its symbol squared, so
+    no symbol is expanded and the sum depends on neither their order nor the
+    BLAS build.
     """
     if widest.codes is None:
         widest = replace(widest, codes=np.stack([ch.flow_codes(p, codec) for p in widest.payloads]))
+    squares = ch.expand_codes(np.arange(1 << codec.bits_per_symbol), codec) ** 2
     for rho in rho_list:
         sel = widest.prefix(rho)
-        symbols = ch.expand_codes(sel.codes, codec)
-        norm = float(np.sqrt(np.vdot(symbols, symbols)))
-        del symbols  # not kept across the yield, so no two rhos' symbols are alive at once
-        yield sel, norm
+        counts = sum(np.bincount(codes, minlength=squares.size) for codes in sel.codes)
+        yield sel, math.sqrt(math.fsum(counts * squares))
 
 
 def received_payloads(
-    sel: ex.SelectionResult, norm: float, codec: ch.CodecParams, snr_linear: float, seed: int
+    sel: ex.SelectionResult, norm: float, codec: ch.CodecParams, snr_linear: float, seed: int,
+    scratch: np.ndarray | None = None,
 ):
     """Yield each flow frame's (k, 2, ph, pw) payloads as decoded after an AWGN link at the cell's SNR.
 
@@ -181,7 +185,8 @@ def received_payloads(
     One buffer serves every frame, so a frame's payloads hold until the next
     is decoded. The frame's symbols are made, sent and decoded in that buffer,
     in place: each is looked up in the cell's table of every code's expanded,
-    scaled symbol.
+    scaled symbol. The buffer is carved from the start of `scratch` (see
+    `carve`).
     """
     ph, pw = sel.grid.patch_h, sel.grid.patch_w
     # Extreme mask ratios can round the selection to zero: no symbols, and no norm to scale.
@@ -190,7 +195,7 @@ def received_payloads(
     symbol_of = ch.expand_codes(np.arange(1 << codec.bits_per_symbol), codec)
     symbol_of *= scale
     rng = np.random.default_rng(seed)
-    decoded = np.empty((sel.picks.shape[1], 2, ph, pw))
+    decoded, = carve(scratch, (sel.picks.shape[1], 2, ph, pw))
     for codes in sel.codes:
         symbols = np.take(symbol_of, codes, out=decoded.reshape(-1), mode="clip")  # in range
         received = ch.transmit_analog(symbols, 1.0 / snr_linear, rng, out=symbols)
@@ -233,15 +238,26 @@ def run_point(
 
     Each step sends and decodes a frame's payloads, warps the next frame from
     the one before and scores it, so a cell holds one frame of each at a time.
-    When the video has two threads for each of its cells, a cell's second
-    thread sends and warps each frame while the one before is scored.
+    The three stages take turns on one flat scratch buffer: the flow canvas at
+    its start, then the decoded payloads and, once they are drawn on the
+    canvas, the warped planes; while a frame is scored, the SSIM planes from
+    its start. When the video has two threads for each of its cells, a cell's
+    second thread sends and warps each frame while the one before is scored,
+    so the scorer gets planes of its own.
     """
     breakdown, n_cells = run.breakdown(sel.mask_ratio), len(run.cfg.rho_list) * len(run.cfg.snr_db_list)
-    payloads = received_payloads(sel, norm, run.cfg.codec, ch.db_to_linear(snr_db), channel_seed)
-    frames = reconstructed_frames(run.video.frames[0], sel.grid, sel.picks, payloads)
-    if run.threads >= 2 * n_cells:
+    grid, (h, w) = sel.grid, run.video.frames.shape[1:3]
+    ahead = run.threads >= 2 * n_cells
+    canvas = 2 * grid.rows * grid.patch_h * grid.cols * grid.patch_w
+    payload = sel.picks.shape[1] * 2 * grid.patch_h * grid.patch_w
+    scratch = np.empty(max(canvas + max(payload, 3 * h * w), 0 if ahead else SsimPlanes.size(h, w)))
+    payloads = received_payloads(
+        sel, norm, run.cfg.codec, ch.db_to_linear(snr_db), channel_seed, scratch[canvas:]
+    )
+    frames = reconstructed_frames(run.video.frames[0], grid, sel.picks, payloads, scratch)
+    if ahead:
         frames = read_ahead(frames)
-    report = run.quality(frames, n_cells)
+    report = run.quality(frames, n_cells, None if ahead else scratch)
     return PointResult(
         run.video_id, sel.mask_ratio, snr_db, report, motion_area_percentage(sel.important),
         breakdown, tx_seconds(run.cfg, breakdown, snr_db), sel.n_selected,

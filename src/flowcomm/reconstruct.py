@@ -76,7 +76,7 @@ def _resample(
     bilinear_sum(sample, row_weights, col_weights, out, np.empty(out.shape))
 
 
-def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloads):
+def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloads, scratch=None):
     """Yield the first frame, then chain inverse warps: frame t samples t-1 at (x, y) - flow(x, y).
 
     first_frame: (H, W, 3) uint8. Flow frame t carries payloads[t] at the
@@ -88,17 +88,24 @@ def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloa
     map_coordinates(order=1, mode="nearest") per channel, bit for bit. The
     planes are made once; the moved pixels go in blocks of at most `_BLOCK`,
     so no tap, index or weight array outgrows a block.
+
+    Only the frame, its unrounded planes and the moved-pixel mask carry from
+    frame to frame. The canvas and then 3 H W warped values are carved from
+    flat float64 `scratch` (see `PatchGrid.canvas`), fresh when it is None or
+    too small. Frame t's payloads may live in `scratch` right after the
+    canvas: they are spent once drawn on it, and only then are the warped
+    values written there. While the caller holds a yielded frame, every
+    element of `scratch` is free until its next `next()`.
     """
     h, w = first_frame.shape[:2]
     frame = np.array(first_frame, dtype=np.uint8).reshape(h * w, 3)
     # Unrounded, carried from frame to frame; one plane per channel, because
     # per-channel 1-D scatters are numpy's fast path.
     current = frame.T.astype(np.float64, order="C")
-    # The moved pixels' new values, packed in pixel order: they replace frame t-1's
-    # only once every block has read frame t-1.
-    warped = np.empty_like(current)
     moving = np.empty(h * w, dtype=bool)
-    canvas, patches = grid.canvas()
+    # The canvas with its patch view, then the moved pixels' new values, packed in pixel
+    # order: they replace frame t-1's only once every block has read frame t-1.
+    canvas, patches, warped = grid.canvas(scratch, current.shape)
     yield frame.reshape(h, w, 3)
     for frame_picks, frame_payloads in zip(picks, payloads):
         canvas.fill(0.0)

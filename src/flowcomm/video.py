@@ -74,12 +74,16 @@ class PatchGrid:
     def n_patches(self) -> int:
         return self.rows * self.cols
 
-    def canvas(self) -> tuple[np.ndarray, np.ndarray]:
-        """A zeroed (2, rows * patch_h, cols * patch_w) flow canvas, and its
-        (rows, cols, 2, patch_h, patch_w) patch view, which writes through to it."""
+    def canvas(self, scratch: np.ndarray | None = None, *after) -> list[np.ndarray]:
+        """A (2, rows * patch_h, cols * patch_w) flow canvas, its (rows, cols, 2, patch_h,
+        patch_w) patch view, which writes through to it, and an array of each `after` shape.
+
+        The canvas and then the `after` arrays are carved from `scratch` (see `carve`);
+        the canvas's values are whatever the buffer held.
+        """
         ph, pw = self.patch_h, self.patch_w
-        canvas = np.zeros((2, self.rows * ph, self.cols * pw))
-        return canvas, canvas.reshape(2, self.rows, ph, self.cols, pw).transpose(1, 3, 0, 2, 4)
+        canvas, *rest = carve(scratch, (2, self.rows * ph, self.cols * pw), *after)
+        return [canvas, canvas.reshape(2, self.rows, ph, self.cols, pw).transpose(1, 3, 0, 2, 4), *rest]
 
 
 def load_ppm(path: str | os.PathLike) -> np.ndarray:
@@ -214,17 +218,17 @@ def partition_patches(flow: np.ndarray, grid: PatchGrid, scratch: np.ndarray | N
 
     Returns an (N, 2, patch_h, patch_w) array, patch i * cols + j at row-major
     index, channel 0 = u and 1 = v, zero-padded beyond the field border. The
-    padded canvas and then the patches are carved from `scratch` (see `carve`),
-    so once this returns, the canvas's place at the start of `scratch` is free.
+    padded canvas and then the patches are carved from `scratch` (see
+    `PatchGrid.canvas`), so once this returns, the canvas's place at the start
+    of `scratch` is free.
     """
     _, height, width = flow.shape
-    ph, pw, rows, cols = grid.patch_h, grid.patch_w, grid.rows, grid.cols
+    ph, pw = grid.patch_h, grid.patch_w
     if ph > height or pw > width:
         raise ValueError("patch larger than field")
-    canvas, patches = carve(scratch, (2, rows * ph, cols * pw), (grid.n_patches, 2, ph, pw))
+    canvas, by_patch, patches = grid.canvas(scratch, (grid.n_patches, 2, ph, pw))
     canvas[:, :height, :width] = flow
     canvas[:, height:] = 0.0
     canvas[:, :height, width:] = 0.0
-    by_patch = canvas.reshape(2, rows, ph, cols, pw).transpose(1, 3, 0, 2, 4)
-    np.copyto(patches.reshape(rows, cols, 2, ph, pw), by_patch)
+    np.copyto(patches.reshape(grid.rows, grid.cols, 2, ph, pw), by_patch)
     return patches

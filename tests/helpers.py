@@ -70,10 +70,11 @@ def reference_flow_decode(symbols: np.ndarray, cp: ch.CodecParams, patch_h: int,
 
 def reference_encode_selection(sel: SelectionResult, codec: ch.CodecParams) -> tuple[SelectionResult, float]:
     """A selection encoded on its own: the selection with its frames' `flow_codes`, and the
-    norm of all their symbols."""
+    norm of all their symbols, from one histogram of the whole stack of codes."""
     codes = np.stack([ch.flow_codes(payloads, codec) for payloads in sel.payloads])
-    symbols = ch.expand_codes(codes, codec)
-    return replace(sel, codes=codes), float(np.sqrt(np.vdot(symbols, symbols)))
+    levels = np.arange(1 << codec.bits_per_symbol)
+    squares = ch.expand_codes(levels, codec) ** 2
+    return replace(sel, codes=codes), math.sqrt(math.fsum(np.bincount(codes.ravel(), minlength=levels.size) * squares))
 
 
 def reference_received_payloads(

@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from operator import attrgetter
 
@@ -354,12 +355,66 @@ class TestPipeline:
     def test_a_cells_peak_memory_in_frame_planes(self, tmp_path):
         """A cell makes its decode, warp and SSIM planes once, and bounds every other array
         by a block: at rho 0, with every pixel moving, a cell on 256x256 frames peaks near
-        20.7 H x W float64 planes. Making them afresh each frame peaked near 24."""
+        14.4 H x W float64 planes, 21.4 with a buffer per stage. Making them afresh each
+        frame peaked near 24."""
         video, _ = synth.block_motion_video(
             256, 256, 3, [(64, 96, 64, 64)], dx=2, dy=1, seed=12, bg_dx=1, bg_dy=0
         )
         peak = self.rho0_cell_peak(tmp_path, video, "pan")
         assert peak < 22 * 256 * 256 * 8, peak / (256 * 256 * 8)
+
+    def test_a_cells_warp_and_score_share_one_scratch_buffer(self, tmp_path):
+        """The warp's canvas, payloads and warped planes and the score's SSIM planes take
+        turns on one buffer: at rho 0 on 256x256x4 frames a cell peaks at no more than 15
+        H x W float64 planes above its inputs. With a buffer per stage it peaked near 21.4."""
+        video, _ = synth.block_motion_video(
+            256, 256, 4, [(64, 96, 64, 64)], dx=2, dy=1, seed=12, bg_dx=1, bg_dy=0
+        )
+        peak = self.rho0_cell_peak(tmp_path, video, "pan4")
+        assert peak <= 15 * 256 * 256 * 8, peak / (256 * 256 * 8)
+
+    @pytest.mark.parametrize("ahead", [False, True], ids=["shared", "read_ahead"])
+    def test_each_cells_report_equals_fresh_arrays_scoring(self, tmp_path, monkeypatch, ahead):
+        """Every cell scores what it scored with a fresh array for every stage, bit for bit:
+        on a 70x90 clip whose 16 px patch canvas is larger than its frames, at a rho whose
+        selection rounds to no patch, with the scorer on the warp's buffer or, when frames
+        are made ahead on a thread of their own, on planes of its own."""
+        video, _ = synth.block_motion_video(
+            70, 90, 4, [(16, 16, 16, 32)], dx=3, dy=-1, seed=21, bg_dx=1, bg_dy=0
+        )
+        clip = tmp_path / "padded"
+        save_ppm_sequence(video, clip)
+        # 30 patches: rho 0.99 keeps round(0.3) = 0 of them
+        cfg = parse_experiment_config(
+            write_config(tmp_path / "c.ini", [clip], rho="0.0 0.5 0.99", snr_db="5")
+        )
+        warped_in, scored_in = [], []
+        reconstructed, losses = pipeline.reconstructed_frames, pipeline.frame_losses
+
+        def making(first, grid, picks, payloads, scratch=None):
+            warped_in.append(scratch)
+            return reconstructed(first, grid, picks, payloads, scratch)
+
+        def scoring(frames, source, reference, scratch=None):
+            scored_in.append(scratch)
+            return losses(frames, source, reference, scratch)
+
+        run = pipeline.VideoRun(cfg, 4, str(clip), 6 if ahead else 1)
+        cells = list(run.cells())
+        monkeypatch.setattr(pipeline, "reconstructed_frames", making)
+        monkeypatch.setattr(pipeline, "frame_losses", scoring)
+        points = run.points()
+        monkeypatch.undo()
+        assert len(points) == 3 and cells[2][0].n_selected == 0
+        for point, (sel, norm, snr_db, seed) in zip(points, cells):
+            payloads = pipeline.received_payloads(sel, norm, cfg.codec, ch.db_to_linear(snr_db), seed)
+            frames = pipeline.reconstructed_frames(video.frames[0], sel.grid, sel.picks, payloads)
+            assert point.report == run.quality(frames, len(cells)), sel.mask_ratio
+        assert all(buffer is not None for buffer in warped_in)
+        if ahead:
+            assert scored_in == [None] * 3
+        else:
+            assert all(scored is warped for scored, warped in zip(scored_in, warped_in, strict=True))
 
     def one_cell_peak(self, tmp_path, n_frames, task=pipeline.VideoRun.points):
         """The tracemalloc peak of task(run), by default the run's one cell, on a 128x128 clip,
@@ -416,6 +471,28 @@ class TestPipeline:
             assert cli.main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         # one encode of each flow frame's 16 patches at rho 0, shared by both rhos' SNR cells
         assert encoded == [16] * 3
+
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    def test_the_symbol_norm_is_within_two_ulp_of_the_exact_norm(self, bits):
+        """Each rho's norm against the exact square root of the sum of its symbols' squares,
+        every symbol taken as the rational its float is: random codes over 3 frames of
+        20 patches, so every code of the narrow codecs repeats many times."""
+        codec = ch.CodecParams(bits_per_symbol=bits)
+        grid = PatchGrid.for_shape(64, 80, 16, 16)
+        rng = np.random.default_rng(bits)
+        picks = np.stack([rng.permutation(grid.n_patches) for _ in range(3)])
+        codes = rng.integers(0, 1 << bits, size=(3, grid.n_patches * 2 * 16 * 16))
+        codes = codes.astype(np.uint8 if bits <= 8 else np.uint16)
+        widest = ex.SelectionResult(grid, 0.0, picks, None, 64, 80, codes=codes)
+        rhos = [0.0, 0.5, 0.99]  # 0.99 keeps round(0.2) = 0 of 20 patches
+        got = list(encode_selections(widest, rhos, codec))
+        assert [sel.mask_ratio for sel, _ in got] == rhos
+        for sel, norm in got:
+            exact = sum(Fraction(float(s)) ** 2 for s in ch.expand_codes(sel.codes.ravel(), codec))
+            two_ulp = Fraction(2 * math.ulp(norm))
+            low, high = max(Fraction(norm) - two_ulp, Fraction(0)), Fraction(norm) + two_ulp
+            assert low**2 <= exact <= high**2, (sel.mask_ratio, norm, math.sqrt(exact))
+        assert got[-1][0].codes.size == 0 and got[-1][1] == 0.0
 
     @pytest.mark.parametrize("bits", [1, 8, 16])
     def test_each_rhos_encoding_equals_its_own(self, tmp_path, clips, bits):
@@ -556,9 +633,9 @@ class TestPipeline:
                 made.append(threading.get_ident())
                 yield frame
 
-        def scoring(frames, video, reference):
+        def scoring(frames, video, reference, scratch):
             scored.append(threading.get_ident())
-            return losses(frames, video, reference)
+            return losses(frames, video, reference, scratch)
 
         monkeypatch.setattr(pipeline, "reconstructed_frames", making)
         monkeypatch.setattr(pipeline, "frame_losses", scoring)
@@ -821,6 +898,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'motion0'" in err and str(clips / "motion0") in err and str(twin) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [("flow", "flow.csv"), ("extract", "manifest.json")])
+    def test_a_video_named_like_an_output_of_its_command_writes_nothing(
+        self, tmp_path, clips, capsys, command, name
+    ):
+        """A command that writes a directory per video rejects an id that names one of its
+        own output files, before it writes anything: exit 2 and one error line."""
+        clip = tmp_path / name
+        save_ppm_sequence(load_ppm_sequence(clips / "motion0"), clip)
+        cfg = write_config(tmp_path / "c.ini", [clips / "motion1", clip])
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and repr(name) in err[0], err
+        assert not out.exists()
+
+    def test_a_video_named_like_an_output_of_a_command_without_video_directories_runs(
+        self, tmp_path, clips
+    ):
+        clip = tmp_path / "summary.csv"
+        save_ppm_sequence(load_ppm_sequence(clips / "motion0"), clip)
+        cfg = write_config(tmp_path / "c.ini", [clip], rho="0.5", snr_db="10")
+        out = tmp_path / "o"
+        assert self.run("pipeline", "--config", str(cfg), "--out", str(out)) == 0
+        assert [row["video_id"] for row in read_rows(out / "summary.csv")] == ["summary.csv"]
 
     def test_video_named_by_dot_dot_writes_inside_out(self, tmp_path, clips, monkeypatch):
         """`..` is named for the directory it points to, so its files go under --out."""

@@ -265,12 +265,21 @@ class TestPartition:
 
     def test_canvas_patch_view_writes_the_canvas(self):
         grid = PatchGrid.for_shape(30, 41, 16, 8)
-        canvas, patches = grid.canvas()
+        scratch = np.zeros(2 * 32 * 48 + 7)
+        canvas, patches, after = grid.canvas(scratch, (7,))
         assert canvas.shape == (2, 32, 48) and patches.shape == (2, 6, 2, 16, 8)
+        # carved in order from the buffer's start: the canvas, then each shape after it
+        assert np.shares_memory(canvas, scratch[: canvas.size]) and canvas.base is scratch
+        assert np.shares_memory(after, scratch[canvas.size :])
         patches[1, 4] = np.arange(2 * 16 * 8).reshape(2, 16, 8)
         assert np.array_equal(canvas[:, 16:32, 32:40], patches[1, 4])
         canvas[:, 16:32, 32:40] = 0.0
         assert not canvas.any()
+        # without a buffer, or with one too small, the arrays are fresh
+        for small in (None, scratch[:-1]):
+            fresh = grid.canvas(small, (7,))
+            assert [a.shape for a in fresh] == [(2, 32, 48), (2, 6, 2, 16, 8), (7,)]
+            assert not any(np.shares_memory(a, scratch) for a in fresh)
 
     def test_oversized_patch_rejected(self):
         with pytest.raises(ValueError):
