@@ -27,6 +27,7 @@ from .config import (
     video_id,
 )
 from .channel import db_to_linear
+from .metrics import frame_losses, ssim_reference
 from .pipeline import STAGES, check_videos, run_videos, transmit_selection, transmit_stats
 from .reconstruct import reconstruct_video
 from .video import FormatError, write_flo
@@ -138,10 +139,11 @@ def transmit_rows(out_dir: str, run) -> tuple[list]:
 
 def reconstruct_rows(out_dir: str, run) -> tuple[list]:
     """Local reconstruction from lossless selections (no channel in the loop)."""
-    rows = []
-    for sel in run.selections():
+    rows, selections = [], list(run.selections())
+    reference = ssim_reference(run.video, len(selections))
+    for sel in selections:
         reconstructed = reconstruct_video(run.video.frames[0], sel)
-        report = run.quality(reconstructed.frames, len(run.cfg.rho_list))
+        report = frame_losses(reconstructed.frames, run.video, reference)
         rows += _frame_rows([run.video_id, sel.mask_ratio, ""], report)
     return (rows,)
 

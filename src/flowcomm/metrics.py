@@ -269,8 +269,7 @@ def frame_losses(
     `reconstructed` yields one frame per original frame, in order: a stack of
     frames, or a generator that makes each frame as it is scored, so no more
     than one frame need exist at a time. `reference` holds one SSIM operand per
-    original frame: the frames themselves, or their `ssim_stats` computed once
-    per video. The video-level PSNR is the PSNR of the mean MSE; averaging
+    original frame, as `ssim_reference` makes it. The video-level PSNR is the PSNR of the mean MSE; averaging
     per-frame PSNR would be pinned at infinity by any losslessly carried frame.
 
     The SSIM planes are carved from `scratch` (see `SsimPlanes`), which may be
@@ -302,6 +301,21 @@ def frame_losses(
         mean_psnr=psnr(mean_mse),
         mean_mse=mean_mse,
     )
+
+
+def ssim_reference(video: Video, passes: int):
+    """`frame_losses`' `reference` for `passes` scoring passes over `video`: with two
+    or more, each source frame's `ssim_stats`, computed here once for every pass;
+    with one, the source frames themselves, whose stats the pass makes as it scores.
+
+    Each entry keeps a view of its source frame, not a luma plane: a score makes
+    the luma again in its own planes. Frame 0 stays a raw frame: reconstruction
+    copies it, so `frame_losses` scores it exactly 1 without reaching the kernel.
+    """
+    if passes < 2:
+        return video.frames
+    planes = SsimPlanes(video.height, video.width)
+    return [video.frames[0], *(ssim_stats(f, planes) for f in video.frames[1:])]
 
 
 def motion_area_percentage(bitmap: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from .metrics import (
     check_ssim_window,
     frame_losses,
     motion_area_percentage,
-    ssim_stats,
+    ssim_reference,
 )
 from .reconstruct import reconstructed_frames
 from .video import PatchGrid, carve, load_ppm_sequence
@@ -67,19 +67,6 @@ class VideoRun:
     @cached_property
     def video(self):
         return load_ppm_sequence(self.directory)
-
-    @cached_property
-    def ssim_reference(self) -> list:
-        """Each source frame's half of SSIM, computed once for every scoring pass that shares it.
-
-        Each entry keeps a view of its source frame, not a luma plane: a score
-        makes the luma again in its cell's planes. Frame 0 stays a raw frame:
-        reconstruction copies it, so it always scores exactly 1 without
-        reaching the SSIM kernel.
-        """
-        frames = self.video.frames
-        planes = SsimPlanes(self.video.height, self.video.width)
-        return [frames[0], *(ssim_stats(f, planes) for f in frames[1:])]
 
     def estimate_flows(self, sink):
         """The video's flow fields, estimated afresh on each call, each handed to `sink`
@@ -124,27 +111,18 @@ class VideoRun:
                 seed = derive_seed(self.run_seed, "channel", (self.video_id, sel.mask_ratio, snr_db))
                 yield sel, norm, snr_db, seed
 
-    def quality(self, frames, passes: int, scratch: np.ndarray | None = None) -> QualityReport:
-        """Score the reconstructed frames against the source, one frame at a time, in one
-        of `passes` scoring passes over the video: two or more share `ssim_reference`,
-        and one scores against the source frames themselves. The SSIM planes are carved
-        from `scratch` (see `frame_losses`)."""
-        reference = self.ssim_reference if passes > 1 else self.video.frames
-        return frame_losses(frames, self.video, reference, scratch)
-
     def points(self) -> list[PointResult]:
         """Every (rho, snr_db) cell of the video through the channel, scored, in grid order.
 
-        Every rho is encoded before the first cell. The cells run on the
-        video's threads, at most one per cell, one cell per thread at a time;
-        `run_point` gives a cell a second thread when there are two per cell.
+        Every rho is encoded before the first cell, and then the cells' one
+        `ssim_reference` is made, here. The cells run on the video's threads, at
+        most one per cell, one cell per thread at a time; each cell reads its
+        frames ahead on a second thread when there are two per cell.
         """
         cells = list(self.cells())
-        # Before any cell thread reads them: cached_property takes no lock.
-        if len(cells) > 1:
-            self.ssim_reference
-        self.cfg.codec.decode_tables
-        return fan_out(lambda cell: run_point(self, *cell), cells, min(self.threads, len(cells)))
+        reference, ahead = ssim_reference(self.video, len(cells)), self.threads >= 2 * len(cells)
+        self.cfg.codec.decode_tables  # before any cell thread reads it: cached_property takes no lock
+        return fan_out(lambda cell: run_point(self, *cell, reference, ahead), cells, min(self.threads, len(cells)))
 
 
 def encode_selections(widest: ex.SelectionResult, rho_list, codec: ch.CodecParams):
@@ -232,7 +210,8 @@ def transmit_stats(sent: np.ndarray, decoded: np.ndarray) -> tuple[int, float]:
 
 
 def run_point(
-    run: VideoRun, sel: ex.SelectionResult, norm: float, snr_db: float, channel_seed: int
+    run: VideoRun, sel: ex.SelectionResult, norm: float, snr_db: float, channel_seed: int,
+    reference, ahead: bool,
 ) -> PointResult:
     """One (video, `sel.mask_ratio`, snr_db) cell of the sweep grid: one loop over the flow frames.
 
@@ -241,13 +220,11 @@ def run_point(
     The three stages take turns on one flat scratch buffer: the flow canvas at
     its start, then the decoded payloads and, once they are drawn on the
     canvas, the warped planes; while a frame is scored, the SSIM planes from
-    its start. When the video has two threads for each of its cells, a cell's
-    second thread sends and warps each frame while the one before is scored,
-    so the scorer gets planes of its own.
+    its start. Each frame is scored against `reference` (see `ssim_reference`).
+    When `ahead`, a second thread sends and warps each frame while the one
+    before is scored, so the scorer gets planes of its own.
     """
-    breakdown, n_cells = run.breakdown(sel.mask_ratio), len(run.cfg.rho_list) * len(run.cfg.snr_db_list)
-    grid, (h, w) = sel.grid, run.video.frames.shape[1:3]
-    ahead = run.threads >= 2 * n_cells
+    breakdown, grid, (h, w) = run.breakdown(sel.mask_ratio), sel.grid, run.video.frames.shape[1:3]
     canvas = 2 * grid.rows * grid.patch_h * grid.cols * grid.patch_w
     payload = sel.picks.shape[1] * 2 * grid.patch_h * grid.patch_w
     scratch = np.empty(max(canvas + max(payload, 3 * h * w), 0 if ahead else SsimPlanes.size(h, w)))
@@ -257,7 +234,7 @@ def run_point(
     frames = reconstructed_frames(run.video.frames[0], grid, sel.picks, payloads, scratch)
     if ahead:
         frames = read_ahead(frames)
-    report = run.quality(frames, n_cells, None if ahead else scratch)
+    report = frame_losses(frames, run.video, reference, None if ahead else scratch)
     return PointResult(
         run.video_id, sel.mask_ratio, snr_db, report, motion_area_percentage(sel.important),
         breakdown, tx_seconds(run.cfg, breakdown, snr_db), sel.n_selected,

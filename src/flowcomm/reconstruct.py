@@ -59,14 +59,17 @@ def bilinear_sum(sample, row_weights, col_weights, out: np.ndarray, term: np.nda
 
 
 def _resample(
-    current: np.ndarray, u: np.ndarray, v: np.ndarray, moved: np.ndarray, shape: tuple[int, int], out: np.ndarray
+    current: np.ndarray, canvas: np.ndarray, moved: np.ndarray, shape: tuple[int, int], out: np.ndarray
 ) -> None:
-    """Bilinear samples of (3, H*W) `current` at each pixel of `moved` minus its flow (u, v), into (3, n) `out`."""
+    """Bilinear samples of (3, H*W) `current` at each pixel of `moved` minus its flow, into (3, n) `out`;
+    each pixel's flow is read in place from the top-left (H, W) of the (2, H', W') `canvas`."""
     h, w = shape
+    u, v = canvas.reshape(2, -1)
     rows, cols = np.divmod(moved, w)
-    lo_rows, *row_weights = bilinear_taps(rows - v[moved], h)
-    lo_cols, *col_weights = bilinear_taps(cols - u[moved], w)
-    del rows, cols
+    at = rows * canvas.shape[2] + cols
+    lo_rows, *row_weights = bilinear_taps(rows - v[at], h)
+    lo_cols, *col_weights = bilinear_taps(cols - u[at], w)
+    del rows, cols, at
     row_starts = [i * w for i in tap_indices(lo_rows, h)]
     cols = tap_indices(lo_cols, w)
 
@@ -86,8 +89,10 @@ def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloa
     resampled: a bilinear sample at a zero offset returns the sample itself, so
     every other pixel keeps frame t-1's value. The resampling equals scipy's
     map_coordinates(order=1, mode="nearest") per channel, bit for bit. The
-    planes are made once; the moved pixels go in blocks of at most `_BLOCK`,
-    so no tap, index or weight array outgrows a block.
+    planes are made once; the moved pixels go in blocks of at most `_BLOCK`
+    and at most a quarter of the frame, so no tap, index or weight array
+    outgrows a block. The warped values of every block are packed in pixel
+    order and replace frame t-1's in one pass, once every block has read it.
 
     Only the frame, its unrounded planes and the moved-pixel mask carry from
     frame to frame. The canvas and then 3 H W warped values are carved from
@@ -102,27 +107,25 @@ def reconstructed_frames(first_frame: np.ndarray, grid: PatchGrid, picks, payloa
     # Unrounded, carried from frame to frame; one plane per channel, because
     # per-channel 1-D scatters are numpy's fast path.
     current = frame.T.astype(np.float64, order="C")
-    moving = np.empty(h * w, dtype=bool)
-    # The canvas with its patch view, then the moved pixels' new values, packed in pixel
-    # order: they replace frame t-1's only once every block has read frame t-1.
+    moving = np.empty((h, w), dtype=bool)
     canvas, patches, warped = grid.canvas(scratch, current.shape)
+    block = min(_BLOCK, -(-h * w // 4))
     yield frame.reshape(h, w, 3)
     for frame_picks, frame_payloads in zip(picks, payloads):
         canvas.fill(0.0)
         patches[np.divmod(frame_picks, grid.cols)] = frame_payloads
-        u, v = canvas[:, :h, :w].reshape(2, h * w)
+        u, v = canvas[:, :h, :w]
         np.not_equal(u, 0.0, out=moving)
         moving |= v != 0.0
         moved = np.flatnonzero(moving)
-        blocks = [slice(lo, min(lo + _BLOCK, moved.size)) for lo in range(0, moved.size, _BLOCK)]
-        for block in blocks:
-            _resample(current, u, v, moved[block], (h, w), warped[:, block])
-        for block in blocks:
-            for c, values in enumerate(warped[:, block]):
-                np.clip(values, 0.0, 255.0, out=values)
-                current[c][moved[block]] = values
-                np.rint(values, out=values)
-                frame[:, c][moved[block]] = values  # whole numbers in [0, 255]: the cast is exact
+        packed = warped[:, : moved.size]
+        for lo in range(0, moved.size, block):
+            _resample(current, canvas, moved[lo : lo + block], (h, w), packed[:, lo : lo + block])
+        for c, values in enumerate(packed):
+            np.clip(values, 0.0, 255.0, out=values)
+            current[c][moved] = values
+            np.rint(values, out=values)
+            frame[:, c][moved] = values  # whole numbers in [0, 255]: the cast is exact
         yield frame.reshape(h, w, 3)
 
 

@@ -23,7 +23,7 @@ from helpers import (
     reference_received_payloads,
 )
 from flowcomm import channel as ch
-from flowcomm import cli, pipeline, synth
+from flowcomm import cli, metrics, pipeline, synth
 from flowcomm import extractor as ex
 from flowcomm.config import derive_seed, parse_experiment_config, parse_scenario_config
 from flowcomm.flow import estimate_flow
@@ -261,19 +261,41 @@ class TestPipeline:
         assert got[2].n_selected == 0  # rho 0.99 keeps round(0.16) = 0 of 16
 
     def test_ssim_statistics_skip_the_copied_first_frame(self, tmp_path, clips, monkeypatch):
-        calls = []
-        original = pipeline.ssim_stats
+        """A video of two or more cells makes the SSIM stats of every source frame but frame 0
+        once, on the thread that called `points()`; a one-cell video makes none ahead of its
+        one pass, which scores against the source frames themselves."""
+        upfront, in_score = [], []  # the threads of ssim_stats calls outside an SSIM score, and inside one
+        scoring = threading.local()
+        stats, score = metrics.ssim_stats, metrics.ssim
 
-        def counting(frame, planes):
-            calls.append(frame)
-            return original(frame, planes)
+        def counting(frame, planes=None):
+            (in_score if getattr(scoring, "on", False) else upfront).append(threading.get_ident())
+            return stats(frame, planes)
 
-        monkeypatch.setattr(pipeline, "ssim_stats", counting)
+        def marking(a, b, planes=None):
+            scoring.on = True
+            try:
+                return score(a, b, planes)
+            finally:
+                scoring.on = False
+
+        monkeypatch.setattr(metrics, "ssim_stats", counting)
+        monkeypatch.setattr(metrics, "ssim", marking)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 6)  # cells on threads of their own
         cfg = parse_experiment_config(
             write_config(tmp_path / "c.ini", [clips / "motion0", clips / "motion1"], snr_db="10 30")
         )
         assert len(run_points(cfg, run_seed=1)) == 8
-        assert len(calls) == 2 * (4 - 1)  # per video: every frame but frame 0
+        assert upfront == [threading.get_ident()] * 2 * (4 - 1)  # per video: every frame but frame 0
+        assert in_score == []
+        upfront.clear()
+        one_cell = parse_experiment_config(
+            write_config(tmp_path / "one.ini", [clips / "motion0"], rho="0.0", snr_db="10")
+        )
+        for threads in (1, 2):
+            assert len(pipeline.VideoRun(one_cell, 1, str(clips / "motion0"), threads).points()) == 1
+        assert upfront == []
+        assert len(in_score) == 2 * (4 - 1)
 
 
     def full_selection(self, tmp_path, clips):
@@ -333,11 +355,11 @@ class TestPipeline:
         cfg = parse_experiment_config(write_config(tmp_path / f"{name}.ini", [clip], rho="0.0", snr_db="10"))
         run = pipeline.VideoRun(cfg, 1, str(clip), 1)
         cell, = run.cells()
-        run.ssim_reference  # the per-video SSIM half is not the cell's
+        reference = metrics.ssim_reference(run.video, 1)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            pipeline.run_point(run, *cell)
+            pipeline.run_point(run, *cell, reference, False)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -366,12 +388,17 @@ class TestPipeline:
     def test_a_cells_warp_and_score_share_one_scratch_buffer(self, tmp_path):
         """The warp's canvas, payloads and warped planes and the score's SSIM planes take
         turns on one buffer: at rho 0 on 256x256x4 frames a cell peaks at no more than 15
-        H x W float64 planes above its inputs. With a buffer per stage it peaked near 21.4."""
-        video, _ = synth.block_motion_video(
-            256, 256, 4, [(64, 96, 64, 64)], dx=2, dy=1, seed=12, bg_dx=1, bg_dy=0
-        )
-        peak = self.rho0_cell_peak(tmp_path, video, "pan4")
-        assert peak <= 15 * 256 * 256 * 8, peak / (256 * 256 * 8)
+        H x W float64 planes above its inputs. With a buffer per stage it peaked near 21.4.
+        So does a cell on 128x128 frames, whose warp blocks are sized to the frame (20.2
+        planes with 16384-pixel blocks), and on 250x250 frames, whose flow is read from a
+        256x256 patch canvas in place (16.6 planes when its crop was copied)."""
+        for size in (256, 128, 250):
+            video, _ = synth.block_motion_video(
+                size, size, 4, [(size // 4, 3 * size // 8, size // 4, size // 4)],
+                dx=2, dy=1, seed=12, bg_dx=1, bg_dy=0,
+            )
+            peak = self.rho0_cell_peak(tmp_path, video, f"pan4_{size}")
+            assert peak <= 15 * size * size * 8, (size, peak / (size * size * 8))
 
     @pytest.mark.parametrize("ahead", [False, True], ids=["shared", "read_ahead"])
     def test_each_cells_report_equals_fresh_arrays_scoring(self, tmp_path, monkeypatch, ahead):
@@ -406,10 +433,11 @@ class TestPipeline:
         points = run.points()
         monkeypatch.undo()
         assert len(points) == 3 and cells[2][0].n_selected == 0
+        reference = metrics.ssim_reference(video, len(cells))
         for point, (sel, norm, snr_db, seed) in zip(points, cells):
             payloads = pipeline.received_payloads(sel, norm, cfg.codec, ch.db_to_linear(snr_db), seed)
             frames = pipeline.reconstructed_frames(video.frames[0], sel.grid, sel.picks, payloads)
-            assert point.report == run.quality(frames, len(cells)), sel.mask_ratio
+            assert point.report == metrics.frame_losses(frames, video, reference), sel.mask_ratio
         assert all(buffer is not None for buffer in warped_in)
         if ahead:
             assert scored_in == [None] * 3

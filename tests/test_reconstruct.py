@@ -242,7 +242,7 @@ class TestPerFrameCell:
             decoded = pipeline.transmit_selection(sel, norm, cfg.codec, ch.db_to_linear(snr_db), seed)
             noisy = replace(sel, payloads=decoded)
             frames = map_coordinates_reconstruction(video.frames[0], noisy)
-            expected = whole_video_losses(frames, video, run.ssim_reference)
+            expected = whole_video_losses(frames, video, metrics.ssim_reference(video, len(cells)))
             assert (point.rho, point.snr_db) == (rho, snr_db)
             assert point.report == expected, (rho, snr_db)
             assert point.map == metrics.motion_area_percentage(sel.important)
